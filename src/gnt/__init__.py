@@ -34,9 +34,11 @@ from .metrics import (
     aggregate,
     compute_stereotype_effect,
     flag_significance,
+    label_cells,
     macro_average,
     macro_average_breakdowns,
     paired_response,
+    sum_cells,
 )
 from .pipeline import build_metrics_doc, run_pipeline, score_suite
 from .report import render_report

@@ -11,7 +11,6 @@ only the missing ids.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import subprocess
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import BackendUnavailable, IncompleteBatch, ProtocolViolation
-from .formats import TranslationRecord, parse_translations
+from .formats import TranslationRecord, parse_translations, translation_line
 from .lexicon import Language
 from .suite import TestInstance
 
@@ -87,6 +86,8 @@ def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
         instance_id, text = line.split("\t", 1)
         if instance_id not in batch_ids:
             raise ProtocolViolation(f"reply id {instance_id!r} was not part of the batch")
+        if instance_id in translations:
+            raise ProtocolViolation(f"reply id {instance_id!r} appears more than once")
         translations[instance_id] = text
     return translations
 
@@ -204,16 +205,4 @@ def translate_suite(
 
 def _append_records(path: Path, records: list[TranslationRecord]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "system": record.system_id,
-                        "lang": record.language.value,
-                        "id": record.instance_id,
-                        "text": record.target_text,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        fh.writelines(translation_line(record) for record in records)

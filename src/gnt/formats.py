@@ -27,8 +27,8 @@ from .suite import (
 )
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False)
+# json.dumps(record, ensure_ascii=False) builds a new encoder on every call
+_dump = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _read_lines(path: str | Path):
@@ -144,20 +144,21 @@ class TranslationRecord:
     target_text: str
 
 
+def translation_line(record: TranslationRecord) -> str:
+    """One translations-file line, newline included."""
+    return _dump(
+        {
+            "system": record.system_id,
+            "lang": record.language.value,
+            "id": record.instance_id,
+            "text": record.target_text,
+        }
+    ) + "\n"
+
+
 def write_translations(records: Iterable[TranslationRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(
-                _dump(
-                    {
-                        "system": record.system_id,
-                        "lang": record.language.value,
-                        "id": record.instance_id,
-                        "text": record.target_text,
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(translation_line(record) for record in records)
 
 
 def parse_translations(path: str | Path) -> list[TranslationRecord]:
@@ -224,10 +225,14 @@ def parse_scores(path: str | Path) -> list[SlotScore]:
     scores = []
     for number, record in _read_lines(path):
         label = _enum_value(GenderLabel, _field(record, "label", str(path), number), "label", str(path), number)
+        slot_index = _field(record, "slot_index", str(path), number)
+        # bool is an int subclass, and a negative index would count against another slot
+        if type(slot_index) is not int or slot_index < 0:
+            raise ParseError(f"slot_index must be a non-negative integer, got {slot_index!r}", str(path), number)
         scores.append(
             SlotScore(
                 instance_id=_field(record, "instance_id", str(path), number),
-                slot_index=_field(record, "slot_index", str(path), number),
+                slot_index=slot_index,
                 label=label,
                 matched_text=record.get("matched_text", ""),
                 rule=record.get("rule", ""),

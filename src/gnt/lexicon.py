@@ -219,10 +219,6 @@ class LanguageResources:
     patterns: tuple[MorphPattern, ...] = ()
     alt_phrases: tuple[AltPhraseEntry, ...] = ()
 
-    def phrases_for_lemma(self, lemma: str) -> tuple[AltPhraseEntry, ...]:
-        key = nfc(lemma).casefold()
-        return tuple(p for p in self.alt_phrases if p.lemma.casefold() == key)
-
 
 def load_language_resources(lexicon_dir: str | Path, language: Language) -> LanguageResources:
     """Load `<dir>/<lang>/{lexicon,alt_phrases,patterns}.csv`.

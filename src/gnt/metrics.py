@@ -8,7 +8,7 @@ checked against the reporting tolerances by the callers instead.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -109,6 +109,54 @@ class StrategyBreakdown:
                    u=0, count=count, u_count=u_count)
 
 
+Cell = tuple[TemplateFamily, GenderCondition, StereotypeCondition]
+
+
+def label_cells(
+    scores: Iterable[SlotScore],
+    suite: Iterable[TestInstance] | Mapping[str, TestInstance],
+) -> dict[Cell, Counter]:
+    """Count the labels of each (family, gender, stereotype) cell in one pass.
+
+    Raises GntError for a score whose instance id is unknown or whose slot
+    index is outside its instance's slots.
+    """
+    index = suite if isinstance(suite, Mapping) else {inst.id: inst for inst in suite}
+    cells: defaultdict[Cell, Counter] = defaultdict(Counter)
+    for score in scores:
+        instance = index.get(score.instance_id)
+        if instance is None:
+            # data mismatch, not an empty filter: must not be swallowed by
+            # section-skipping EmptySelection handlers
+            raise GntError(f"score references unknown instance {score.instance_id!r}")
+        slots = instance.slots
+        if not 0 <= score.slot_index < len(slots):
+            raise GntError(
+                f"score for instance {score.instance_id!r} has slot_index {score.slot_index}, "
+                f"but the instance has {len(slots)} slot(s)"
+            )
+        slot = slots[score.slot_index]
+        cells[instance.family, slot.gender, slot.stereotype][score.label] += 1
+    return dict(cells)
+
+
+def sum_cells(
+    cells: Mapping[Cell, Counter],
+    where: Callable[[TemplateFamily, GenderCondition, StereotypeCondition], bool] = lambda *_: True,
+) -> StrategyBreakdown:
+    """Breakdown over the cells that pass the filter.
+
+    Raises EmptySelection when no slot passes the filter.
+    """
+    labels: Counter = Counter()
+    for cell, counts in cells.items():
+        if where(*cell):
+            labels.update(counts)
+    if not labels:
+        raise EmptySelection("no slot passed the aggregation filter")
+    return StrategyBreakdown.from_label_counts(labels)
+
+
 def aggregate(
     scores: Iterable[SlotScore],
     suite: Iterable[TestInstance] | Mapping[str, TestInstance],
@@ -120,22 +168,7 @@ def aggregate(
     slots are reported separately via u/u_count. Raises EmptySelection when
     no score passes the filter.
     """
-    index = suite if isinstance(suite, Mapping) else {inst.id: inst for inst in suite}
-    labels: Counter = Counter()
-    selected = 0
-    for score in scores:
-        instance = index.get(score.instance_id)
-        if instance is None:
-            # data mismatch, not an empty filter: must not be swallowed by
-            # section-skipping EmptySelection handlers
-            raise GntError(f"score references unknown instance {score.instance_id!r}")
-        slot = instance.slots[score.slot_index]
-        if where(instance.family, slot.gender, slot.stereotype):
-            selected += 1
-            labels[score.label] += 1
-    if selected == 0:
-        raise EmptySelection("no slot passed the aggregation filter")
-    return StrategyBreakdown.from_label_counts(labels)
+    return sum_cells(label_cells(scores, suite), where)
 
 
 def flag_significance(delta, threshold) -> bool:

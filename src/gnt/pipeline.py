@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .classify import SlotScore, classify_instance
+from .classify import GenderLabel, SlotScore, classify_instance
 from .errors import EmptySelection, GntError, PipelineStageError
 from .formats import (
     TranslationRecord,
@@ -27,12 +26,13 @@ from .metrics import (
     DEFAULT_SIGNIFICANCE_THRESHOLD,
     ResponseReport,
     StrategyBreakdown,
-    aggregate,
     compute_stereotype_effect,
     flag_significance,
+    label_cells,
     macro_average,
     macro_average_breakdowns,
     paired_response,
+    sum_cells,
 )
 from .report import render_report
 from .suite import (
@@ -42,7 +42,7 @@ from .suite import (
     TestInstance,
     StereotypeKind,
     generate_suite,
-    quota_key_for_slot,
+    quota_key_for_cell,
 )
 
 _BASELINE_FAMILIES = (
@@ -58,8 +58,6 @@ _OMISSION_FAMILIES = (TemplateFamily.T3_ONE_PERSON_PARTIAL, TemplateFamily.T4_TW
 def _number(value):
     if value is None:
         return None
-    if isinstance(value, Fraction):
-        return float(value)
     return float(value)
 
 
@@ -110,15 +108,13 @@ def score_suite(
     return scores, missing
 
 
-def _response_section(suite_index, scores, families, amb_kind, threshold):
+def _response_section(cells, families, amb_kind, threshold):
     per_family: dict[str, dict] = {}
     reports: dict[str, ResponseReport] = {}
     for family in families:
         try:
-            det = aggregate(scores, suite_index, lambda fam, g, s, f=family: fam is f and not g.is_ambiguous)
-            amb = aggregate(
-                scores, suite_index, lambda fam, g, s, f=family: fam is f and g.ambiguity is amb_kind
-            )
+            det = sum_cells(cells, lambda fam, g, s, f=family: fam is f and not g.is_ambiguous)
+            amb = sum_cells(cells, lambda fam, g, s, f=family: fam is f and g.ambiguity is amb_kind)
             report = paired_response(det, amb, threshold)
         except EmptySelection:
             continue
@@ -141,18 +137,21 @@ def build_metrics_doc(
     language: Language,
     threshold: float = DEFAULT_SIGNIFICANCE_THRESHOLD,
     orphan_translations: int = 0,
-    missing_translations: int = 0,
 ) -> dict:
-    """Aggregate one system/language score set into the metrics document."""
-    suite_index = {instance.id: instance for instance in suite}
+    """Aggregate one system/language score set into the metrics document.
+
+    The scores are counted once into (family, gender, stereotype) cells and
+    every section is a sum over those cells. `missing_translations` counts
+    the suite instances that have slots but no score.
+    """
+    index = {instance.id: instance for instance in suite}
+    cells = label_cells(scores, index)
 
     baseline = None
     per_family_breakdowns: dict[str, StrategyBreakdown] = {}
     for family in _BASELINE_FAMILIES:
         try:
-            breakdown = aggregate(
-                scores, suite_index, lambda fam, g, s, f=family: fam is f and not g.is_ambiguous
-            )
+            breakdown = sum_cells(cells, lambda fam, g, s, f=family: fam is f and not g.is_ambiguous)
         except EmptySelection:
             continue
         if not breakdown.is_empty:
@@ -177,20 +176,15 @@ def build_metrics_doc(
             "macro": _by_type(baseline["macro"]),
         }
 
-    omission = _response_section(suite_index, scores, _OMISSION_FAMILIES, AmbiguityKind.OMISSION, threshold)
-    active = _response_section(
-        suite_index, scores, (TemplateFamily.T5_CHAR_STEREOTYPE,), AmbiguityKind.ACTIVE, threshold
-    )
+    omission = _response_section(cells, _OMISSION_FAMILIES, AmbiguityKind.OMISSION, threshold)
+    active = _response_section(cells, (TemplateFamily.T5_CHAR_STEREOTYPE,), AmbiguityKind.ACTIVE, threshold)
 
     stereotype = None
     try:
         t7 = TemplateFamily.T7_ADVERB_STEREOTYPE
-        neutral = aggregate(scores, suite_index, lambda fam, g, s: fam is t7 and s.kind is StereotypeKind.NONE)
-        stereo_m = aggregate(
-            scores, suite_index, lambda fam, g, s: fam is t7 and s.kind is StereotypeKind.MASCULINE
-        )
-        stereo_f = aggregate(
-            scores, suite_index, lambda fam, g, s: fam is t7 and s.kind is StereotypeKind.FEMININE
+        neutral, stereo_m, stereo_f = (
+            sum_cells(cells, lambda fam, g, s, k=kind: fam is t7 and s.kind is k)
+            for kind in (StereotypeKind.NONE, StereotypeKind.MASCULINE, StereotypeKind.FEMININE)
         )
         effect = compute_stereotype_effect(neutral, stereo_m, stereo_f)
         stereotype = {
@@ -205,15 +199,20 @@ def build_metrics_doc(
         pass
 
     subsets: dict[str, dict] = {}
+    for cell, labels in cells.items():
+        subset = subsets.setdefault(quota_key_for_cell(*cell), {"classified": 0, "unmatched": 0})
+        unmatched = labels[GenderLabel.UNMATCHED]
+        subset["unmatched"] += unmatched
+        subset["classified"] += labels.total() - unmatched
+    for subset in subsets.values():
+        total = subset["classified"] + subset["unmatched"]
+        subset["unmatched_rate"] = subset["unmatched"] / total if total else 0.0
+
+    # the index becomes the unscored instances: a new set of score ids would
+    # raise the peak memory of the run
     for score in scores:
-        instance = suite_index[score.instance_id]
-        slot = instance.slots[score.slot_index]
-        key = quota_key_for_slot(instance.family, slot)
-        cell = subsets.setdefault(key, {"classified": 0, "unmatched": 0})
-        cell["unmatched" if score.label.value == "U" else "classified"] += 1
-    for cell in subsets.values():
-        total = cell["classified"] + cell["unmatched"]
-        cell["unmatched_rate"] = cell["unmatched"] / total if total else 0.0
+        index.pop(score.instance_id, None)
+    missing_translations = sum(1 for instance in index.values() if instance.slots)
 
     return {
         "system": system,
@@ -285,18 +284,9 @@ def run_pipeline(
             resources = load_language_resources(lexicon_dir, language)
             return score_suite(suite, valid, resources)
 
-        scores, missing = _stage("score", _score)
-        doc = _stage(
-            "metrics",
-            build_metrics_doc,
-            suite,
-            scores,
-            system,
-            language,
-            threshold,
-            orphan_translations=len(orphans),
-            missing_translations=missing,
-        )
+        scores, _ = _stage("score", _score)
+        doc = _stage("metrics", build_metrics_doc, suite, scores, system, language, threshold,
+                     orphan_translations=len(orphans))
         markdown = _stage("report", render_report, doc, "markdown")
 
         stem = f"{_slug(system)}_{language.value}"

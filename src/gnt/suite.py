@@ -193,14 +193,19 @@ class SuiteManifest:
 
 def quota_key_for_slot(family: TemplateFamily, slot: AdjectiveSlot) -> str:
     """Map a slot to the quota key that counts it."""
+    return quota_key_for_cell(family, slot.gender, slot.stereotype)
+
+
+def quota_key_for_cell(family: TemplateFamily, gender: GenderCondition, stereotype: StereotypeCondition) -> str:
+    """Map a (family, gender, stereotype) cell to the quota key that counts its slots."""
     if family is TemplateFamily.T7_ADVERB_STEREOTYPE:
         suffix = {
             StereotypeKind.NONE: "None",
             StereotypeKind.MASCULINE: "StereoM",
             StereotypeKind.FEMININE: "StereoF",
-        }[slot.stereotype.kind]
+        }[stereotype.kind]
     else:
-        suffix = "Amb" if slot.gender.is_ambiguous else "Det"
+        suffix = "Amb" if gender.is_ambiguous else "Det"
     return f"{family.tag}-{suffix}"
 
 

@@ -50,6 +50,7 @@ def main() -> int:
     parser.add_argument("--shuffle", action="store_true", help="reply in reverse line order")
     parser.add_argument("--drop-id", default=None, help="omit this id from the reply")
     parser.add_argument("--inject-bogus", action="store_true", help="reply with an id outside the batch")
+    parser.add_argument("--duplicate-id", default=None, help="reply to this id twice")
     parser.add_argument("--fail-once", default=None, metavar="MARKER",
                         help="exit 1 on the first run (marker file absent), succeed afterwards")
     parser.add_argument("--fail-on-id", default=None, metavar="ID:MARKER",
@@ -90,6 +91,8 @@ def main() -> int:
         else:
             translated = text
         replies.append(f"{instance_id}\t{translated}")
+        if args.duplicate_id and instance_id == args.duplicate_id:
+            replies.append(f"{instance_id}\t{translated} again")
     if args.shuffle:
         replies.reverse()
     if args.inject_bogus:

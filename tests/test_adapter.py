@@ -59,6 +59,12 @@ def test_foreign_reply_id_raises_protocol_violation():
         translate_suite(suite, _cmd_config(backend_command("--inject-bogus")), sleep=_no_sleep)
 
 
+def test_duplicated_reply_id_raises_protocol_violation():
+    suite = _suite(3)
+    with pytest.raises(ProtocolViolation, match="T7-000001a"):
+        translate_suite(suite, _cmd_config(backend_command("--duplicate-id", "T7-000001a")), sleep=_no_sleep)
+
+
 def test_failing_command_exhausts_retries():
     suite = _suite(2)
     config = _cmd_config("false", max_retries=2)

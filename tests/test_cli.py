@@ -97,3 +97,45 @@ def test_run_subcommand_full_pipeline(tmp_path, suite_path):
     assert (out_dir / "suite.jsonl").exists()
     assert (out_dir / "report_demo-sys_es.md").exists()
     assert (out_dir / "metrics_demo-sys_es.json").exists()
+
+
+def test_split_score_metrics_path_matches_run(tmp_path, suite_path):
+    translations = tmp_path / "translations.jsonl"
+    es_lexicon = lexicon_dir() / "es" / "lexicon.csv"
+    adapter = "cmd:" + backend_command("--mode", "sensitive", "--lexicon", str(es_lexicon))
+    assert main(["translate", "--suite", str(suite_path), "--adapter", adapter,
+                 "--lang", "es", "--system", "demo-sys", "--out", str(translations)]) == 0
+    lines = translations.read_text(encoding="utf-8").splitlines()
+    kept = lines[::2] + [json.dumps({"system": "demo-sys", "lang": "es", "id": "orphan-1", "text": "hola"})]
+    translations.write_text("\n".join(kept) + "\n", encoding="utf-8")
+
+    scores = tmp_path / "scores.jsonl"
+    metrics = tmp_path / "metrics.json"
+    assert main(["score", "--suite", str(suite_path), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), "--lang", "es", "--out", str(scores)]) == 0
+    assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
+                 "--system", "demo-sys", "--lang", "es", "--out", str(metrics)]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(out_dir)]) == 0
+
+    split = json.loads(metrics.read_text(encoding="utf-8"))
+    run = json.loads((out_dir / "metrics_demo-sys_es.json").read_text(encoding="utf-8"))
+    assert run["coverage"]["missing_translations"] == len(lines) - len(lines[::2])
+    # scores carry no orphan information, so only the run path can count orphans
+    assert (split["coverage"].pop("orphan_translations"), run["coverage"].pop("orphan_translations")) == (0, 1)
+    assert split == run
+
+
+@pytest.mark.parametrize("slot_index", [99, -1, True, "0"])
+def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index):
+    first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"instance_id": first["id"], "slot_index": slot_index, "label": "M"}) + "\n",
+                      encoding="utf-8")
+    code = main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
+                 "--lang", "es", "--out", str(tmp_path / "metrics.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "slot_index" in err
+    assert "Traceback" not in err

@@ -10,6 +10,7 @@ from gnt import (
     SlotScore,
     TranslationRecord,
     generate_suite,
+    label_cells,
     parse_scores,
     parse_suite,
     parse_translations,
@@ -19,7 +20,7 @@ from gnt import (
     write_suite,
     write_translations,
 )
-from gnt.errors import DuplicateRecord, ParseError, PipelineStageError
+from gnt.errors import DuplicateRecord, GntError, ParseError, PipelineStageError
 from gnt.formats import metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
 from gnt.data import lexicon_dir
 from gnt.pipeline import build_metrics_doc, score_suite
@@ -193,6 +194,32 @@ def _fake_system_translations(suite, resources, system="fake", neutral_on_they=T
             TranslationRecord(system, Language.ES, instance.id, " ".join(words) + ".")
         )
     return records
+
+
+@pytest.mark.parametrize("slot_index", [-1, False, 1.0, None])
+def test_parse_scores_rejects_bad_slot_index(tmp_path, slot_index):
+    path = _write_lines(tmp_path / "scores.jsonl", [
+        {"instance_id": "T7-000000a", "slot_index": 0, "label": "M"},
+        {"instance_id": "T7-000001a", "slot_index": slot_index, "label": "F"},
+    ])
+    with pytest.raises(ParseError, match=r"scores\.jsonl:2: slot_index"):
+        parse_scores(path)
+
+
+def test_label_cells_rejects_slot_index_past_the_instance(demo_manifest):
+    suite = generate_suite(demo_manifest)
+    instance = suite[0]
+    past = len(instance.slots)
+    with pytest.raises(GntError, match=rf"{instance.id}.*slot_index {past}"):
+        label_cells([SlotScore(instance.id, past, GenderLabel.MASCULINE)], suite)
+
+
+def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_resources):
+    suite = generate_suite(demo_manifest)
+    records = _fake_system_translations(suite, es_resources)[:-3]
+    scores, missing = score_suite(suite, records, es_resources)
+    doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    assert doc["coverage"]["missing_translations"] == missing == 3
 
 
 def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
