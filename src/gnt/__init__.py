@@ -2,7 +2,7 @@
 gender-neutral machine translation evaluation."""
 
 from .adapter import AdapterConfig, AdapterKind, translate_suite
-from .classify import GenderLabel, NEUTRAL_LABELS, SlotScore, classify_instance, classify_slot, normalize
+from .classify import GenderLabel, SlotScore, classify_instance, classify_slot, normalize
 from .formats import (
     TranslationRecord,
     parse_scores,
@@ -38,7 +38,6 @@ from .metrics import (
     macro_average,
     macro_average_breakdowns,
     paired_response,
-    sum_cells,
 )
 from .pipeline import build_metrics_doc, run_pipeline, score_suite
 from .report import render_report

@@ -35,20 +35,6 @@ class GenderLabel(Enum):
     N5_ALT_MORPHOLOGY = "N5"
     UNMATCHED = "U"
 
-    @property
-    def is_neutral(self) -> bool:
-        return self in NEUTRAL_LABELS
-
-
-NEUTRAL_LABELS = frozenset(
-    {
-        GenderLabel.N1_COMMON_FORM,
-        GenderLabel.N2_NEUTER_CASE,
-        GenderLabel.N3_ALT_PART_OF_SPEECH,
-        GenderLabel.N4_SOURCE_COPY,
-        GenderLabel.N5_ALT_MORPHOLOGY,
-    }
-)
 
 _LABEL_BY_FORM_GENDER = {
     "common": GenderLabel.N1_COMMON_FORM,

@@ -37,7 +37,7 @@ class LexiconConflict(GntError):
 
 
 class EmptySelection(GntError):
-    """An aggregation filter selected no classified slots."""
+    """A breakdown the metrics need has no classified slot."""
 
 
 class InvalidThreshold(GntError):

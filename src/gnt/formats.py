@@ -85,31 +85,42 @@ def _enum_value(enum_cls, value, field_name: str, path: str, number: int):
 
 
 def instance_from_dict(record: dict, path: str = "", number: int = 0) -> TestInstance:
+    """Build a suite instance; a malformed record raises ParseError (path:line)."""
     family = _enum_value(TemplateFamily, _field(record, "family", path, number), "family", path, number)
-    slots = []
-    for raw in _field(record, "slots", path, number):
-        gender = GenderCondition(
-            _enum_value(GenderKind, raw["gender_kind"], "gender_kind", path, number),
-            _enum_value(AmbiguityKind, raw["ambiguity_kind"], "ambiguity_kind", path, number),
-        )
-        stereotype = StereotypeCondition(
-            _enum_value(StereotypeKind, raw["stereotype_kind"], "stereotype_kind", path, number),
-            raw.get("stereotype_cue", ""),
-        )
-        slots.append(
-            AdjectiveSlot(
-                slot_index=raw["slot_index"],
-                lemma=raw["lemma"],
-                referent=_enum_value(Referent, raw["referent"], "referent", path, number),
-                gender=gender,
-                stereotype=stereotype,
+    try:
+        slots = []
+        for raw in _field(record, "slots", path, number):
+            gender = GenderCondition(
+                _enum_value(GenderKind, raw["gender_kind"], "gender_kind", path, number),
+                _enum_value(AmbiguityKind, raw["ambiguity_kind"], "ambiguity_kind", path, number),
             )
-        )
+            stereotype = StereotypeCondition(
+                _enum_value(StereotypeKind, raw["stereotype_kind"], "stereotype_kind", path, number),
+                raw.get("stereotype_cue", ""),
+            )
+            slots.append(
+                AdjectiveSlot(
+                    slot_index=raw["slot_index"],
+                    lemma=raw["lemma"],
+                    referent=_enum_value(Referent, raw["referent"], "referent", path, number),
+                    gender=gender,
+                    stereotype=stereotype,
+                )
+            )
+        slots.sort(key=lambda s: s.slot_index)
+    except KeyError as exc:
+        raise ParseError(f"missing slot field {exc}", path, number) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"invalid slot record: {exc}", path, number) from None
+    # scores name their slot by index, so indices must be exactly 0..n-1
+    if any(type(slot.slot_index) is not int or slot.slot_index != i for i, slot in enumerate(slots)):
+        indices = [slot.slot_index for slot in slots]
+        raise ParseError(f"slot indices must be 0..{len(slots) - 1}, got {indices!r}", path, number)
     return TestInstance(
         id=_field(record, "id", path, number),
         family=family,
         source_text=_field(record, "source_text", path, number),
-        slots=tuple(sorted(slots, key=lambda s: s.slot_index)),
+        slots=tuple(slots),
         pair_id=record.get("pair_id"),
         bindings=record.get("bindings", {}),
     )

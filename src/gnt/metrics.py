@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .classify import GenderLabel, SlotScore
 from .errors import EmptySelection, GntError, InvalidThreshold
-from .suite import GenderCondition, StereotypeCondition, TemplateFamily, TestInstance
+from .suite import TestInstance, quota_key_for_slot
 
 DEFAULT_SIGNIFICANCE_THRESHOLD = 0.07
 
@@ -109,24 +109,21 @@ class StrategyBreakdown:
                    u=0, count=count, u_count=u_count)
 
 
-Cell = tuple[TemplateFamily, GenderCondition, StereotypeCondition]
-
-
 def label_cells(
     scores: Iterable[SlotScore],
     suite: Iterable[TestInstance] | Mapping[str, TestInstance],
-) -> dict[Cell, Counter]:
-    """Count the labels of each (family, gender, stereotype) cell in one pass.
+) -> dict[str, Counter]:
+    """Count the labels of each quota-key subset (`quota_key_for_slot`) in one pass.
 
     Raises GntError for a score whose instance id is unknown or whose slot
     index is outside its instance's slots.
     """
     index = suite if isinstance(suite, Mapping) else {inst.id: inst for inst in suite}
-    cells: defaultdict[Cell, Counter] = defaultdict(Counter)
+    cells: defaultdict[str, Counter] = defaultdict(Counter)
     for score in scores:
         instance = index.get(score.instance_id)
         if instance is None:
-            # data mismatch, not an empty filter: must not be swallowed by
+            # data mismatch, not an empty selection: must not be swallowed by
             # section-skipping EmptySelection handlers
             raise GntError(f"score references unknown instance {score.instance_id!r}")
         slots = instance.slots
@@ -135,40 +132,26 @@ def label_cells(
                 f"score for instance {score.instance_id!r} has slot_index {score.slot_index}, "
                 f"but the instance has {len(slots)} slot(s)"
             )
-        slot = slots[score.slot_index]
-        cells[instance.family, slot.gender, slot.stereotype][score.label] += 1
+        cells[quota_key_for_slot(instance.family, slots[score.slot_index])][score.label] += 1
     return dict(cells)
-
-
-def sum_cells(
-    cells: Mapping[Cell, Counter],
-    where: Callable[[TemplateFamily, GenderCondition, StereotypeCondition], bool] = lambda *_: True,
-) -> StrategyBreakdown:
-    """Breakdown over the cells that pass the filter.
-
-    Raises EmptySelection when no slot passes the filter.
-    """
-    labels: Counter = Counter()
-    for cell, counts in cells.items():
-        if where(*cell):
-            labels.update(counts)
-    if not labels:
-        raise EmptySelection("no slot passed the aggregation filter")
-    return StrategyBreakdown.from_label_counts(labels)
 
 
 def aggregate(
     scores: Iterable[SlotScore],
     suite: Iterable[TestInstance] | Mapping[str, TestInstance],
-    where: Callable[[TemplateFamily, GenderCondition, StereotypeCondition], bool] = lambda *_: True,
 ) -> StrategyBreakdown:
-    """Aggregate the scores whose slot conditions pass the filter.
+    """Aggregate all scores into one breakdown.
 
     Proportions are taken over classified (non-Unmatched) slots; unmatched
     slots are reported separately via u/u_count. Raises EmptySelection when
-    no score passes the filter.
+    there is no score.
     """
-    return sum_cells(label_cells(scores, suite), where)
+    labels: Counter = Counter()
+    for counts in label_cells(scores, suite).values():
+        labels.update(counts)
+    if not labels:
+        raise EmptySelection("no slot to aggregate")
+    return StrategyBreakdown.from_label_counts(labels)
 
 
 def flag_significance(delta, threshold) -> bool:

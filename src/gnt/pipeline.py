@@ -8,6 +8,7 @@ PipelineStageError naming the stage.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,27 +33,9 @@ from .metrics import (
     macro_average,
     macro_average_breakdowns,
     paired_response,
-    sum_cells,
 )
 from .report import render_report
-from .suite import (
-    AmbiguityKind,
-    SuiteManifest,
-    TemplateFamily,
-    TestInstance,
-    StereotypeKind,
-    generate_suite,
-    quota_key_for_cell,
-)
-
-_BASELINE_FAMILIES = (
-    TemplateFamily.T1_ONE_PERSON_KNOWN,
-    TemplateFamily.T2_TWO_PERSON_KNOWN,
-    TemplateFamily.T3_ONE_PERSON_PARTIAL,
-    TemplateFamily.T4_TWO_PERSON_PARTIAL,
-    TemplateFamily.T5_CHAR_STEREOTYPE,
-)
-_OMISSION_FAMILIES = (TemplateFamily.T3_ONE_PERSON_PARTIAL, TemplateFamily.T4_TWO_PERSON_PARTIAL)
+from .suite import SuiteManifest, TestInstance, generate_suite
 
 
 def _number(value):
@@ -108,18 +91,21 @@ def score_suite(
     return scores, missing
 
 
-def _response_section(cells, families, amb_kind, threshold):
+def _cell(cells: dict[str, Counter], key: str) -> StrategyBreakdown:
+    """Breakdown of one quota-key cell; empty when the cell has no slot."""
+    return StrategyBreakdown.from_label_counts(cells.get(key, {}))
+
+
+def _response_section(cells, families, threshold):
     per_family: dict[str, dict] = {}
     reports: dict[str, ResponseReport] = {}
     for family in families:
         try:
-            det = sum_cells(cells, lambda fam, g, s, f=family: fam is f and not g.is_ambiguous)
-            amb = sum_cells(cells, lambda fam, g, s, f=family: fam is f and g.ambiguity is amb_kind)
-            report = paired_response(det, amb, threshold)
+            report = paired_response(_cell(cells, f"{family}-Det"), _cell(cells, f"{family}-Amb"), threshold)
         except EmptySelection:
             continue
-        reports[family.tag] = report
-        per_family[family.tag] = response_to_json(report)
+        reports[family] = report
+        per_family[family] = response_to_json(report)
     if not reports:
         return None
     macro = macro_average(reports)
@@ -140,22 +126,20 @@ def build_metrics_doc(
 ) -> dict:
     """Aggregate one system/language score set into the metrics document.
 
-    The scores are counted once into (family, gender, stereotype) cells and
-    every section is a sum over those cells. `missing_translations` counts
-    the suite instances that have slots but no score.
+    The scores are counted once into quota-key cells (`T3-Det`, `T3-Amb`,
+    `T7-StereoM`, ...) and every section reads the cells it compares by key.
+    `missing_translations` counts the suite instances that have slots but no
+    score.
     """
     index = {instance.id: instance for instance in suite}
     cells = label_cells(scores, index)
 
     baseline = None
     per_family_breakdowns: dict[str, StrategyBreakdown] = {}
-    for family in _BASELINE_FAMILIES:
-        try:
-            breakdown = sum_cells(cells, lambda fam, g, s, f=family: fam is f and not g.is_ambiguous)
-        except EmptySelection:
-            continue
+    for family in ("T1", "T2", "T3", "T4", "T5"):
+        breakdown = _cell(cells, f"{family}-Det")
         if not breakdown.is_empty:
-            per_family_breakdowns[family.tag] = breakdown
+            per_family_breakdowns[family] = breakdown
     if per_family_breakdowns:
         macro = macro_average_breakdowns(per_family_breakdowns)
         baseline = {
@@ -176,17 +160,14 @@ def build_metrics_doc(
             "macro": _by_type(baseline["macro"]),
         }
 
-    omission = _response_section(cells, _OMISSION_FAMILIES, AmbiguityKind.OMISSION, threshold)
-    active = _response_section(cells, (TemplateFamily.T5_CHAR_STEREOTYPE,), AmbiguityKind.ACTIVE, threshold)
+    omission = _response_section(cells, ("T3", "T4"), threshold)
+    active = _response_section(cells, ("T5",), threshold)
 
     stereotype = None
     try:
-        t7 = TemplateFamily.T7_ADVERB_STEREOTYPE
-        neutral, stereo_m, stereo_f = (
-            sum_cells(cells, lambda fam, g, s, k=kind: fam is t7 and s.kind is k)
-            for kind in (StereotypeKind.NONE, StereotypeKind.MASCULINE, StereotypeKind.FEMININE)
+        effect = compute_stereotype_effect(
+            _cell(cells, "T7-None"), _cell(cells, "T7-StereoM"), _cell(cells, "T7-StereoF")
         )
-        effect = compute_stereotype_effect(neutral, stereo_m, stereo_f)
         stereotype = {
             "neutral": breakdown_to_json(effect.neutral),
             "stereo_m": breakdown_to_json(effect.stereo_m),
@@ -199,14 +180,12 @@ def build_metrics_doc(
         pass
 
     subsets: dict[str, dict] = {}
-    for cell, labels in cells.items():
-        subset = subsets.setdefault(quota_key_for_cell(*cell), {"classified": 0, "unmatched": 0})
+    for key, labels in sorted(cells.items()):
         unmatched = labels[GenderLabel.UNMATCHED]
-        subset["unmatched"] += unmatched
-        subset["classified"] += labels.total() - unmatched
-    for subset in subsets.values():
-        total = subset["classified"] + subset["unmatched"]
-        subset["unmatched_rate"] = subset["unmatched"] / total if total else 0.0
+        total = labels.total()
+        subsets[key] = {
+            "classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total,
+        }
 
     # the index becomes the unscored instances: a new set of score ids would
     # raise the peak memory of the run
@@ -224,7 +203,7 @@ def build_metrics_doc(
         "strategy_breakdown": strategy_breakdown,
         "stereotype": stereotype,
         "coverage": {
-            "subsets": dict(sorted(subsets.items())),
+            "subsets": subsets,
             "orphan_translations": orphan_translations,
             "missing_translations": missing_translations,
         },

@@ -16,9 +16,7 @@ from .formats import metrics_doc_to_text
 _FORMAT_ALIASES = {
     "md": "markdown",
     "markdown": "markdown",
-    "markdown-table": "markdown",
     "csv": "csv",
-    "comma-separated": "csv",
     "json": "json",
     "structured": "json",
 }

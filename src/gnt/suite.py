@@ -191,22 +191,16 @@ class SuiteManifest:
             fh.write("\n")
 
 
+_T7_SUFFIX = {StereotypeKind.NONE: "None", StereotypeKind.MASCULINE: "StereoM", StereotypeKind.FEMININE: "StereoF"}
+
+
 def quota_key_for_slot(family: TemplateFamily, slot: AdjectiveSlot) -> str:
     """Map a slot to the quota key that counts it."""
-    return quota_key_for_cell(family, slot.gender, slot.stereotype)
-
-
-def quota_key_for_cell(family: TemplateFamily, gender: GenderCondition, stereotype: StereotypeCondition) -> str:
-    """Map a (family, gender, stereotype) cell to the quota key that counts its slots."""
     if family is TemplateFamily.T7_ADVERB_STEREOTYPE:
-        suffix = {
-            StereotypeKind.NONE: "None",
-            StereotypeKind.MASCULINE: "StereoM",
-            StereotypeKind.FEMININE: "StereoF",
-        }[stereotype.kind]
+        suffix = _T7_SUFFIX[slot.stereotype.kind]
     else:
-        suffix = "Amb" if gender.is_ambiguous else "Det"
-    return f"{family.tag}-{suffix}"
+        suffix = "Amb" if slot.gender.is_ambiguous else "Det"
+    return f"{family.value}-{suffix}"
 
 
 # --- template expansion ----------------------------------------------------
@@ -629,6 +623,17 @@ def generate_suite(manifest: SuiteManifest, seed: int | None = None) -> list[Tes
 _GENDERED_PRONOUNS = frozenset({"he", "she", "him", "her", "his", "hers"})
 _WORD_RE = re.compile(r"[a-zA-Z']+")
 
+# The ambiguity kinds each family's templates produce (NONE: determined). A
+# slot outside its family's set can only come from a hand-edited suite file.
+_FAMILY_AMBIGUITY = {
+    TemplateFamily.T1_ONE_PERSON_KNOWN: {AmbiguityKind.NONE},
+    TemplateFamily.T2_TWO_PERSON_KNOWN: {AmbiguityKind.NONE},
+    TemplateFamily.T3_ONE_PERSON_PARTIAL: {AmbiguityKind.NONE, AmbiguityKind.OMISSION},
+    TemplateFamily.T4_TWO_PERSON_PARTIAL: {AmbiguityKind.NONE, AmbiguityKind.OMISSION},
+    TemplateFamily.T5_CHAR_STEREOTYPE: {AmbiguityKind.NONE, AmbiguityKind.ACTIVE},
+    TemplateFamily.T7_ADVERB_STEREOTYPE: {AmbiguityKind.OMISSION},
+}
+
 
 @dataclass
 class BalanceDiagnostics:
@@ -664,9 +669,10 @@ def _split_check(
 def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | None = None) -> BalanceDiagnostics:
     """Re-check the generator's postconditions on an arbitrary suite.
 
-    Pure diagnostic: counts per condition, binary-gender and speaker-position
-    splits, stereotype balance, pair integrity and pronoun leakage. When
-    `quotas` is given, slot counts are also compared against it.
+    Pure diagnostic: counts per condition, conditions a family never
+    produces, binary-gender and speaker-position splits, stereotype balance,
+    pair integrity and pronoun leakage. When `quotas` is given, slot counts
+    are also compared against it.
     """
     instances = list(suite)
     by_id = {inst.id: inst for inst in instances}
@@ -692,6 +698,11 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                 det_m[family] = det_m.get(family, 0) + 1
             if slot.lemma not in inst.source_text:
                 violations.append(f"text: {inst.id} slot {slot.slot_index} lemma {slot.lemma!r} absent from source")
+            if slot.gender.ambiguity not in _FAMILY_AMBIGUITY[inst.family]:
+                violations.append(
+                    f"condition: {inst.id} slot {slot.slot_index} is {slot.gender.kind.value}"
+                    f"/{slot.gender.ambiguity.value}, which {family} never produces"
+                )
 
         if family in ("T3", "T4"):
             fp = inst.bindings.get("first_person")

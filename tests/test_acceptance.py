@@ -232,7 +232,10 @@ def test_criterion_09_end_to_end_fixture(e2e_corpus, demo_manifest):
     report = (out_dir / "report_echo-sensitive_es.md").read_bytes()
     golden = (GOLDEN / "report_echo_sensitive_es.md").read_bytes()
     assert report == golden, "rendered report deviates from the hand-checked golden file"
-    _passed(9, "gnt run on the scripted backend reproduces the golden report with ΔN = 1.000 exactly")
+    metrics = (out_dir / "metrics_echo-sensitive_es.json").read_bytes()
+    golden = (GOLDEN / "metrics_echo_sensitive_es.json").read_bytes()
+    assert metrics == golden, "metrics document deviates from its golden file"
+    _passed(9, "gnt run on the scripted backend reproduces the golden report and metrics document with ΔN = 1.000 exactly")
 
 
 def test_criterion_10_round_trips(e2e_corpus, tmp_path):

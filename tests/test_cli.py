@@ -33,6 +33,18 @@ def test_validate_flags_corrupted_suite(tmp_path, suite_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def test_validate_rejects_malformed_slot_record(tmp_path, suite_path, capsys):
+    lines = suite_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    del record["slots"][0]["gender_kind"]
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(["validate", "--suite", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "broken.jsonl:1:" in err and "gender_kind" in err
+    assert "Traceback" not in err
+
+
 def test_translate_score_metrics_report_chain(tmp_path, suite_path):
     translations = tmp_path / "translations.jsonl"
     scores = tmp_path / "scores.jsonl"

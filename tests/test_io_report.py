@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,9 +23,10 @@ from gnt import (
     write_translations,
 )
 from gnt.errors import DuplicateRecord, GntError, ParseError, PipelineStageError
-from gnt.formats import metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
+from gnt.formats import instance_to_dict, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
 from gnt.data import lexicon_dir
 from gnt.pipeline import build_metrics_doc, score_suite
+from gnt.suite import AMBIGUOUS_ACTIVE, TemplateFamily
 
 
 # --- translations ------------------------------------------------------------
@@ -108,6 +111,39 @@ def test_duplicate_suite_ids_rejected(tmp_path, demo_manifest):
     path = tmp_path / "suite.jsonl"
     write_suite(suite + suite[:1], path)
     with pytest.raises(DuplicateRecord):
+        parse_suite(path)
+
+
+def _set_slot(index, **fields):
+    def edit(record):
+        record["slots"][index].update(fields)
+    return edit
+
+
+def _drop_slot_field(index, key):
+    def edit(record):
+        del record["slots"][index][key]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_slot(0, gender_kind="ambiguous", ambiguity_kind="none"),
+    _drop_slot_field(0, "gender_kind"),
+    _set_slot(0, stereotype_kind="none", stereotype_cue="gently"),
+    lambda record: record.update(slots=5),
+    _set_slot(1, slot_index="1"),
+    _set_slot(1, slot_index=True),
+    _set_slot(1, slot_index=0),
+    _set_slot(3, slot_index=4),
+], ids=["ambiguous-without-kind", "missing-gender-kind", "cue-without-kind", "slots-not-a-list",
+        "string-index", "bool-index", "duplicated-index", "index-gap"])
+def test_parse_suite_rejects_malformed_slot_records(tmp_path, demo_manifest, edit):
+    suite = generate_suite(demo_manifest)
+    good = instance_to_dict(suite[0])
+    bad = instance_to_dict(next(inst for inst in suite if len(inst.slots) == 4))
+    edit(bad)
+    path = _write_lines(tmp_path / "suite.jsonl", [good, bad])
+    with pytest.raises(ParseError, match=r"suite\.jsonl:2: "):
         parse_suite(path)
 
 
@@ -220,6 +256,38 @@ def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_res
     scores, missing = score_suite(suite, records, es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     assert doc["coverage"]["missing_translations"] == missing == 3
+
+
+@pytest.mark.parametrize("hand_edited", [False, True])
+def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
+    suite = generate_suite(demo_manifest)
+    if hand_edited:
+        # an active-ambiguous T3 slot, which the generator never produces
+        index = next(i for i, inst in enumerate(suite) if inst.family is TemplateFamily.T3_ONE_PERSON_PARTIAL
+                     and inst.slots[0].gender.is_ambiguous)
+        slots = (replace(suite[index].slots[0], gender=AMBIGUOUS_ACTIVE),) + suite[index].slots[1:]
+        suite[index] = replace(suite[index], slots=slots)
+    rng = random.Random(7)
+    scores = [SlotScore(inst.id, slot.slot_index, rng.choice(list(GenderLabel)))
+              for inst in suite for slot in inst.slots]
+    doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    subsets = doc["coverage"]["subsets"]
+
+    def covered(key):
+        return subsets[key]["classified"] + subsets[key]["unmatched"]
+
+    def counted(breakdown):
+        return breakdown["count"] + breakdown["u_count"]
+
+    for section in ("omission_response", "active_response"):
+        for family, report in doc[section]["per_family"].items():
+            assert counted(report["det"]) == covered(f"{family}-Det")
+            assert counted(report["amb"]) == covered(f"{family}-Amb")
+    for family, breakdown in doc["baseline"]["per_family"].items():
+        assert counted(breakdown) == covered(f"{family}-Det")
+    for name, key in (("neutral", "T7-None"), ("stereo_m", "T7-StereoM"), ("stereo_f", "T7-StereoF")):
+        assert counted(doc["stereotype"][name]) == covered(key)
+    assert sum(covered(key) for key in subsets) == len(scores)
 
 
 def test_score_suite_counts_missing_translations(demo_manifest, es_resources):

@@ -83,9 +83,8 @@ def test_aggregate_matches_direct_count_oracle():
 
 def test_aggregate_empty_filter_raises():
     suite = _t7_suite(2)
-    scores = _scores_for(suite, [GenderLabel.MASCULINE, GenderLabel.FEMININE])
     with pytest.raises(EmptySelection):
-        aggregate(scores, suite, lambda fam, g, s: False)
+        aggregate([], suite)
 
 
 def test_aggregate_rejects_scores_for_unknown_instances():

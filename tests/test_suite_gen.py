@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from gnt import (
     DescriptorPair,
+    GenderCondition,
     SuiteManifest,
     TemplateFamily,
     expand_template,
@@ -14,7 +16,7 @@ from gnt import (
     validate_balance,
 )
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
-from gnt.suite import AmbiguityKind, GenderKind, Referent, StereotypeKind
+from gnt.suite import AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind
 from helpers import random_manifest
 
 T1 = TemplateFamily.T1_ONE_PERSON_KNOWN
@@ -337,6 +339,24 @@ def test_deleting_an_instance_breaks_counts(demo_manifest):
     diagnostics = validate_balance(suite, demo_manifest.quotas)
     assert any(v.startswith("count-mismatch") for v in diagnostics.violations)
     assert any(v.startswith("pairing") for v in diagnostics.violations)
+
+
+def test_conditions_a_family_never_produces_are_flagged(demo_manifest):
+    suite = generate_suite(demo_manifest)
+    impossible = {
+        "T1": AMBIGUOUS_OMISSION,
+        "T3": AMBIGUOUS_ACTIVE,
+        "T5": AMBIGUOUS_OMISSION,
+        "T7": GenderCondition.determined("m"),
+    }
+    edited = []
+    for family, condition in impossible.items():
+        index = next(i for i, inst in enumerate(suite) if inst.family.tag == family)
+        instance = suite[index]
+        suite[index] = replace(instance, slots=(replace(instance.slots[0], gender=condition),) + instance.slots[1:])
+        edited.append(instance.id)
+    violations = [v for v in validate_balance(suite).violations if v.startswith("condition:")]
+    assert sorted(v.split()[1] for v in violations) == sorted(edited)
 
 
 def test_hand_built_pronoun_imbalance_is_flagged():
