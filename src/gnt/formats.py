@@ -90,18 +90,24 @@ def instance_from_dict(record: dict, path: str = "", number: int = 0) -> TestIns
     try:
         slots = []
         for raw in _field(record, "slots", path, number):
+            lemma, cue = raw["lemma"], raw.get("stereotype_cue", "")
+            if not isinstance(lemma, str) or not isinstance(cue, str):
+                raise ParseError(
+                    f"slot fields 'lemma' and 'stereotype_cue' must be strings, got {lemma!r} and {cue!r}",
+                    path, number,
+                )
             gender = GenderCondition(
                 _enum_value(GenderKind, raw["gender_kind"], "gender_kind", path, number),
                 _enum_value(AmbiguityKind, raw["ambiguity_kind"], "ambiguity_kind", path, number),
             )
             stereotype = StereotypeCondition(
                 _enum_value(StereotypeKind, raw["stereotype_kind"], "stereotype_kind", path, number),
-                raw.get("stereotype_cue", ""),
+                cue,
             )
             slots.append(
                 AdjectiveSlot(
                     slot_index=raw["slot_index"],
-                    lemma=raw["lemma"],
+                    lemma=lemma,
                     referent=_enum_value(Referent, raw["referent"], "referent", path, number),
                     gender=gender,
                     stereotype=stereotype,
@@ -116,13 +122,29 @@ def instance_from_dict(record: dict, path: str = "", number: int = 0) -> TestIns
     if any(type(slot.slot_index) is not int or slot.slot_index != i for i, slot in enumerate(slots)):
         indices = [slot.slot_index for slot in slots]
         raise ParseError(f"slot indices must be 0..{len(slots) - 1}, got {indices!r}", path, number)
+    instance_id = _field(record, "id", path, number)
+    source_text = _field(record, "source_text", path, number)
+    if not isinstance(instance_id, str) or not isinstance(source_text, str):
+        raise ParseError(
+            f"fields 'id' and 'source_text' must be strings, got {instance_id!r} and {source_text!r}", path, number
+        )
+    pair_id = record.get("pair_id")
+    if pair_id is not None and not isinstance(pair_id, str):
+        raise ParseError(f"field 'pair_id' must be a string or null, got {pair_id!r}", path, number)
+    bindings = record.get("bindings", {})
+    if not isinstance(bindings, dict):
+        raise ParseError(f"field 'bindings' must be an object, got {bindings!r}", path, number)
+    for key, value in bindings.items():
+        # bool is an int subclass, so booleans pass too
+        if value is not None and not isinstance(value, (str, int)):
+            raise ParseError(f"binding {key!r} must be a string, integer, boolean or null, got {value!r}", path, number)
     return TestInstance(
-        id=_field(record, "id", path, number),
+        id=instance_id,
         family=family,
-        source_text=_field(record, "source_text", path, number),
+        source_text=source_text,
         slots=tuple(slots),
-        pair_id=record.get("pair_id"),
-        bindings=record.get("bindings", {}),
+        pair_id=pair_id,
+        bindings=bindings,
     )
 
 

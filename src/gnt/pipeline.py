@@ -266,7 +266,7 @@ def run_pipeline(
         scores, _ = _stage("score", _score)
         doc = _stage("metrics", build_metrics_doc, suite, scores, system, language, threshold,
                      orphan_translations=len(orphans))
-        markdown = _stage("report", render_report, doc, "markdown")
+        markdown = _stage("report", render_report, doc, "md")
 
         stem = f"{_slug(system)}_{language.value}"
         scores_path = out / f"scores_{stem}.jsonl"

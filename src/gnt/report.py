@@ -2,7 +2,7 @@
 
 Markdown mirrors the layout of the result tables this harness reproduces:
 (M, F, N) triplets to two decimals, deltas to three, flagged deltas in bold.
-The structured format is the metrics document itself and is lossless.
+The json format is the metrics document itself and is lossless.
 """
 
 from __future__ import annotations
@@ -12,14 +12,6 @@ import io
 from typing import Mapping
 
 from .formats import metrics_doc_to_text
-
-_FORMAT_ALIASES = {
-    "md": "markdown",
-    "markdown": "markdown",
-    "csv": "csv",
-    "json": "json",
-    "structured": "json",
-}
 
 
 def _f2(value) -> str:
@@ -225,14 +217,13 @@ def _render_csv(doc: Mapping) -> str:
     return buffer.getvalue()
 
 
-def render_report(doc: Mapping, fmt: str = "markdown") -> str:
-    """Render a metrics document; fmt is one of md/csv/json (and aliases)."""
+_RENDERERS = {"md": _render_markdown, "csv": _render_csv, "json": metrics_doc_to_text}
+
+
+def render_report(doc: Mapping, fmt: str = "md") -> str:
+    """Render a metrics document; fmt is one of md, csv or json."""
     try:
-        canonical = _FORMAT_ALIASES[fmt.lower()]
+        render = _RENDERERS[fmt.lower()]
     except KeyError:
         raise ValueError(f"unknown report format {fmt!r}; use md, csv or json") from None
-    if canonical == "markdown":
-        return _render_markdown(doc)
-    if canonical == "csv":
-        return _render_csv(doc)
-    return metrics_doc_to_text(doc)
+    return render(doc)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 
@@ -168,27 +168,10 @@ class SuiteManifest:
             seed=int(data.get("seed", 0)),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "adjectives": list(self.adjectives),
-            "descriptor_pairs": [
-                {"masculine": p.masculine, "feminine": p.feminine} for p in self.descriptor_pairs
-            ],
-            "adverbs_masculine": list(self.adverbs_masculine),
-            "adverbs_feminine": list(self.adverbs_feminine),
-            "quotas": dict(self.quotas),
-        }
-
     @classmethod
     def load(cls, path: str | Path) -> "SuiteManifest":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
 
 
 _T7_SUFFIX = {StereotypeKind.NONE: "None", StereotypeKind.MASCULINE: "StereoM", StereotypeKind.FEMININE: "StereoF"}
@@ -265,6 +248,12 @@ def _check_dialogue(value, family: TemplateFamily) -> str:
     return value
 
 
+def _check_first_person(value) -> int:
+    if value not in (1, 2):
+        raise InconsistentBinding(f"T3/T4 binding 'first_person' must be 1 or 2, got {value!r}")
+    return value
+
+
 def _expand_t1(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
     g1 = _require_gender(bindings, "char_gender", family)
     dialogue = _check_dialogue(_require(bindings, "dialogue", family), family)
@@ -282,9 +271,7 @@ def _expand_t1(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[Ad
 
 def _expand_t3(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
     named = _require_gender(bindings, "named_gender", family)
-    first_person = _require(bindings, "first_person", family)
-    if first_person not in (1, 2):
-        raise InconsistentBinding(f"T3/T4 binding 'first_person' must be 1 or 2, got {first_person!r}")
+    first_person = _check_first_person(_require(bindings, "first_person", family))
     dialogue = _check_dialogue(_require(bindings, "dialogue", family), family)
     bracket = bool(_require(bindings, "bracket", family))
     a1 = _require(bindings, "A1", family)
@@ -328,9 +315,7 @@ def _expand_t2(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[Ad
 
 def _expand_t4(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
     named = _require_gender(bindings, "named_gender", family)
-    first_person = _require(bindings, "first_person", family)
-    if first_person not in (1, 2):
-        raise InconsistentBinding(f"T3/T4 binding 'first_person' must be 1 or 2, got {first_person!r}")
+    first_person = _check_first_person(_require(bindings, "first_person", family))
     a = tuple(_require(bindings, key, family) for key in ("A1", "A2", "A3", "A4"))
     if first_person == 1:
         text = _four_slot_text("I", "I", _PRONOUN[named].capitalize(), _PRONOUN[named], a)
@@ -418,9 +403,11 @@ def expand_template(
 
 # --- suite generation -------------------------------------------------------
 
-# Fixed cycles over the variant dimensions, ordered so that every prefix is
+# A fixed cycle over the variant dimensions, ordered so that every prefix is
 # balanced within one item on every dimension (gender alternates strictly).
-_T1_CYCLE = (
+# T1 reads it as (referent gender, dialogue, bracket); T3 as (named gender,
+# first-person character, bracket), with self/listener standing for 1/2.
+_CYCLE = (
     ("f", "self", True),
     ("m", "listener", False),
     ("f", "listener", True),
@@ -429,17 +416,6 @@ _T1_CYCLE = (
     ("m", "listener", True),
     ("f", "listener", False),
     ("m", "self", True),
-)
-
-_T3_CYCLE = (
-    ("f", 1, True),
-    ("m", 2, False),
-    ("f", 2, True),
-    ("m", 1, False),
-    ("f", 1, False),
-    ("m", 2, True),
-    ("f", 2, False),
-    ("m", 1, True),
 )
 
 
@@ -456,116 +432,114 @@ def _adjective_stream(adjectives: list[str], width: int, family: str) -> Iterato
         i = (i + width) % n
 
 
-def _check_even(value: int, key: str, per_instance: int) -> int:
-    if value % per_instance:
-        raise QuotaInfeasible(
-            f"quota {key}={value} is not a multiple of {per_instance} (slots per instance)"
-        )
-    return value // per_instance
+# Each function below returns the bindings of group i's members, in the order
+# of the family's id suffixes, given the group's adjectives.
 
 
-def _generate_t1(manifest: SuiteManifest) -> list[TestInstance]:
-    count = _check_even(manifest.quota("T1-Det"), "T1-Det", 2)
-    if not count:
-        return []
-    adjectives = _adjective_stream(manifest.adjectives, 2, "T1")
-    out = []
-    for i in range(count):
-        referent_gender, dialogue, bracket = _T1_CYCLE[i % len(_T1_CYCLE)]
-        a1, a2 = next(adjectives)
-        char_gender = referent_gender if dialogue == "self" else _OPPOSITE[referent_gender]
-        bindings = {"char_gender": char_gender, "dialogue": dialogue, "bracket": bracket, "A1": a1, "A2": a2}
-        out.append(expand_template(TemplateFamily.T1_ONE_PERSON_KNOWN, bindings, f"T1-{i:06d}d"))
-    return out
+def _t1_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) -> tuple[dict, ...]:
+    referent_gender, dialogue, bracket = _CYCLE[i % len(_CYCLE)]
+    a1, a2 = adjectives
+    char_gender = referent_gender if dialogue == "self" else _OPPOSITE[referent_gender]
+    return ({"char_gender": char_gender, "dialogue": dialogue, "bracket": bracket, "A1": a1, "A2": a2},)
 
 
-def _generate_t2(manifest: SuiteManifest) -> list[TestInstance]:
-    count = _check_even(manifest.quota("T2-Det"), "T2-Det", 4)
-    if not count:
-        return []
-    adjectives = _adjective_stream(manifest.adjectives, 4, "T2")
-    out = []
-    for i in range(count):
-        a1, a2, a3, a4 = next(adjectives)
-        bindings = {"char_gender": ("f", "m")[i % 2], "A1": a1, "A2": a2, "A3": a3, "A4": a4}
-        out.append(expand_template(TemplateFamily.T2_TWO_PERSON_KNOWN, bindings, f"T2-{i:06d}d"))
-    return out
+def _t2_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) -> tuple[dict, ...]:
+    a1, a2, a3, a4 = adjectives
+    return ({"char_gender": ("f", "m")[i % 2], "A1": a1, "A2": a2, "A3": a3, "A4": a4},)
 
 
-def _generate_t3(manifest: SuiteManifest) -> list[TestInstance]:
-    det, amb = manifest.quota("T3-Det"), manifest.quota("T3-Amb")
-    if det != amb:
-        raise QuotaInfeasible(f"T3 is generated in matched pairs; T3-Det ({det}) must equal T3-Amb ({amb})")
-    pairs = _check_even(det, "T3-Det", 2)
-    if not pairs:
-        return []
-    adjectives = _adjective_stream(manifest.adjectives, 2, "T3")
-    out = []
-    for p in range(pairs):
-        named_gender, first_person, bracket = _T3_CYCLE[p % len(_T3_CYCLE)]
-        a1, a2 = next(adjectives)
-        stem = f"T3-{p:06d}"
-        base = {"named_gender": named_gender, "first_person": first_person, "bracket": bracket, "A1": a1, "A2": a2}
-        # The minimal perturbation is the I'm/you're flip: pointing the
-        # dialogue at the named character keeps gender determined, pointing it
-        # at the first-person character makes it ambiguous by omission.
-        det_dialogue = "self" if first_person == 2 else "listener"
-        amb_dialogue = "self" if first_person == 1 else "listener"
-        out.append(expand_template(
-            TemplateFamily.T3_ONE_PERSON_PARTIAL, {**base, "dialogue": det_dialogue}, stem + "d", stem))
-        out.append(expand_template(
-            TemplateFamily.T3_ONE_PERSON_PARTIAL, {**base, "dialogue": amb_dialogue}, stem + "a", stem))
-    return out
+def _t3_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) -> tuple[dict, ...]:
+    named_gender, amb_dialogue, bracket = _CYCLE[i % len(_CYCLE)]
+    a1, a2 = adjectives
+    first_person = 1 if amb_dialogue == "self" else 2
+    base = {"named_gender": named_gender, "first_person": first_person, "bracket": bracket, "A1": a1, "A2": a2}
+    # The minimal perturbation is the I'm/you're flip: pointing the dialogue
+    # at the named character keeps gender determined, pointing it at the
+    # first-person character makes it ambiguous by omission.
+    det_dialogue = "listener" if amb_dialogue == "self" else "self"
+    return {**base, "dialogue": det_dialogue}, {**base, "dialogue": amb_dialogue}
 
 
-def _generate_t4(manifest: SuiteManifest) -> list[TestInstance]:
-    det, amb = manifest.quota("T4-Det"), manifest.quota("T4-Amb")
-    if det != amb:
-        raise QuotaInfeasible(f"T4 instances mix conditions evenly; T4-Det ({det}) must equal T4-Amb ({amb})")
-    pairs = _check_even(det, "T4-Det", 4)
-    if not pairs:
-        return []
-    adjectives = _adjective_stream(manifest.adjectives, 4, "T4")
-    out = []
-    for p in range(pairs):
-        named_gender = ("f", "m")[p % 2]
-        a1, a2, a3, a4 = next(adjectives)
-        stem = f"T4-{p:06d}"
-        base = {"named_gender": named_gender, "A1": a1, "A2": a2, "A3": a3, "A4": a4}
-        # The perturbation swaps which character speaks in first person; the
-        # 'd' member resolves the opener's speaker, the 'a' member does not.
-        out.append(expand_template(
-            TemplateFamily.T4_TWO_PERSON_PARTIAL, {**base, "first_person": 2}, stem + "d", stem))
-        out.append(expand_template(
-            TemplateFamily.T4_TWO_PERSON_PARTIAL, {**base, "first_person": 1}, stem + "a", stem))
-    return out
+def _t4_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) -> tuple[dict, ...]:
+    a1, a2, a3, a4 = adjectives
+    base = {"named_gender": ("f", "m")[i % 2], "A1": a1, "A2": a2, "A3": a3, "A4": a4}
+    # The perturbation swaps which character speaks in first person; the 'd'
+    # member resolves the opener's speaker, the 'a' member does not.
+    return {**base, "first_person": 2}, {**base, "first_person": 1}
 
 
-def _generate_t5(manifest: SuiteManifest) -> list[TestInstance]:
-    det, amb = manifest.quota("T5-Det"), manifest.quota("T5-Amb")
-    if det != 2 * amb:
-        raise QuotaInfeasible(
-            f"T5 emits one he + one she instance per they instance; T5-Det ({det}) must equal 2 x T5-Amb ({amb})"
-        )
-    if not amb:
-        return []
+def _t5_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) -> tuple[dict, ...]:
     if not manifest.descriptor_pairs:
         raise QuotaInfeasible("T5 quotas need at least one entry in manifest list 'descriptor_pairs'")
-    adjectives = _adjective_stream(manifest.adjectives, 1, "T5")
+    cue_gender = ("m", "f")[i % 2]
+    pair = manifest.descriptor_pairs[(i // 2) % len(manifest.descriptor_pairs)]
+    if cue_gender == "m":
+        c_g, c_gbar = pair.masculine, pair.feminine
+    else:
+        c_g, c_gbar = pair.feminine, pair.masculine
+    (adjective,) = adjectives
+    base = {"C_g": c_g, "C_gbar": c_gbar, "C_g_stereotype": cue_gender, "A": adjective}
+    return tuple({**base, "pronoun": pronoun} for pronoun in ("he", "she", "they"))
+
+
+@dataclass(frozen=True)
+class _FamilyShape:
+    """How the generator builds one group of a family, read back by validation."""
+
+    suffixes: tuple[str, ...]  # id suffix of each member of one group
+    slots: int  # slots per instance
+    det: int  # Det slots per group
+    amb: int  # Amb slots per group
+    ambiguity: frozenset[AmbiguityKind]  # the kinds the templates produce (NONE: determined)
+    # The smallest determined-gender and first-person-position imbalances a
+    # quota can force, e.g. 2 for T1 (two same-gender slots per instance).
+    gender_unit: int
+    position_unit: int | None  # None: the family has no first-person character
+    members: Callable[[SuiteManifest, int, tuple[str, ...]], tuple[dict, ...]] | None
+
+
+_DET = frozenset({AmbiguityKind.NONE})
+# Columns: suffixes, slots, det, amb, ambiguity, gender_unit, position_unit,
+# members. T7 is keyed by stereotype rather than Det/Amb and has its own generator.
+_SHAPES = {
+    TemplateFamily.T1_ONE_PERSON_KNOWN: _FamilyShape(("d",), 2, 2, 0, _DET, 2, None, _t1_members),
+    TemplateFamily.T2_TWO_PERSON_KNOWN: _FamilyShape(("d",), 4, 4, 0, _DET, 0, None, _t2_members),
+    TemplateFamily.T3_ONE_PERSON_PARTIAL: _FamilyShape(
+        ("d", "a"), 2, 2, 2, _DET | {AmbiguityKind.OMISSION}, 2, 2, _t3_members),
+    TemplateFamily.T4_TWO_PERSON_PARTIAL: _FamilyShape(
+        ("d", "a"), 4, 4, 4, _DET | {AmbiguityKind.OMISSION}, 4, 0, _t4_members),
+    TemplateFamily.T5_CHAR_STEREOTYPE: _FamilyShape(
+        ("d1", "d2", "a"), 1, 2, 1, _DET | {AmbiguityKind.ACTIVE}, 0, None, _t5_members),
+    TemplateFamily.T7_ADVERB_STEREOTYPE: _FamilyShape(
+        ("a",), 1, 0, 0, frozenset({AmbiguityKind.OMISSION}), 1, None, None),
+}
+
+
+def _group_count(manifest: SuiteManifest, family: TemplateFamily, shape: _FamilyShape) -> int:
+    det_key, amb_key = f"{family.tag}-Det", f"{family.tag}-Amb"
+    det, amb = manifest.quota(det_key), manifest.quota(amb_key)
+    groups, rest = divmod(det, shape.det)
+    if rest or amb != groups * shape.amb:
+        raise QuotaInfeasible(
+            f"{family.tag} is generated in groups of {shape.det} Det and {shape.amb} Amb slots; "
+            f"{det_key} ({det}) and {amb_key} ({amb}) do not fill whole groups"
+        )
+    return groups
+
+
+def _generate_groups(manifest: SuiteManifest, family: TemplateFamily) -> list[TestInstance]:
+    shape = _SHAPES[family]
+    groups = _group_count(manifest, family, shape)
+    if not groups:
+        return []
+    adjectives = _adjective_stream(manifest.adjectives, shape.slots, family.tag)
+    paired = len(shape.suffixes) > 1
     out = []
-    for t in range(amb):
-        cue_gender = ("m", "f")[t % 2]
-        pair = manifest.descriptor_pairs[(t // 2) % len(manifest.descriptor_pairs)]
-        if cue_gender == "m":
-            c_g, c_gbar = pair.masculine, pair.feminine
-        else:
-            c_g, c_gbar = pair.feminine, pair.masculine
-        (adjective,) = next(adjectives)
-        stem = f"T5-{t:06d}"
-        base = {"C_g": c_g, "C_gbar": c_gbar, "C_g_stereotype": cue_gender, "A": adjective}
-        for pronoun, suffix in (("he", "d1"), ("she", "d2"), ("they", "a")):
-            out.append(expand_template(
-                TemplateFamily.T5_CHAR_STEREOTYPE, {**base, "pronoun": pronoun}, stem + suffix, stem))
+    for i in range(groups):
+        stem = f"{family.tag}-{i:06d}"
+        pair_id = stem if paired else None
+        for suffix, bindings in zip(shape.suffixes, shape.members(manifest, i, next(adjectives))):
+            out.append(expand_template(family, bindings, stem + suffix, pair_id))
     return out
 
 
@@ -577,9 +551,7 @@ def _generate_t7(manifest: SuiteManifest) -> list[TestInstance]:
     )
     out = []
     seq = 0
-    adjectives = _adjective_stream(manifest.adjectives, 1, "T7") if any(
-        manifest.quota(key) for key, _, _ in plan
-    ) else None
+    adjectives = _adjective_stream(manifest.adjectives, 1, "T7")
     for key, adverbs, coded in plan:
         count = manifest.quota(key)
         if not count:
@@ -607,12 +579,8 @@ def generate_suite(manifest: SuiteManifest, seed: int | None = None) -> list[Tes
     stable across seeds; the seed controls the final instance ordering.
     """
     instances: list[TestInstance] = []
-    instances += _generate_t1(manifest)
-    instances += _generate_t2(manifest)
-    instances += _generate_t3(manifest)
-    instances += _generate_t4(manifest)
-    instances += _generate_t5(manifest)
-    instances += _generate_t7(manifest)
+    for family, shape in _SHAPES.items():
+        instances += _generate_groups(manifest, family) if shape.members else _generate_t7(manifest)
     rng = random.Random(manifest.seed if seed is None else seed)
     rng.shuffle(instances)
     return instances
@@ -622,17 +590,6 @@ def generate_suite(manifest: SuiteManifest, seed: int | None = None) -> list[Tes
 
 _GENDERED_PRONOUNS = frozenset({"he", "she", "him", "her", "his", "hers"})
 _WORD_RE = re.compile(r"[a-zA-Z']+")
-
-# The ambiguity kinds each family's templates produce (NONE: determined). A
-# slot outside its family's set can only come from a hand-edited suite file.
-_FAMILY_AMBIGUITY = {
-    TemplateFamily.T1_ONE_PERSON_KNOWN: {AmbiguityKind.NONE},
-    TemplateFamily.T2_TWO_PERSON_KNOWN: {AmbiguityKind.NONE},
-    TemplateFamily.T3_ONE_PERSON_PARTIAL: {AmbiguityKind.NONE, AmbiguityKind.OMISSION},
-    TemplateFamily.T4_TWO_PERSON_PARTIAL: {AmbiguityKind.NONE, AmbiguityKind.OMISSION},
-    TemplateFamily.T5_CHAR_STEREOTYPE: {AmbiguityKind.NONE, AmbiguityKind.ACTIVE},
-    TemplateFamily.T7_ADVERB_STEREOTYPE: {AmbiguityKind.OMISSION},
-}
 
 
 @dataclass
@@ -685,10 +642,13 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
     fp_counts: dict[str, dict[int, int]] = {}
     pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
     cue_by_pronoun: dict[str, dict[str, int]] = {p: {"m": 0, "f": 0} for p in ("he", "she", "they")}
-    pair_groups: dict[str, str] = {}
+    pair_groups: dict[str, TemplateFamily] = {}
 
     for inst in instances:
         family = inst.family.tag
+        shape = _SHAPES[inst.family]
+        if len(inst.slots) != shape.slots:
+            violations.append(f"slots: {inst.id} has {len(inst.slots)} slots, {family} instances have {shape.slots}")
         for slot in inst.slots:
             key = quota_key_for_slot(inst.family, slot)
             slot_counts[key] = slot_counts.get(key, 0) + 1
@@ -698,13 +658,13 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                 det_m[family] = det_m.get(family, 0) + 1
             if slot.lemma not in inst.source_text:
                 violations.append(f"text: {inst.id} slot {slot.slot_index} lemma {slot.lemma!r} absent from source")
-            if slot.gender.ambiguity not in _FAMILY_AMBIGUITY[inst.family]:
+            if slot.gender.ambiguity not in shape.ambiguity:
                 violations.append(
                     f"condition: {inst.id} slot {slot.slot_index} is {slot.gender.kind.value}"
                     f"/{slot.gender.ambiguity.value}, which {family} never produces"
                 )
 
-        if family in ("T3", "T4"):
+        if shape.position_unit is not None:
             fp = inst.bindings.get("first_person")
             if fp in (1, 2):
                 fp_counts.setdefault(family, {1: 0, 2: 0})[fp] += 1
@@ -724,13 +684,13 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                     violations.append(f"leakage: {inst.id} is ambiguous but contains {', '.join(leaked)}")
 
         if inst.pair_id is not None:
-            pair_groups.setdefault(inst.pair_id, family)
+            pair_groups.setdefault(inst.pair_id, inst.family)
 
     for pair_id, family in pair_groups.items():
-        expected = {"T3": ("d", "a"), "T4": ("d", "a"), "T5": ("d1", "d2", "a")}.get(family)
-        if not expected:
+        suffixes = _SHAPES[family].suffixes
+        if len(suffixes) < 2:
             continue
-        partners = [pair_id + suffix for suffix in expected]
+        partners = [pair_id + suffix for suffix in suffixes]
         missing = [pid for pid in partners if pid not in by_id]
         if missing:
             violations.append(f"pairing: group {pair_id} incomplete, missing {', '.join(missing)}")
@@ -747,36 +707,30 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                 violations.append(f"count-mismatch: {key} expected {expected}, found {found}")
 
     # paired families must keep their construction ratios even without quotas
-    if slot_counts.get("T3-Det", 0) != slot_counts.get("T3-Amb", 0):
-        violations.append(
-            f"count-mismatch: T3-Det ({slot_counts.get('T3-Det', 0)}) != T3-Amb ({slot_counts.get('T3-Amb', 0)})"
-        )
-    if slot_counts.get("T4-Det", 0) != slot_counts.get("T4-Amb", 0):
-        violations.append(
-            f"count-mismatch: T4-Det ({slot_counts.get('T4-Det', 0)}) != T4-Amb ({slot_counts.get('T4-Amb', 0)})"
-        )
-    if slot_counts.get("T5-Det", 0) != 2 * slot_counts.get("T5-Amb", 0):
-        violations.append(
-            f"count-mismatch: T5-Det ({slot_counts.get('T5-Det', 0)}) != 2 x T5-Amb ({slot_counts.get('T5-Amb', 0)})"
-        )
+    for family, shape in _SHAPES.items():
+        if shape.det and shape.amb:
+            ratio = shape.det // shape.amb
+            det = slot_counts.get(f"{family.tag}-Det", 0)
+            amb = slot_counts.get(f"{family.tag}-Amb", 0)
+            if det != ratio * amb:
+                times = f"{ratio} x " if ratio != 1 else ""
+                violations.append(f"count-mismatch: {family.tag}-Det ({det}) != {times}{family.tag}-Amb ({amb})")
 
-    gender_units = {"T1": 2, "T2": 0, "T3": 2, "T4": 4, "T5": 0}
     det_gender_split = {}
     for family in sorted(set(det_f) | set(det_m)):
         f_count, m_count = det_f.get(family, 0), det_m.get(family, 0)
         det_gender_split[family] = (f_count, m_count)
         _split_check(
             f"{family} determined gender", f_count, m_count, violations, warnings,
-            unit=gender_units.get(family, 1),
+            unit=_SHAPES[TemplateFamily(family)].gender_unit,
         )
 
-    position_units = {"T3": 2, "T4": 0}
     speaker_position_split = {}
     for family, counts in sorted(fp_counts.items()):
         speaker_position_split[family] = (counts[1], counts[2])
         _split_check(
             f"{family} first-person position", counts[1], counts[2], violations, warnings,
-            unit=position_units.get(family, 1),
+            unit=_SHAPES[TemplateFamily(family)].position_unit,
         )
 
     active = {p: c for p, c in pronoun_counts.items() if c}

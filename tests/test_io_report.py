@@ -135,8 +135,17 @@ def _drop_slot_field(index, key):
     _set_slot(1, slot_index=True),
     _set_slot(1, slot_index=0),
     _set_slot(3, slot_index=4),
+    lambda record: record.update(bindings=[]),
+    _set_slot(0, lemma=7),
+    lambda record: record.update(source_text=7),
+    lambda record: record.update(bindings={**record["bindings"], "A1": ["fit"]}),
+    lambda record: record.update(pair_id=7),
+    lambda record: record.update(id=7),
+    _set_slot(0, stereotype_kind="masculine", stereotype_cue=7),
 ], ids=["ambiguous-without-kind", "missing-gender-kind", "cue-without-kind", "slots-not-a-list",
-        "string-index", "bool-index", "duplicated-index", "index-gap"])
+        "string-index", "bool-index", "duplicated-index", "index-gap",
+        "bindings-not-an-object", "int-lemma", "int-source-text", "list-binding", "int-pair-id",
+        "int-id", "int-cue"])
 def test_parse_suite_rejects_malformed_slot_records(tmp_path, demo_manifest, edit):
     suite = generate_suite(demo_manifest)
     good = instance_to_dict(suite[0])
@@ -201,7 +210,7 @@ def test_structured_format_round_trips_bytes(tmp_path):
     rendered = render_report(doc, "json")
     path = tmp_path / "metrics.json"
     path.write_text(rendered, encoding="utf-8")
-    assert render_report(parse_metrics_doc(path), "structured") == rendered
+    assert render_report(parse_metrics_doc(path), "json") == rendered
 
 
 def test_unknown_format_rejected():

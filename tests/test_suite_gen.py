@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from gnt import (
     validate_balance,
 )
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
+from gnt.formats import write_suite
 from gnt.suite import AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind
 from helpers import random_manifest
 
@@ -359,6 +361,15 @@ def test_conditions_a_family_never_produces_are_flagged(demo_manifest):
     assert sorted(v.split()[1] for v in violations) == sorted(edited)
 
 
+@pytest.mark.parametrize("keep", [0, 1], ids=["emptied", "one-slot-dropped"])
+def test_instance_with_a_foreign_slot_count_is_flagged(demo_manifest, keep):
+    suite = generate_suite(demo_manifest)
+    index = next(i for i, inst in enumerate(suite) if inst.family is T1)
+    suite[index] = replace(suite[index], slots=suite[index].slots[:keep])
+    violations = [v for v in validate_balance(suite).violations if v.startswith("slots:")]
+    assert violations == [f"slots: {suite[index].id} has {keep} slots, T1 instances have 2"]
+
+
 def test_hand_built_pronoun_imbalance_is_flagged():
     base = {"C_g": "pretty nurse", "C_gbar": "strong doctor", "C_g_stereotype": "f", "A": "fit"}
     suite = [
@@ -381,3 +392,16 @@ def test_randomized_manifests_generate_balanced_suites():
             assert abs(f_count - m_count) <= {"T1": 2, "T2": 0, "T3": 2, "T4": 4, "T5": 0}[family]
         for family, (first, second) in diagnostics.speaker_position_split.items():
             assert abs(first - second) <= {"T3": 2, "T4": 0}[family]
+
+
+@pytest.mark.parametrize("manifest_name,seed,digest", [
+    ("demo_manifest", None, "838db1402ea2d970d8d6165c3298834b0675fc34b90328fe9048a09d585c69d6"),
+    ("demo_manifest", 1, "9d0a8969c3760d20c03f8069babe8b271bfa1a5c211ea11651dd428c99cef25c"),
+    ("full_scale_manifest", None, "3a51f72c3a32c1738803129f21f71b3044a6778b8a8fb8594383cc9b4956b116"),
+    ("full_scale_manifest", 1, "cf5ced9178908dda623afd18f5b7dbd10272e82c32ef671073426469af34883e"),
+])
+def test_generated_suite_bytes_are_pinned(request, tmp_path, manifest_name, seed, digest):
+    manifest = request.getfixturevalue(manifest_name)
+    path = tmp_path / "suite.jsonl"
+    write_suite(generate_suite(manifest, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
