@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import BackendUnavailable, IncompleteBatch, ProtocolViolation
+from .errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
 from .formats import TranslationRecord, parse_translations, translation_line
 from .lexicon import Language
 from .suite import TestInstance
@@ -47,13 +47,13 @@ class AdapterConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise GntError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+            raise GntError(f"timeout must be positive, got {self.timeout}")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise GntError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_concurrent_batches < 1:
-            raise ValueError("max_concurrent_batches must be >= 1")
+            raise GntError(f"max_concurrent_batches must be >= 1, got {self.max_concurrent_batches}")
 
     @classmethod
     def parse_target(cls, spec: str, language: Language, system_id: str, **kwargs) -> "AdapterConfig":
@@ -64,7 +64,7 @@ class AdapterConfig:
             return cls(AdapterKind.HTTP_ENDPOINT, spec, language, system_id, **kwargs)
         if spec.startswith("http:"):
             return cls(AdapterKind.HTTP_ENDPOINT, spec[5:], language, system_id, **kwargs)
-        raise ValueError(f"adapter spec must start with cmd: or http:, got {spec!r}")
+        raise GntError(f"adapter spec must start with cmd: or http:, got {spec!r}")
 
 
 def _encode_batch(batch: Sequence[TestInstance]) -> str:
@@ -106,7 +106,7 @@ def _run_command(command: str, payload: str, timeout: float) -> str:
     if process.returncode != 0:
         stderr = process.stderr.decode("utf-8", "replace").strip()
         raise BackendUnavailable(f"command exited with {process.returncode}: {stderr[:200]}")
-    return process.stdout.decode("utf-8")
+    return _decode_text(process.stdout)
 
 
 def _run_http(url: str, payload: str, timeout: float) -> str:
@@ -117,11 +117,19 @@ def _run_http(url: str, payload: str, timeout: float) -> str:
     request = urllib.request.Request(url, data=payload.encode("utf-8"), headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read().decode("utf-8")
+            body = response.read()
     except urllib.error.HTTPError as exc:
         raise BackendUnavailable(f"HTTP {exc.code} from backend: {exc.reason}") from exc
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise BackendUnavailable(f"backend unreachable: {exc}") from exc
+    return _decode_text(body)
+
+
+def _decode_text(reply: bytes) -> str:
+    try:
+        return reply.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolViolation(f"reply is not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _call_backend(config: AdapterConfig, payload: str) -> str:
@@ -161,6 +169,7 @@ def translate_suite(
     done: dict[str, TranslationRecord] = {}
     resume = Path(resume_path) if resume_path else None
     if resume and resume.exists():
+        _drop_torn_line(resume)
         for record in parse_translations(resume):
             if record.system_id == config.system_id and record.language is config.language:
                 done[record.instance_id] = record
@@ -206,3 +215,14 @@ def translate_suite(
 def _append_records(path: Path, records: list[TranslationRecord]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.writelines(translation_line(record) for record in records)
+
+
+def _drop_torn_line(path: Path) -> None:
+    """Cut a last line that an interrupted append left without its newline.
+
+    Its record is requested again, and later appends start on a fresh line.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)

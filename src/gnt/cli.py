@@ -10,6 +10,7 @@ from pathlib import Path
 from .adapter import AdapterConfig, translate_suite
 from .errors import GntError
 from .formats import (
+    parse_manifest,
     parse_metrics_doc,
     parse_scores,
     parse_suite,
@@ -24,7 +25,7 @@ from .lexicon import Language, load_language_resources
 from .metrics import DEFAULT_SIGNIFICANCE_THRESHOLD
 from .pipeline import build_metrics_doc, run_pipeline, score_suite
 from .report import render_report
-from .suite import QUOTA_KEYS, SuiteManifest, generate_suite, validate_balance
+from .suite import QUOTA_KEYS, generate_suite, validate_balance
 
 
 def _lexicon_dir(value: str | None) -> str:
@@ -35,7 +36,7 @@ def _lexicon_dir(value: str | None) -> str:
 
 
 def _cmd_generate(args) -> int:
-    manifest = SuiteManifest.load(args.manifest)
+    manifest = parse_manifest(args.manifest)
     suite = generate_suite(manifest, seed=args.seed)
     write_suite(suite, args.out)
     slots = sum(len(instance.slots) for instance in suite)
@@ -48,7 +49,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_validate(args) -> int:
     suite = parse_suite(args.suite)
-    quotas = SuiteManifest.load(args.manifest).quotas if args.manifest else None
+    quotas = parse_manifest(args.manifest).quotas if args.manifest else None
     diagnostics = validate_balance(suite, quotas)
     for key in QUOTA_KEYS:
         if key in diagnostics.slot_counts:
@@ -132,7 +133,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    manifest = SuiteManifest.load(args.manifest)
+    manifest = parse_manifest(args.manifest)
     documents = run_pipeline(
         manifest,
         args.translations,
@@ -217,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GntError as exc:
+    except (GntError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

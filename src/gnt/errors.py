@@ -81,14 +81,3 @@ class BackendUnavailable(GntError):
 class ProtocolViolation(GntError):
     """The backend reply broke the id-pairing wire contract."""
 
-
-# --- pipeline --------------------------------------------------------------
-
-
-class PipelineStageError(GntError):
-    """Wraps a component failure with the pipeline stage that raised it."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}': {cause}")
-        self.stage = stage
-        self.cause = cause

@@ -17,11 +17,13 @@ from .lexicon import Language
 from .suite import (
     AdjectiveSlot,
     AmbiguityKind,
+    DescriptorPair,
     GenderCondition,
     GenderKind,
     Referent,
     StereotypeCondition,
     StereotypeKind,
+    SuiteManifest,
     TemplateFamily,
     TestInstance,
 )
@@ -30,26 +32,99 @@ from .suite import (
 # json.dumps(record, ensure_ascii=False) builds a new encoder on every call
 _dump = json.JSONEncoder(ensure_ascii=False).encode
 
+_MISSING = object()
+_NULL = type(None)
+_KIND_NAMES = {str: "a string", int: "an integer", list: "an array", dict: "an object", _NULL: "null"}
+_BINDING_KINDS = (str, int, bool, _NULL)
 
-def _read_lines(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
+
+def _take(record: dict, key: str, kinds, path: str, line: int = 0, default=_MISSING):
+    """Field `key` of a JSON record; a wrong type, or a missing field without `default`, is a ParseError.
+
+    `kinds` is a tuple of JSON types, matched exactly so that a boolean is no
+    integer, or an Enum class, which reads `kinds(value)`.
+    """
+    value = record.get(key, _MISSING)
+    if value is _MISSING:
+        if default is _MISSING:
+            raise ParseError(f"missing field {key!r}", path, line)
+        return default
+    if type(kinds) is tuple:
+        if type(value) in kinds:
+            return value
+        expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)
+    else:
+        try:
+            return kinds(value)
+        except ValueError:
+            expected = "one of " + ", ".join(repr(member.value) for member in kinds)
+    raise ParseError(f"{key} must be {expected}, got {value!r}", path, line)
+
+
+def _decode(raw: bytes, path: str, line: int = 0) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 ({exc.reason} at byte {exc.start})", path, line) from None
+
+
+def _read_lines(path: str):
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            line = _decode(raw, path, number).strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", str(path), number) from None
+                raise ParseError(f"invalid JSON ({exc.msg})", path, number) from None
             if not isinstance(record, dict):
-                raise ParseError("record must be a JSON object", str(path), number)
+                raise ParseError("record must be a JSON object", path, number)
             yield number, record
 
 
-def _field(record: dict, key: str, path: str, number: int):
-    if key not in record:
-        raise ParseError(f"missing field {key!r}", path, number)
-    return record[key]
+def _read_document(path: str) -> dict:
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from None
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object", path)
+    return doc
+
+
+# --- manifest ----------------------------------------------------------------
+
+
+def _strings(data: dict, key: str, path: str) -> list[str]:
+    values = _take(data, key, (list,), path, default=[])
+    if any(type(value) is not str for value in values):
+        raise ParseError(f"{key} must be an array of strings, got {values!r}", path)
+    return values
+
+
+def parse_manifest(path: str | Path) -> SuiteManifest:
+    """Read a suite manifest; a malformed one raises ParseError naming the file."""
+    path = str(path)
+    data = _read_document(path)
+    pairs = []
+    for raw in _take(data, "descriptor_pairs", (list,), path, default=[]):
+        if type(raw) is not dict:
+            raise ParseError(f"each descriptor pair must be an object, got {raw!r}", path)
+        pairs.append(DescriptorPair(_take(raw, "masculine", (str,), path), _take(raw, "feminine", (str,), path)))
+    try:
+        return SuiteManifest(
+            adjectives=_strings(data, "adjectives", path),
+            descriptor_pairs=pairs,
+            adverbs_masculine=_strings(data, "adverbs_masculine", path),
+            adverbs_feminine=_strings(data, "adverbs_feminine", path),
+            quotas=_take(data, "quotas", (dict,), path, default={}),
+            seed=_take(data, "seed", (int,), path, default=0),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
 
 
 # --- suite -------------------------------------------------------------------
@@ -73,77 +148,51 @@ def instance_to_dict(instance: TestInstance) -> dict:
             for slot in instance.slots
         ],
         "pair_id": instance.pair_id,
-        "bindings": instance.bindings,
+        "bindings": dict(instance.bindings),
     }
-
-
-def _enum_value(enum_cls, value, field_name: str, path: str, number: int):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise ParseError(f"invalid {field_name} {value!r}", path, number) from None
 
 
 def instance_from_dict(record: dict, path: str = "", number: int = 0) -> TestInstance:
     """Build a suite instance; a malformed record raises ParseError (path:line)."""
-    family = _enum_value(TemplateFamily, _field(record, "family", path, number), "family", path, number)
-    try:
-        slots = []
-        for raw in _field(record, "slots", path, number):
-            lemma, cue = raw["lemma"], raw.get("stereotype_cue", "")
-            if not isinstance(lemma, str) or not isinstance(cue, str):
-                raise ParseError(
-                    f"slot fields 'lemma' and 'stereotype_cue' must be strings, got {lemma!r} and {cue!r}",
-                    path, number,
-                )
+    slots = []
+    for raw in _take(record, "slots", (list,), path, number):
+        if type(raw) is not dict:
+            raise ParseError(f"each slot must be an object, got {raw!r}", path, number)
+        try:
             gender = GenderCondition(
-                _enum_value(GenderKind, raw["gender_kind"], "gender_kind", path, number),
-                _enum_value(AmbiguityKind, raw["ambiguity_kind"], "ambiguity_kind", path, number),
+                _take(raw, "gender_kind", GenderKind, path, number),
+                _take(raw, "ambiguity_kind", AmbiguityKind, path, number),
             )
             stereotype = StereotypeCondition(
-                _enum_value(StereotypeKind, raw["stereotype_kind"], "stereotype_kind", path, number),
-                cue,
+                _take(raw, "stereotype_kind", StereotypeKind, path, number),
+                _take(raw, "stereotype_cue", (str,), path, number, ""),
             )
-            slots.append(
-                AdjectiveSlot(
-                    slot_index=raw["slot_index"],
-                    lemma=lemma,
-                    referent=_enum_value(Referent, raw["referent"], "referent", path, number),
-                    gender=gender,
-                    stereotype=stereotype,
-                )
+        except ValueError as exc:
+            raise ParseError(f"invalid slot record: {exc}", path, number) from None
+        slots.append(
+            AdjectiveSlot(
+                slot_index=_take(raw, "slot_index", (int,), path, number),
+                lemma=_take(raw, "lemma", (str,), path, number),
+                referent=_take(raw, "referent", Referent, path, number),
+                gender=gender,
+                stereotype=stereotype,
             )
-        slots.sort(key=lambda s: s.slot_index)
-    except KeyError as exc:
-        raise ParseError(f"missing slot field {exc}", path, number) from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"invalid slot record: {exc}", path, number) from None
+        )
+    slots.sort(key=lambda s: s.slot_index)
     # scores name their slot by index, so indices must be exactly 0..n-1
-    if any(type(slot.slot_index) is not int or slot.slot_index != i for i, slot in enumerate(slots)):
+    if any(slot.slot_index != i for i, slot in enumerate(slots)):
         indices = [slot.slot_index for slot in slots]
         raise ParseError(f"slot indices must be 0..{len(slots) - 1}, got {indices!r}", path, number)
-    instance_id = _field(record, "id", path, number)
-    source_text = _field(record, "source_text", path, number)
-    if not isinstance(instance_id, str) or not isinstance(source_text, str):
-        raise ParseError(
-            f"fields 'id' and 'source_text' must be strings, got {instance_id!r} and {source_text!r}", path, number
-        )
-    pair_id = record.get("pair_id")
-    if pair_id is not None and not isinstance(pair_id, str):
-        raise ParseError(f"field 'pair_id' must be a string or null, got {pair_id!r}", path, number)
-    bindings = record.get("bindings", {})
-    if not isinstance(bindings, dict):
-        raise ParseError(f"field 'bindings' must be an object, got {bindings!r}", path, number)
+    bindings = _take(record, "bindings", (dict,), path, number, {})
     for key, value in bindings.items():
-        # bool is an int subclass, so booleans pass too
-        if value is not None and not isinstance(value, (str, int)):
+        if type(value) not in _BINDING_KINDS:
             raise ParseError(f"binding {key!r} must be a string, integer, boolean or null, got {value!r}", path, number)
     return TestInstance(
-        id=instance_id,
-        family=family,
-        source_text=source_text,
+        id=_take(record, "id", (str,), path, number),
+        family=_take(record, "family", TemplateFamily, path, number),
+        source_text=_take(record, "source_text", (str,), path, number),
         slots=tuple(slots),
-        pair_id=pair_id,
+        pair_id=_take(record, "pair_id", (str, _NULL), path, number, None),
         bindings=bindings,
     )
 
@@ -155,10 +204,11 @@ def write_suite(instances: Iterable[TestInstance], path: str | Path) -> None:
 
 
 def parse_suite(path: str | Path) -> list[TestInstance]:
+    path = str(path)
     instances = []
     seen: set[str] = set()
     for number, record in _read_lines(path):
-        instance = instance_from_dict(record, str(path), number)
+        instance = instance_from_dict(record, path, number)
         if instance.id in seen:
             raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance.id!r}")
         seen.add(instance.id)
@@ -201,19 +251,18 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
     outside the closed is/cs/es set, and DuplicateRecord when one
     (system, lang, id) key appears twice.
     """
+    path = str(path)
     records = []
     seen: dict[tuple[str, str, str], int] = {}
     for number, record in _read_lines(path):
-        system = _field(record, "system", path, number)
-        lang_value = _field(record, "lang", path, number)
-        instance_id = _field(record, "id", path, number)
-        text = _field(record, "text", path, number)
+        system = _take(record, "system", (str,), path, number)
+        lang = _take(record, "lang", (str,), path, number)
+        instance_id = _take(record, "id", (str,), path, number)
+        text = _take(record, "text", (str,), path, number)
         try:
-            language = Language(str(lang_value).lower())
+            language = Language(lang.lower())
         except ValueError:
-            raise ParseError(f"unknown language {lang_value!r}", str(path), number) from None
-        if not isinstance(text, str):
-            raise ParseError("field 'text' must be a string", str(path), number)
+            raise ParseError(f"unknown language {lang!r}", path, number) from None
         key = (system, language.value, instance_id)
         if key in seen:
             raise DuplicateRecord(
@@ -255,20 +304,20 @@ def write_scores(scores: Iterable[SlotScore], path: str | Path) -> None:
 
 
 def parse_scores(path: str | Path) -> list[SlotScore]:
+    path = str(path)
     scores = []
     for number, record in _read_lines(path):
-        label = _enum_value(GenderLabel, _field(record, "label", str(path), number), "label", str(path), number)
-        slot_index = _field(record, "slot_index", str(path), number)
-        # bool is an int subclass, and a negative index would count against another slot
-        if type(slot_index) is not int or slot_index < 0:
-            raise ParseError(f"slot_index must be a non-negative integer, got {slot_index!r}", str(path), number)
+        slot_index = _take(record, "slot_index", (int,), path, number)
+        # a negative index would count against another slot
+        if slot_index < 0:
+            raise ParseError(f"slot_index must be a non-negative integer, got {slot_index}", path, number)
         scores.append(
             SlotScore(
-                instance_id=_field(record, "instance_id", str(path), number),
+                instance_id=_take(record, "instance_id", (str,), path, number),
                 slot_index=slot_index,
-                label=label,
-                matched_text=record.get("matched_text", ""),
-                rule=record.get("rule", ""),
+                label=_take(record, "label", GenderLabel, path, number),
+                matched_text=_take(record, "matched_text", (str,), path, number, ""),
+                rule=_take(record, "rule", (str,), path, number, ""),
             )
         )
     return scores
@@ -287,11 +336,4 @@ def metrics_doc_to_text(doc: Mapping) -> str:
 
 
 def parse_metrics_doc(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", str(path), exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ParseError("metrics document must be a JSON object", str(path))
-    return doc
+    return _read_document(str(path))

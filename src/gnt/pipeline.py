@@ -1,8 +1,7 @@
 """End-to-end composition: generate -> score -> metrics -> report.
 
 Systems and languages are discovered from the translations file, so scoring a
-new system is purely a data change. Every stage failure is re-raised as a
-PipelineStageError naming the stage.
+new system is purely a data change.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import GenderLabel, SlotScore, classify_instance
-from .errors import EmptySelection, GntError, PipelineStageError
+from .errors import EmptySelection
 from .formats import (
     TranslationRecord,
     parse_translations,
@@ -225,15 +224,6 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", text) or "unnamed"
 
 
-def _stage(name: str, func, *args, **kwargs):
-    try:
-        return func(*args, **kwargs)
-    except PipelineStageError:
-        raise
-    except (GntError, OSError) as exc:
-        raise PipelineStageError(name, exc) from exc
-
-
 def run_pipeline(
     manifest: SuiteManifest,
     translations_path: str | Path,
@@ -246,9 +236,9 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    suite = _stage("generate", generate_suite, manifest, seed)
-    _stage("generate", write_suite, suite, out / "suite.jsonl")
-    records = _stage("parse", parse_translations, translations_path)
+    suite = generate_suite(manifest, seed)
+    write_suite(suite, out / "suite.jsonl")
+    records = parse_translations(translations_path)
 
     known_ids = {instance.id for instance in suite}
     groups: dict[tuple[str, Language], list[TranslationRecord]] = {}
@@ -258,23 +248,18 @@ def run_pipeline(
     documents = []
     for (system, language), group in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         valid, orphans = split_orphans(group, known_ids)
-
-        def _score():
-            resources = load_language_resources(lexicon_dir, language)
-            return score_suite(suite, valid, resources)
-
-        scores, _ = _stage("score", _score)
-        doc = _stage("metrics", build_metrics_doc, suite, scores, system, language, threshold,
-                     orphan_translations=len(orphans))
-        markdown = _stage("report", render_report, doc, "md")
+        resources = load_language_resources(lexicon_dir, language)
+        scores, _ = score_suite(suite, valid, resources)
+        doc = build_metrics_doc(suite, scores, system, language, threshold, orphan_translations=len(orphans))
+        markdown = render_report(doc, "md")
 
         stem = f"{_slug(system)}_{language.value}"
         scores_path = out / f"scores_{stem}.jsonl"
         metrics_path = out / f"metrics_{stem}.json"
         report_path = out / f"report_{stem}.md"
-        _stage("report", write_scores, scores, scores_path)
-        _stage("report", write_metrics_doc, doc, metrics_path)
-        _stage("report", report_path.write_text, markdown, encoding="utf-8")
+        write_scores(scores, scores_path)
+        write_metrics_doc(doc, metrics_path)
+        report_path.write_text(markdown, encoding="utf-8")
 
         documents.append(
             ReportDocument(system, language, doc, markdown, scores_path, metrics_path, report_path)

@@ -9,12 +9,10 @@ translation system reacts when the referent's gender stops being resolvable.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InconsistentBinding, MissingBinding, QuotaInfeasible
@@ -150,28 +148,11 @@ class SuiteManifest:
         for key, value in self.quotas.items():
             if key not in QUOTA_KEYS:
                 raise ValueError(f"unknown quota key {key!r}; expected one of {', '.join(QUOTA_KEYS)}")
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValueError(f"quota {key} must be a non-negative integer, got {value!r}")
 
     def quota(self, key: str) -> int:
         return self.quotas.get(key, 0)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SuiteManifest":
-        pairs = [DescriptorPair(p["masculine"], p["feminine"]) for p in data.get("descriptor_pairs", [])]
-        return cls(
-            adjectives=list(data.get("adjectives", [])),
-            descriptor_pairs=pairs,
-            adverbs_masculine=list(data.get("adverbs_masculine", [])),
-            adverbs_feminine=list(data.get("adverbs_feminine", [])),
-            quotas={k: int(v) for k, v in data.get("quotas", {}).items()},
-            seed=int(data.get("seed", 0)),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SuiteManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 _T7_SUFFIX = {StereotypeKind.NONE: "None", StereotypeKind.MASCULINE: "StereoM", StereotypeKind.FEMININE: "StereoF"}

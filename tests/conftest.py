@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gnt import Language, SuiteManifest, load_language_resources
+from gnt import Language, SuiteManifest, load_language_resources, parse_manifest
 from gnt.data import demo_manifest_path, full_scale_manifest_path, lexicon_dir
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -15,12 +15,12 @@ ECHO_BACKEND = FIXTURES / "echo_backend.py"
 
 @pytest.fixture(scope="session")
 def demo_manifest() -> SuiteManifest:
-    return SuiteManifest.load(demo_manifest_path())
+    return parse_manifest(demo_manifest_path())
 
 
 @pytest.fixture(scope="session")
 def full_scale_manifest() -> SuiteManifest:
-    return SuiteManifest.load(full_scale_manifest_path())
+    return parse_manifest(full_scale_manifest_path())
 
 
 @pytest.fixture(scope="session")

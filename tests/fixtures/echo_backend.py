@@ -51,6 +51,7 @@ def main() -> int:
     parser.add_argument("--drop-id", default=None, help="omit this id from the reply")
     parser.add_argument("--inject-bogus", action="store_true", help="reply with an id outside the batch")
     parser.add_argument("--duplicate-id", default=None, help="reply to this id twice")
+    parser.add_argument("--non-utf8", default=None, metavar="ID", help="reply to this id with a Latin-1 byte")
     parser.add_argument("--fail-once", default=None, metavar="MARKER",
                         help="exit 1 on the first run (marker file absent), succeed afterwards")
     parser.add_argument("--fail-on-id", default=None, metavar="ID:MARKER",
@@ -90,6 +91,8 @@ def main() -> int:
             translated = translate(text, forms, neutral='," they said' in text)
         else:
             translated = text
+        if args.non_utf8 and instance_id == args.non_utf8:
+            translated = "caf\udce9"  # surrogateescape writes the lone byte 0xe9
         replies.append(f"{instance_id}\t{translated}")
         if args.duplicate_id and instance_id == args.duplicate_id:
             replies.append(f"{instance_id}\t{translated} again")
@@ -98,7 +101,7 @@ def main() -> int:
     if args.inject_bogus:
         replies.append("bogus-id\tnoise")
 
-    sys.stdout.buffer.write(("\n".join(replies) + "\n").encode("utf-8"))
+    sys.stdout.buffer.write(("\n".join(replies) + "\n").encode("utf-8", "surrogateescape"))
     return 0
 
 

@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from gnt import AdapterConfig, AdapterKind, Language, expand_template, translate_suite
-from gnt.errors import BackendUnavailable, IncompleteBatch, ProtocolViolation
+from gnt.errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
+from gnt.formats import TranslationRecord, translation_line
 from gnt.suite import TemplateFamily
 from conftest import backend_command
 
@@ -65,6 +66,12 @@ def test_duplicated_reply_id_raises_protocol_violation():
         translate_suite(suite, _cmd_config(backend_command("--duplicate-id", "T7-000001a")), sleep=_no_sleep)
 
 
+def test_non_utf8_reply_raises_protocol_violation():
+    suite = _suite(3)
+    with pytest.raises(ProtocolViolation, match="UTF-8"):
+        translate_suite(suite, _cmd_config(backend_command("--non-utf8", "T7-000001a")), sleep=_no_sleep)
+
+
 def test_failing_command_exhausts_retries():
     suite = _suite(2)
     config = _cmd_config("false", max_retries=2)
@@ -100,6 +107,19 @@ def test_resume_requests_only_missing_ids(tmp_path):
     assert records == uninterrupted
 
 
+def test_resume_drops_a_torn_last_line(tmp_path):
+    suite = _suite(6)
+    resume = tmp_path / "partial.jsonl"
+    complete = TranslationRecord("test-system", Language.ES, "T7-000000a", "marker text")
+    torn = translation_line(TranslationRecord("test-system", Language.ES, "T7-000001a", "cut"))[:30]
+    resume.write_text(translation_line(complete) + torn, encoding="utf-8")
+    records = translate_suite(suite, _cmd_config(backend_command()), resume_path=resume, sleep=_no_sleep)
+    assert [r.instance_id for r in records] == [i.id for i in suite]
+    # the complete record was kept, not requested again
+    assert records[0] == complete
+    assert len(resume.read_text(encoding="utf-8").splitlines()) == 6
+
+
 def test_concurrent_batches_collect_the_same_records():
     suite = _suite(12)
     sequential = translate_suite(suite, _cmd_config(backend_command()), sleep=_no_sleep)
@@ -121,11 +141,11 @@ def test_source_text_is_transmitted_byte_identically():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GntError):
         AdapterConfig(AdapterKind.EXTERNAL_COMMAND, "cat", Language.ES, "s", batch_size=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GntError):
         AdapterConfig(AdapterKind.EXTERNAL_COMMAND, "cat", Language.ES, "s", timeout=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GntError):
         AdapterConfig(AdapterKind.EXTERNAL_COMMAND, "cat", Language.ES, "s", max_retries=-1)
 
 
@@ -135,7 +155,7 @@ def test_parse_target_spec():
     assert config.target == "python backend.py"
     config = AdapterConfig.parse_target("http://localhost:9000/translate", Language.CS, "s")
     assert config.kind is AdapterKind.HTTP_ENDPOINT
-    with pytest.raises(ValueError):
+    with pytest.raises(GntError):
         AdapterConfig.parse_target("ftp://nope", Language.ES, "s")
 
 

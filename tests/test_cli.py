@@ -151,3 +151,38 @@ def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index
     err = capsys.readouterr().err
     assert err.startswith("error:") and "slot_index" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--batch-size", "0"],
+    ["--timeout", "0"],
+    ["--max-retries", "-1"],
+    ["--adapter", "ftp:x"],
+], ids=["batch-size", "timeout", "max-retries", "adapter"])
+def test_translate_rejects_bad_settings(tmp_path, suite_path, capsys, flags):
+    argv = ["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es",
+            "--system", "s", "--out", str(tmp_path / "tr.jsonl")]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "validate", "translate", "score", "metrics", "report", "run"])
+def test_every_command_reports_a_missing_input_file(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.jsonl")
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["--manifest", missing, "--out", out],
+        "validate": ["--suite", missing],
+        "translate": ["--suite", missing, "--adapter", "cmd:cat", "--lang", "es", "--system", "s", "--out", out],
+        "score": ["--suite", missing, "--translations", missing, "--lexicon-dir", str(lexicon_dir()),
+                  "--lang", "es", "--out", out],
+        "metrics": ["--scores", missing, "--suite", missing, "--lang", "es", "--out", out],
+        "report": ["--metrics", missing],
+        "run": ["--manifest", str(demo_manifest_path()), "--translations", missing,
+                "--lexicon-dir", str(lexicon_dir()), "--out-dir", out],
+    }[command]
+    assert main([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+    assert "Traceback" not in err

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gnt import (
     GenderLabel,
@@ -13,6 +16,7 @@ from gnt import (
     TranslationRecord,
     generate_suite,
     label_cells,
+    parse_manifest,
     parse_scores,
     parse_suite,
     parse_translations,
@@ -22,9 +26,9 @@ from gnt import (
     write_suite,
     write_translations,
 )
-from gnt.errors import DuplicateRecord, GntError, ParseError, PipelineStageError
+from gnt.errors import DuplicateRecord, GntError, InvalidEntry, ParseError
 from gnt.formats import instance_to_dict, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
-from gnt.data import lexicon_dir
+from gnt.data import demo_manifest_path, lexicon_dir
 from gnt.pipeline import build_metrics_doc, score_suite
 from gnt.suite import AMBIGUOUS_ACTIVE, TemplateFamily
 
@@ -66,9 +70,12 @@ def test_parse_translations_rejects_duplicates(tmp_path):
 
 def test_parse_translations_reports_malformed_line_number(tmp_path):
     path = tmp_path / "tr.jsonl"
-    path.write_text('{"system": "s", "lang": "es", "id": "x", "text": "t"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(ParseError, match=":2"):
-        parse_translations(path)
+    good = b'{"system": "s", "lang": "es", "id": "x", "text": "t"}\n'
+    latin1 = '{"system": "s", "lang": "es", "id": "y", "text": "café"}\n'.encode("latin-1")
+    for bad in (b"not json\n", latin1):
+        path.write_bytes(good + bad)
+        with pytest.raises(ParseError, match=":2"):
+            parse_translations(path)
 
 
 def test_orphans_are_split_not_fatal():
@@ -154,6 +161,96 @@ def test_parse_suite_rejects_malformed_slot_records(tmp_path, demo_manifest, edi
     path = _write_lines(tmp_path / "suite.jsonl", [good, bad])
     with pytest.raises(ParseError, match=r"suite\.jsonl:2: "):
         parse_suite(path)
+
+
+def test_instance_to_dict_copies_bindings(demo_manifest):
+    instance = generate_suite(demo_manifest)[0]
+    before = dict(instance.bindings)
+    instance_to_dict(instance)["bindings"]["A"] = "edited"
+    assert instance.bindings == before
+
+
+_MANIFEST = json.loads(demo_manifest_path().read_text(encoding="utf-8"))
+_TRANSLATION = {"system": "s", "lang": "es", "id": "T7-000000a", "text": "t"}
+_SCORE = {"instance_id": "T7-000000a", "slot_index": 0, "label": "M", "matched_text": "", "rule": ""}
+
+
+@pytest.mark.parametrize("name, parse, text", [
+    ("manifest.json", parse_manifest, json.dumps({**_MANIFEST, "adjectives": "fit"})),
+    ("manifest.json", parse_manifest, json.dumps({**_MANIFEST, "quotas": {"T1-Det": 2.7}})),
+    ("manifest.json", parse_manifest, json.dumps({**_MANIFEST, "quotas": {"T1-Det": "x"}})),
+    ("manifest.json", parse_manifest, json.dumps({**_MANIFEST, "quotas": {"T9-Det": 2}})),
+    ("manifest.json", parse_manifest, json.dumps({**_MANIFEST, "seed": "abc"})),
+    ("manifest.json", parse_manifest, json.dumps({**_MANIFEST, "descriptor_pairs": [{"masculine": "strong doctor"}]})),
+    ("manifest.json", parse_manifest, '{"seed": 7,'),
+    ("tr.jsonl", parse_translations, json.dumps({**_TRANSLATION, "id": [1]})),
+    ("tr.jsonl", parse_translations, json.dumps({**_TRANSLATION, "system": 1})),
+    ("scores.jsonl", parse_scores, json.dumps({**_SCORE, "instance_id": [1]})),
+    ("scores.jsonl", parse_scores, json.dumps({**_SCORE, "rule": 5})),
+], ids=["string-adjectives", "float-quota", "string-quota", "unknown-quota-key", "string-seed",
+        "pair-without-feminine", "invalid-json", "list-id", "int-system", "list-instance-id", "int-rule"])
+def test_readers_reject_wrongly_typed_fields(tmp_path, name, parse, text):
+    path = tmp_path / name
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        parse(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+_DELETE = object()
+
+
+def _field_paths(record):
+    """Every field of a record, and the fields one object or array deeper."""
+    paths = []
+    for key, value in record.items():
+        paths.append((key,))
+        if isinstance(value, list) and value:
+            paths.append((key, 0))
+            if isinstance(value[0], dict):
+                paths.extend((key, 0, inner) for inner in value[0])
+        elif isinstance(value, dict):
+            paths.extend((key, inner) for inner in value)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def valid_records(demo_manifest):
+    instance = next(inst for inst in generate_suite(demo_manifest) if len(inst.slots) == 4 and inst.pair_id)
+    return {
+        "suite": (parse_suite, instance_to_dict(instance)),
+        "translations": (parse_translations, _TRANSLATION),
+        "scores": (parse_scores, _SCORE),
+        "manifest": (parse_manifest, _MANIFEST),
+    }
+
+
+@pytest.mark.parametrize("reader", ["suite", "translations", "scores", "manifest"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_fuzzed_field_parses_or_is_a_parse_error(tmp_path_factory, valid_records, reader, data):
+    parse, record = valid_records[reader]
+    *parents, last = data.draw(st.sampled_from(_field_paths(record)), label="field")
+    value = data.draw(st.just(_DELETE) | _JSON_VALUES, label="value")
+    fuzzed = copy.deepcopy(record)
+    target = fuzzed
+    for step in parents:
+        target = target[step]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path_factory.getbasetemp() / f"fuzzed_{reader}.json"
+    path.write_text(json.dumps(fuzzed, ensure_ascii=False) + "\n", encoding="utf-8")
+    # manifests are only parsed: their quotas are unbounded, so no suite is generated
+    try:
+        parse(path)
+    except ParseError as exc:
+        assert str(path) in str(exc)
 
 
 # --- rendering ---------------------------------------------------------------------
@@ -369,9 +466,8 @@ def test_run_pipeline_missing_lexicon_dir_fails_in_score_stage(tmp_path, demo_ma
     suite = generate_suite(demo_manifest)
     translations = tmp_path / "translations.jsonl"
     write_translations(_fake_system_translations(suite, es_resources), translations)
-    with pytest.raises(PipelineStageError) as excinfo:
+    with pytest.raises(InvalidEntry, match="nowhere"):
         run_pipeline(demo_manifest, translations, tmp_path / "nowhere", tmp_path / "out")
-    assert excinfo.value.stage == "score"
 
 
 def test_metrics_doc_write_parse_write_is_byte_identical(tmp_path, demo_manifest, es_resources):
