@@ -5,8 +5,8 @@ Two backends share one wire contract: each request is a block of
 ``id<TAB>translation`` lines. Replies are paired by id, never by line order.
 The command backend spawns the configured shell command once per batch; the
 HTTP backend POSTs the block as UTF-8 ``text/plain`` and reads the same shape
-back. Partial progress can be persisted so an interrupted run resumes with
-only the missing ids.
+back. A window of batches is in flight at once, and partial progress can be
+persisted so an interrupted run resumes with only the missing ids.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class AdapterConfig:
     batch_size: int = 32
     timeout: float = 60.0
     max_retries: int = 2
-    max_concurrent_batches: int = 1
+    max_concurrent_batches: int = 2
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -160,10 +160,16 @@ def translate_suite(
 ) -> list[TranslationRecord]:
     """Collect one TranslationRecord per instance from the configured backend.
 
-    When `resume_path` is given, completed records are appended there after
-    every batch and a rerun only requests the ids still missing. Raises
-    IncompleteBatch when a reply skips ids, ProtocolViolation on malformed or
-    foreign reply lines, and BackendUnavailable once retries are exhausted.
+    Up to `config.max_concurrent_batches` batches are in flight at once: the
+    calling thread and that many less one helper threads each take the next
+    batch in turn. After the first failure no new batch starts; batches in
+    flight finish, and the error of the lowest-numbered failed batch is
+    raised. When `resume_path` is given, completed records are appended there
+    after every batch, in completion order, and a rerun only requests the ids
+    still missing. Raises IncompleteBatch when a reply skips ids,
+    ProtocolViolation on malformed or foreign reply lines, and
+    BackendUnavailable once retries are exhausted. The records are sorted by
+    id, whatever the window.
     """
     instances = list(suite)
     done: dict[str, TranslationRecord] = {}
@@ -175,10 +181,14 @@ def translate_suite(
                 done[record.instance_id] = record
 
     pending = [instance for instance in instances if instance.id not in done]
+    batches = [pending[i : i + config.batch_size] for i in range(0, len(pending), config.batch_size)]
+    todo = iter(enumerate(batches))
     rng = random.Random()
-    persist_lock = threading.Lock()
+    lock = threading.Lock()
+    missing: list[str] = []
+    errors: dict[int, BaseException] = {}
 
-    def handle_batch(batch: list[TestInstance]) -> tuple[list[TranslationRecord], list[str]]:
+    def handle_batch(batch: list[TestInstance]) -> None:
         payload = _encode_batch(batch)
         reply = _with_retries(config, payload, sleep, rng)
         translations = _decode_reply(reply, {instance.id for instance in batch})
@@ -187,28 +197,39 @@ def translate_suite(
             for instance in batch
             if instance.id in translations
         ]
-        missing = [instance.id for instance in batch if instance.id not in translations]
-        # persist before any later batch gets the chance to fail the run
-        if resume and records:
-            with persist_lock:
+        with lock:
+            # persist before any later batch gets the chance to fail the run
+            if resume and records:
                 _append_records(resume, records)
-        return records, missing
+            done.update((record.instance_id, record) for record in records)
+            missing.extend(instance.id for instance in batch if instance.id not in translations)
 
-    batches = [pending[i : i + config.batch_size] for i in range(0, len(pending), config.batch_size)]
-    if config.max_concurrent_batches > 1 and len(batches) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def work() -> None:
+        index = -1
+        try:
+            while True:
+                with lock:
+                    if errors:
+                        return
+                    index, batch = next(todo, (index, None))
+                if batch is None:
+                    return
+                handle_batch(batch)
+        except BaseException as exc:  # an interrupt too; the calling thread re-raises it
+            with lock:
+                errors[index] = exc
 
-        with ThreadPoolExecutor(max_workers=config.max_concurrent_batches) as pool:
-            outcomes = list(pool.map(handle_batch, batches))
-    else:
-        outcomes = [handle_batch(batch) for batch in batches]
-
-    failures: list[str] = []
-    for records, missing in outcomes:
-        failures.extend(missing)
-        done.update({record.instance_id: record for record in records})
-    if failures:
-        raise IncompleteBatch(sorted(failures))
+    # the calling thread is one of the workers, so a window of 1 starts no thread
+    helpers = [threading.Thread(target=work) for _ in range(min(config.max_concurrent_batches, len(batches)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    if missing:
+        raise IncompleteBatch(sorted(missing))
     return sorted(done.values(), key=lambda record: record.instance_id)
 
 

@@ -80,6 +80,7 @@ def _cmd_translate(args) -> int:
         batch_size=args.batch_size,
         timeout=args.timeout,
         max_retries=args.max_retries,
+        max_concurrent_batches=args.max_concurrent_batches,
     )
     resume = Path(str(args.out) + ".partial")
     records = translate_suite(suite, config, resume_path=resume)
@@ -172,9 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", required=True, choices=[l.value for l in Language])
     p.add_argument("--system", required=True, help="Label recorded in the output file.")
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-retries", type=int, default=2)
+    p.add_argument("--batch-size", type=int, default=AdapterConfig.batch_size)
+    p.add_argument("--timeout", type=float, default=AdapterConfig.timeout)
+    p.add_argument("--max-retries", type=int, default=AdapterConfig.max_retries)
+    p.add_argument("--max-concurrent-batches", type=int, default=AdapterConfig.max_concurrent_batches,
+                   help="Batches in flight at once; 1 for a backend that cannot run twice at once.")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("score", help="Classify translated adjective slots.")

@@ -34,7 +34,9 @@ _dump = json.JSONEncoder(ensure_ascii=False).encode
 
 _MISSING = object()
 _NULL = type(None)
-_KIND_NAMES = {str: "a string", int: "an integer", list: "an array", dict: "an object", _NULL: "null"}
+_KIND_NAMES = {
+    str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object", _NULL: "null",
+}
 _BINDING_KINDS = (str, int, bool, _NULL)
 
 
@@ -335,5 +337,17 @@ def metrics_doc_to_text(doc: Mapping) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+_METRICS_SECTIONS = ("baseline", "omission_response", "active_response", "strategy_breakdown", "stereotype")
+
+
 def parse_metrics_doc(path: str | Path) -> dict:
-    return _read_document(str(path))
+    """Read a metrics document; a missing or wrongly typed top-level field raises ParseError naming the file."""
+    path = str(path)
+    doc = _read_document(path)
+    _take(doc, "system", (str,), path)
+    _take(doc, "lang", (str,), path)
+    _take(doc, "threshold", (float, int), path)
+    _take(doc, "coverage", (dict,), path)
+    for key in _METRICS_SECTIONS:
+        _take(doc, key, (dict, _NULL), path, default=None)
+    return doc

@@ -144,9 +144,17 @@ class Lexicon:
         return tuple(self._by_form.get(nfc(surface_form).casefold(), ()))
 
 
+def _decoded_lines(path: Path, lines: Iterable[bytes]):
+    for number, raw in enumerate(lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidEntry(f"{path}:{number}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _csv_rows(path: Path, expected_header: list[str]):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_decoded_lines(path, fh))
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != expected_header:
             raise InvalidEntry(f"{path}: expected header {','.join(expected_header)!r}, got {header!r}")

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
 from gnt import AdapterConfig, AdapterKind, Language, expand_template, translate_suite
 from gnt.errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
-from gnt.formats import TranslationRecord, translation_line
+from gnt.cli import main
+from gnt.formats import TranslationRecord, parse_translations, translation_line, write_suite
 from gnt.suite import TemplateFamily
 from conftest import backend_command
 
@@ -94,7 +96,7 @@ def test_resume_requests_only_missing_ids(tmp_path):
     resume = tmp_path / "partial.jsonl"
     # batches of 4: the batch holding T7-000005a (second batch) fails on the first run
     failing = _cmd_config(
-        backend_command("--fail-on-id", f"T7-000005a:{marker}"), max_retries=0
+        backend_command("--fail-on-id", f"T7-000005a:{marker}"), max_retries=0, max_concurrent_batches=1
     )
     with pytest.raises(BackendUnavailable):
         translate_suite(suite, failing, resume_path=resume, sleep=_no_sleep)
@@ -127,6 +129,85 @@ def test_concurrent_batches_collect_the_same_records():
         suite, _cmd_config(backend_command(), max_concurrent_batches=3), sleep=_no_sleep
     )
     assert concurrent == sequential
+
+
+def _counting_command(counter) -> str:
+    # each spawn appends one line to `counter` and fails; the pause keeps the window's first batches in flight together
+    return f"sh -c 'echo x >> {counter}; sleep 0.2; exit 1'"
+
+
+def test_first_failure_stops_new_batches(tmp_path):
+    counter = tmp_path / "spawns"
+    config = _cmd_config(_counting_command(counter), batch_size=1, max_retries=0, max_concurrent_batches=2)
+    with pytest.raises(BackendUnavailable):
+        translate_suite(_suite(50), config, sleep=_no_sleep)
+    assert len(counter.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_interrupt_propagates_and_stops_new_batches(tmp_path, window):
+    counter = tmp_path / "spawns"
+    config = _cmd_config(_counting_command(counter), batch_size=1, max_retries=1, max_concurrent_batches=window)
+
+    def interrupted(_seconds: float) -> None:
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        translate_suite(_suite(50), config, sleep=interrupted)
+    # each batch in flight was interrupted before its retry; no later batch was sent
+    assert len(counter.read_text().splitlines()) == window
+
+
+def test_error_of_the_lowest_failed_batch_is_raised():
+    # batch 0 replies late with a foreign id; batch 1 fails at once
+    script = "read -r line; case \"$line\" in T7-000000a*) sleep 0.3; printf 'bogus\\tx\\n';; *) exit 1;; esac"
+    config = _cmd_config(f"sh -c '{script}'", batch_size=1, max_retries=0, max_concurrent_batches=2)
+    with pytest.raises(ProtocolViolation, match="bogus"):
+        translate_suite(_suite(2), config, sleep=_no_sleep)
+
+
+def test_window_does_not_change_records_or_output(tmp_path):
+    suite_path = tmp_path / "suite.jsonl"
+    suite = _suite(13)
+    write_suite(suite, suite_path)
+    sequential = translate_suite(suite, _cmd_config(backend_command(), max_concurrent_batches=1), sleep=_no_sleep)
+    outputs = set()
+    for window in (1, 2, 5):
+        config = _cmd_config(backend_command("--shuffle"), max_concurrent_batches=window)
+        assert translate_suite(suite, config, sleep=_no_sleep) == sequential
+        marker = tmp_path / f"marker-{window}"
+        out = tmp_path / f"translations-{window}.jsonl"
+        adapter = "cmd:" + backend_command("--shuffle", "--fail-on-id", f"T7-000009a:{marker}")
+        argv = ["translate", "--suite", str(suite_path), "--adapter", adapter, "--lang", "es",
+                "--system", "test-system", "--out", str(out), "--batch-size", "4", "--max-retries", "0",
+                "--max-concurrent-batches", str(window)]
+        assert main(argv) == 2  # interrupted: the batch holding T7-000009a failed
+        assert out.with_name(out.name + ".partial").exists()
+        assert main(argv) == 0  # resumed
+        assert parse_translations(out) == sequential
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
+def test_window_keeps_every_record_under_thread_switching(tmp_path, threaded_echo_server):
+    # more workers than cores and a short switch interval, so a lost update or a torn append would show
+    suite = _suite(200)
+    resume = tmp_path / "partial.jsonl"
+    config = AdapterConfig(AdapterKind.HTTP_ENDPOINT, threaded_echo_server, Language.ES, "http-system",
+                           batch_size=1, timeout=10.0, max_retries=0, max_concurrent_batches=8)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(translate_suite(suite, config, resume_path=resume)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert [r.instance_id for r in result[0]] == [i.id for i in suite]
+    persisted = sorted(r.instance_id for r in parse_translations(resume))
+    assert persisted == [i.id for i in suite]
 
 
 def test_source_text_is_transmitted_byte_identically():
@@ -194,6 +275,18 @@ def echo_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/translate"
     server.shutdown()
+    thread.join(timeout=5)
+
+
+@pytest.fixture()
+def threaded_echo_server():
+    _EchoHandler.fail_first = False
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/translate"
+    server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -153,18 +154,64 @@ def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--batch-size", "0"],
-    ["--timeout", "0"],
-    ["--max-retries", "-1"],
-    ["--adapter", "ftp:x"],
-], ids=["batch-size", "timeout", "max-retries", "adapter"])
-def test_translate_rejects_bad_settings(tmp_path, suite_path, capsys, flags):
+@pytest.mark.parametrize("flags, setting", [
+    (["--batch-size", "0"], "batch_size"),
+    (["--timeout", "0"], "timeout"),
+    (["--max-retries", "-1"], "max_retries"),
+    (["--max-concurrent-batches", "0"], "max_concurrent_batches"),
+    (["--adapter", "ftp:x"], "adapter"),
+], ids=["batch-size", "timeout", "max-retries", "max-concurrent-batches", "adapter"])
+def test_translate_rejects_bad_settings(tmp_path, suite_path, capsys, flags, setting):
     argv = ["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es",
             "--system", "s", "--out", str(tmp_path / "tr.jsonl")]
     assert main(argv + flags) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and setting in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["score", "run"])
+def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, capsys, command):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(lexicon_dir() / "es", lexicons / "es")
+    lexicon = lexicons / "es" / "lexicon.csv"
+    rows = lexicon.read_bytes()
+    lexicon.write_bytes(rows + b"fuerte,fuert\xe9,m\n")
+    first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
+    translations = tmp_path / "translations.jsonl"
+    translations.write_text(json.dumps({"system": "s", "lang": "es", "id": first["id"], "text": "fuerte"}) + "\n",
+                            encoding="utf-8")
+    argv = {
+        "score": ["--suite", str(suite_path), "--lang", "es", "--out", str(tmp_path / "scores.jsonl")],
+        "run": ["--manifest", str(demo_manifest_path()), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main([command, "--translations", str(translations), "--lexicon-dir", str(lexicons)] + argv) == 2
+    err = capsys.readouterr().err
+    line = rows.count(b"\n") + 1
+    assert err.startswith("error:") and f"lexicon.csv:{line}: not UTF-8" in err
+    assert "Traceback" not in err
+
+
+_VALID_HEAD = {"system": "s", "lang": "es", "threshold": 0.07, "coverage": {}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"system": "s"},
+    {"baseline": 5},
+    {**_VALID_HEAD, "system": 5},
+    {**_VALID_HEAD, "threshold": "0.07"},
+    {**_VALID_HEAD, "threshold": True},
+    {**_VALID_HEAD, "coverage": None},
+    {**_VALID_HEAD, "baseline": 5},
+    {**_VALID_HEAD, "omission_response": []},
+    {**_VALID_HEAD, "stereotype": "none"},
+], ids=["system-only", "baseline-int", "system-int", "threshold-string", "threshold-bool", "coverage-null",
+        "baseline-in-valid-head", "omission-list", "stereotype-string"])
+def test_report_rejects_a_malformed_metrics_document(tmp_path, capsys, doc):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {metrics}:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "validate", "translate", "score", "metrics", "report", "run"])
