@@ -40,7 +40,7 @@ class AdapterConfig:
     target: str
     language: Language
     system_id: str
-    batch_size: int = 32
+    batch_size: int = 256
     timeout: float = 60.0
     max_retries: int = 2
     max_concurrent_batches: int = 2
@@ -102,7 +102,7 @@ def _run_command(command: str, payload: str, timeout: float) -> str:
             timeout=timeout,
         )
     except subprocess.TimeoutExpired as exc:
-        raise BackendUnavailable(f"command timed out after {timeout}s") from exc
+        raise _timed_out("command", payload, timeout) from exc
     if process.returncode != 0:
         stderr = process.stderr.decode("utf-8", "replace").strip()
         raise BackendUnavailable(f"command exited with {process.returncode}: {stderr[:200]}")
@@ -120,9 +120,19 @@ def _run_http(url: str, payload: str, timeout: float) -> str:
             body = response.read()
     except urllib.error.HTTPError as exc:
         raise BackendUnavailable(f"HTTP {exc.code} from backend: {exc.reason}") from exc
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
+    except OSError as exc:  # URLError and TimeoutError too
+        # a timeout while connecting or sending arrives wrapped in URLError, one while waiting for the reply bare
+        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+            raise _timed_out("backend", payload, timeout) from exc
         raise BackendUnavailable(f"backend unreachable: {exc}") from exc
     return _decode_text(body)
+
+
+def _timed_out(what: str, payload: str, timeout: float) -> BackendUnavailable:
+    ids = payload.count("\n")  # one line per id
+    return BackendUnavailable(
+        f"{what} timed out after {timeout}s on a batch of {ids} id(s); raise --timeout or lower --batch-size"
+    )
 
 
 def _decode_text(reply: bytes) -> str:
@@ -236,6 +246,9 @@ def translate_suite(
 def _append_records(path: Path, records: list[TranslationRecord]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.writelines(translation_line(record) for record in records)
+        # durable once the batch counts as done, so a crash loses at most the batches in flight
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _drop_torn_line(path: Path) -> None:

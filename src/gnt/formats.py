@@ -35,16 +35,23 @@ _dump = json.JSONEncoder(ensure_ascii=False).encode
 _MISSING = object()
 _NULL = type(None)
 _KIND_NAMES = {
-    str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object", _NULL: "null",
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean", list: "an array", dict: "an object",
+    _NULL: "null",
 }
 _BINDING_KINDS = (str, int, bool, _NULL)
+# Enum.__call__ is slow, and a suite holds tens of thousands of Enum fields
+_MEMBERS = {
+    kind: {member.value: member for member in kind}
+    for kind in (TemplateFamily, Referent, GenderKind, AmbiguityKind, StereotypeKind, GenderLabel)
+}
 
 
 def _take(record: dict, key: str, kinds, path: str, line: int = 0, default=_MISSING):
     """Field `key` of a JSON record; a wrong type, or a missing field without `default`, is a ParseError.
 
     `kinds` is a tuple of JSON types, matched exactly so that a boolean is no
-    integer, or an Enum class, which reads `kinds(value)`.
+    integer, or a string-valued Enum class, which reads the member whose value
+    the field's string is.
     """
     value = record.get(key, _MISSING)
     if value is _MISSING:
@@ -54,13 +61,17 @@ def _take(record: dict, key: str, kinds, path: str, line: int = 0, default=_MISS
     if type(kinds) is tuple:
         if type(value) in kinds:
             return value
-        expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)
+        expected = _kind_names(kinds)
     else:
-        try:
-            return kinds(value)
-        except ValueError:
-            expected = "one of " + ", ".join(repr(member.value) for member in kinds)
+        members = _MEMBERS[kinds]
+        if type(value) is str and value in members:
+            return members[value]
+        expected = "one of " + ", ".join(map(repr, members))
     raise ParseError(f"{key} must be {expected}, got {value!r}", path, line)
+
+
+def _kind_names(kinds: tuple) -> str:
+    return " or ".join(_KIND_NAMES[kind] for kind in kinds)
 
 
 def _decode(raw: bytes, path: str, line: int = 0) -> str:
@@ -100,10 +111,14 @@ def _read_document(path: str) -> dict:
 # --- manifest ----------------------------------------------------------------
 
 
+def _string_array(value, name: str, path: str) -> None:
+    if type(value) is not list or any(type(item) is not str for item in value):
+        raise ParseError(f"{name} must be an array of strings, got {value!r}", path)
+
+
 def _strings(data: dict, key: str, path: str) -> list[str]:
     values = _take(data, key, (list,), path, default=[])
-    if any(type(value) is not str for value in values):
-        raise ParseError(f"{key} must be an array of strings, got {values!r}", path)
+    _string_array(values, key, path)
     return values
 
 
@@ -337,17 +352,110 @@ def metrics_doc_to_text(doc: Mapping) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
-_METRICS_SECTIONS = ("baseline", "omission_response", "active_response", "strategy_breakdown", "stereotype")
+# The shapes below are what `report.py` reads. A shape is a tuple of JSON
+# types, an object's fields mapped to their shapes, or a function that checks
+# the value itself. A field is required unless its shape is `_Optional`: those
+# are the fields `report.py` reads with a fallback.
+@dataclass(frozen=True)
+class _Optional:
+    shape: object
+
+
+_NUMBER = (float, int)
+_STRATEGIES = ("n1", "n2", "n3", "n4", "n5")
+_BREAKDOWN_FIELDS = {
+    **dict.fromkeys(("m", "f", "n", "u"), _NUMBER),
+    **dict.fromkeys(_STRATEGIES, (float, int, _NULL)),
+    **dict.fromkeys(("count", "u_count"), (int,)),
+}
+
+
+def _check(value, shape, name: str, path: str) -> None:
+    """Check a metrics-document value against `shape`; a mismatch is a ParseError naming the file."""
+    if type(shape) is tuple:
+        if type(value) not in shape:
+            raise ParseError(f"{name} must be {_kind_names(shape)}, got {value!r}", path)
+    elif type(shape) is dict:
+        _check(value, (dict,), name, path)
+        for key, inner in shape.items():
+            field = f"{name}.{key}" if name else key
+            optional = type(inner) is _Optional
+            if key in value:
+                _check(value[key], inner.shape if optional else inner, field, path)
+            elif not optional:
+                raise ParseError(f"missing field {field!r}", path)
+    else:
+        shape(value, name, path)
+
+
+def _breakdown(value, name: str, path: str) -> None:
+    _check(value, _BREAKDOWN_FIELDS, name, path)
+    # the strategy split is known or not: reports print all five shares or none
+    if len({value[key] is None for key in _STRATEGIES}) > 1:
+        split = [value[key] for key in _STRATEGIES]
+        raise ParseError(f"{name}.n1..n5 must be all numbers or all null, got {split!r}", path)
+
+
+def _strategy_shift(value, name: str, path: str) -> None:
+    if value is not None and (type(value) is not list or len(value) != 5 or any(type(v) not in _NUMBER for v in value)):
+        raise ParseError(f"{name} must be null or an array of 5 numbers, got {value!r}", path)
+
+
+def _each(entry):
+    """Shape of an object whose every value has shape `entry`."""
+    def check(value, name: str, path: str) -> None:
+        _check(value, (dict,), name, path)
+        for key, item in value.items():
+            _check(item, entry, f"{name}.{key}", path)
+    return check
+
+
+def _by_family(entry):
+    """Shape of a section with an `entry` for each of its `families`, and their `macro`."""
+    def check(section, name: str, path: str) -> None:
+        _check(section, {"families": _string_array, "per_family": (dict,), "macro": entry}, name, path)
+        _check(section["per_family"], dict.fromkeys(section["families"], entry), f"{name}.per_family", path)
+    return check
+
+
+_RESPONSE = {
+    "det": _breakdown,
+    "amb": _breakdown,
+    **dict.fromkeys(("delta_m", "delta_f", "delta_n"), _NUMBER),
+    "delta_ni": _Optional(_strategy_shift),
+    **dict.fromkeys(("significant_m", "significant_n"), (bool,)),
+}
+_METRICS_HEAD = {
+    "system": (str,),
+    "lang": (str,),
+    "threshold": _NUMBER,
+    "coverage": {
+        "subsets": _Optional(_each({"classified": (int,), "unmatched": (int,), "unmatched_rate": _NUMBER})),
+        "orphan_translations": _Optional((int,)),
+        "missing_translations": _Optional((int,)),
+    },
+}
+# a section may also be null or absent
+_METRICS_SECTIONS = {
+    "baseline": _by_family(_breakdown),
+    "omission_response": _by_family(_RESPONSE),
+    "active_response": _by_family(_RESPONSE),
+    "strategy_breakdown": (dict,),
+    "stereotype": {
+        **dict.fromkeys(("neutral", "stereo_m", "stereo_f"), _breakdown),
+        **dict.fromkeys(("delta_g_avg", "delta_n_avg"), _NUMBER),
+        "significant_g": _Optional((bool,)),
+    },
+}
 
 
 def parse_metrics_doc(path: str | Path) -> dict:
-    """Read a metrics document; a missing or wrongly typed top-level field raises ParseError naming the file."""
+    """Read a metrics document; a missing or wrongly typed field that reports read raises ParseError naming the file."""
     path = str(path)
     doc = _read_document(path)
-    _take(doc, "system", (str,), path)
-    _take(doc, "lang", (str,), path)
-    _take(doc, "threshold", (float, int), path)
-    _take(doc, "coverage", (dict,), path)
-    for key in _METRICS_SECTIONS:
-        _take(doc, key, (dict, _NULL), path, default=None)
+    _check(doc, _METRICS_HEAD, "", path)
+    for key, shape in _METRICS_SECTIONS.items():
+        section = _take(doc, key, (dict, _NULL), path, default=None)
+        if section is not None:
+            _check(section, shape, key, path)
     return doc

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -210,6 +212,39 @@ def test_window_keeps_every_record_under_thread_switching(tmp_path, threaded_ech
     assert persisted == [i.id for i in suite]
 
 
+def test_default_batch_sends_256_ids_per_spawn(tmp_path):
+    counter = tmp_path / "spawns"
+    config = AdapterConfig(AdapterKind.EXTERNAL_COMMAND, f"sh -c 'echo x >> {counter}; cat'", Language.ES, "s")
+    suite = _suite(600)
+    records = translate_suite(suite, config)
+    assert config.batch_size == 256
+    assert len(counter.read_text().splitlines()) == 3  # ceil(600 / 256)
+    assert [r.instance_id for r in records] == [i.id for i in suite]
+    assert all(r.target_text == i.source_text for r, i in zip(records, suite))
+
+
+@pytest.mark.parametrize("dropped, synced", [(None, 3), ("T7-000008a", 2)], ids=["every-batch", "empty-batch"])
+def test_each_persisted_batch_is_synced_once(tmp_path, monkeypatch, dropped, synced):
+    # batches of 4 over 9 ids; dropping the last id leaves the third batch with nothing to persist
+    calls = []
+    monkeypatch.setattr(os, "fsync", calls.append)
+    resume = tmp_path / "partial.jsonl"
+    config = _cmd_config(backend_command(*(("--drop-id", dropped) if dropped else ())))
+    if dropped:
+        with pytest.raises(IncompleteBatch):
+            translate_suite(_suite(9), config, resume_path=resume, sleep=_no_sleep)
+    else:
+        translate_suite(_suite(9), config, resume_path=resume, sleep=_no_sleep)
+    assert len(calls) == synced
+    assert len(resume.read_text(encoding="utf-8").splitlines()) == (8 if dropped else 9)
+
+
+def test_timed_out_command_names_the_batch_size_and_the_flags():
+    config = _cmd_config("sh -c 'sleep 2'", timeout=0.3, max_retries=0)
+    with pytest.raises(BackendUnavailable, match=r"batch of 3 id\(s\).*--timeout.*--batch-size"):
+        translate_suite(_suite(3), config, sleep=_no_sleep)
+
+
 def test_source_text_is_transmitted_byte_identically():
     instance = expand_template(
         TemplateFamily.T5_CHAR_STEREOTYPE,
@@ -308,3 +343,30 @@ def test_http_backend_retries_transient_500(echo_server):
     records = translate_suite(suite, config, sleep=_no_sleep)
     assert len(records) == 2
     assert _EchoHandler.seen_failures == 1
+
+
+class _SlowHandler(_EchoHandler):
+    def do_POST(self):
+        time.sleep(0.6)
+        try:
+            super().do_POST()
+        except OSError:
+            pass  # the client has given up
+
+
+@pytest.fixture()
+def slow_server():
+    server = HTTPServer(("127.0.0.1", 0), _SlowHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/translate"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def test_timed_out_http_batch_names_the_batch_size_and_the_flags(slow_server):
+    config = AdapterConfig(AdapterKind.HTTP_ENDPOINT, slow_server, Language.ES, "http-system",
+                           batch_size=8, timeout=0.2, max_retries=0)
+    with pytest.raises(BackendUnavailable, match=r"batch of 5 id\(s\).*--timeout.*--batch-size"):
+        translate_suite(_suite(5), config, sleep=_no_sleep)

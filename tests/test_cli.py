@@ -5,9 +5,10 @@ import shutil
 
 import pytest
 
-from gnt.cli import main
+from gnt.adapter import AdapterConfig
+from gnt.cli import build_parser, main
 from gnt.data import demo_manifest_path, lexicon_dir
-from conftest import backend_command
+from conftest import GOLDEN, backend_command
 
 
 @pytest.fixture()
@@ -169,6 +170,12 @@ def test_translate_rejects_bad_settings(tmp_path, suite_path, capsys, flags, set
     assert err.startswith("error:") and setting in err and "Traceback" not in err
 
 
+def test_translate_batch_size_defaults_to_the_adapter_default():
+    args = build_parser().parse_args(["translate", "--suite", "s", "--adapter", "cmd:cat", "--lang", "es",
+                                      "--system", "s", "--out", "o"])
+    assert args.batch_size == AdapterConfig.batch_size == 256
+
+
 @pytest.mark.parametrize("command", ["score", "run"])
 def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, capsys, command):
     lexicons = tmp_path / "lexicons"
@@ -194,6 +201,17 @@ def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, 
 _VALID_HEAD = {"system": "s", "lang": "es", "threshold": 0.07, "coverage": {}}
 
 
+def _golden_metrics_with(*steps, value):
+    """The golden metrics document with the field at `steps` set to `value`."""
+    doc = json.loads((GOLDEN / "metrics_echo_sensitive_es.json").read_text(encoding="utf-8"))
+    *parents, last = steps
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     {"system": "s"},
     {"baseline": 5},
@@ -204,8 +222,29 @@ _VALID_HEAD = {"system": "s", "lang": "es", "threshold": 0.07, "coverage": {}}
     {**_VALID_HEAD, "baseline": 5},
     {**_VALID_HEAD, "omission_response": []},
     {**_VALID_HEAD, "stereotype": "none"},
+    {**_VALID_HEAD, "coverage": {"subsets": 5}},
+    {**_VALID_HEAD, "baseline": {"families": 5}},
+    _golden_metrics_with("baseline", "families", value=["T1", 2]),
+    _golden_metrics_with("baseline", "families", value=["T1", "T9"]),
+    _golden_metrics_with("baseline", "macro", "m", value="1.0"),
+    _golden_metrics_with("baseline", "per_family", "T2", "count", value=24.0),
+    _golden_metrics_with("baseline", "per_family", "T2", "u_count", value=None),
+    _golden_metrics_with("baseline", "per_family", "T2", "n3", value=None),
+    _golden_metrics_with("omission_response", "macro", "delta_n", value=None),
+    _golden_metrics_with("omission_response", "per_family", "T3", "significant_m", value="true"),
+    _golden_metrics_with("omission_response", "per_family", "T3", "delta_ni", value=[0.0, 0.0, 0.0, 0.0]),
+    _golden_metrics_with("active_response", "per_family", value=[]),
+    _golden_metrics_with("active_response", "per_family", "T5", "amb", value=None),
+    _golden_metrics_with("stereotype", "stereo_f", value={"m": 1.0}),
+    _golden_metrics_with("stereotype", "delta_g_avg", value=False),
+    _golden_metrics_with("coverage", "subsets", "T1-Det", value=5),
+    _golden_metrics_with("coverage", "subsets", "T1-Det", "classified", value="24"),
+    _golden_metrics_with("coverage", "missing_translations", value=0.5),
 ], ids=["system-only", "baseline-int", "system-int", "threshold-string", "threshold-bool", "coverage-null",
-        "baseline-in-valid-head", "omission-list", "stereotype-string"])
+        "baseline-in-valid-head", "omission-list", "stereotype-string", "subsets-int", "families-int",
+        "non-string-family", "family-without-entry", "string-share", "float-count", "null-u-count",
+        "one-null-strategy", "null-delta", "string-significance", "four-strategy-deltas", "per-family-list",
+        "null-amb", "partial-breakdown", "bool-delta", "int-subset-cell", "string-classified", "float-missing"])
 def test_report_rejects_a_malformed_metrics_document(tmp_path, capsys, doc):
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps(doc), encoding="utf-8")

@@ -31,6 +31,7 @@ from gnt.formats import instance_to_dict, metrics_doc_to_text, parse_metrics_doc
 from gnt.data import demo_manifest_path, lexicon_dir
 from gnt.pipeline import build_metrics_doc, score_suite
 from gnt.suite import AMBIGUOUS_ACTIVE, TemplateFamily
+from conftest import GOLDEN
 
 
 # --- translations ------------------------------------------------------------
@@ -313,6 +314,48 @@ def test_structured_format_round_trips_bytes(tmp_path):
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="format"):
         render_report(_reference_row_doc(), "xml")
+
+
+_GOLDEN_METRICS = json.loads((GOLDEN / "metrics_echo_sensitive_es.json").read_text(encoding="utf-8"))
+
+
+def _nested_paths(value, prefix=()):
+    """The path of every value nested in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, inner in items:
+        paths.append(prefix + (key,))
+        paths.extend(_nested_paths(inner, prefix + (key,)))
+    return paths
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_fuzzed_metrics_document_renders_or_is_a_parse_error(tmp_path_factory, data):
+    *parents, last = data.draw(st.sampled_from(_nested_paths(_GOLDEN_METRICS)), label="field")
+    value = data.draw(st.just(_DELETE) | _JSON_VALUES, label="value")
+    fuzzed = copy.deepcopy(_GOLDEN_METRICS)
+    target = fuzzed
+    for step in parents:
+        target = target[step]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed_metrics.json"
+    path.write_text(json.dumps(fuzzed, ensure_ascii=False) + "\n", encoding="utf-8")
+    try:
+        doc = parse_metrics_doc(path)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+        return
+    for fmt in ("md", "csv", "json"):
+        render_report(doc, fmt)
 
 
 # --- pipeline ------------------------------------------------------------------------
