@@ -11,8 +11,10 @@ persisted so an interrupted run resumes with only the missing ids.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+import signal
 import subprocess
 import threading
 import time
@@ -78,7 +80,10 @@ def _encode_batch(batch: Sequence[TestInstance]) -> str:
 
 def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
     translations: dict[str, str] = {}
-    for line in reply.splitlines():
+    # lines end at "\n" only: a translation may hold any other line break
+    for line in reply.split("\n"):
+        if line.endswith("\r"):
+            line = line[:-1]
         if not line.strip():
             continue
         if "\t" not in line:
@@ -93,20 +98,27 @@ def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
 
 
 def _run_command(command: str, payload: str, timeout: float) -> str:
-    try:
-        process = subprocess.run(
-            command,
-            shell=True,
-            input=payload.encode("utf-8"),
-            capture_output=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise _timed_out("command", payload, timeout) from exc
+    # a session of its own, so that a timeout stops every process of the command and not only its shell
+    with subprocess.Popen(
+        command,
+        shell=True,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    ) as process:
+        try:
+            stdout, stderr = process.communicate(payload.encode("utf-8"), timeout=timeout)
+        except BaseException as exc:  # an interrupt too
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise _timed_out("command", payload, timeout) from exc
+            raise
     if process.returncode != 0:
-        stderr = process.stderr.decode("utf-8", "replace").strip()
+        stderr = stderr.decode("utf-8", "replace").strip()
         raise BackendUnavailable(f"command exited with {process.returncode}: {stderr[:200]}")
-    return _decode_text(process.stdout)
+    return _decode_text(stdout)
 
 
 def _run_http(url: str, payload: str, timeout: float) -> str:

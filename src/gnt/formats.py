@@ -352,15 +352,10 @@ def metrics_doc_to_text(doc: Mapping) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
-# The shapes below are what `report.py` reads. A shape is a tuple of JSON
-# types, an object's fields mapped to their shapes, or a function that checks
-# the value itself. A field is required unless its shape is `_Optional`: those
-# are the fields `report.py` reads with a fallback.
-@dataclass(frozen=True)
-class _Optional:
-    shape: object
-
-
+# The shapes below are the whole metrics document as `report.py` reads it;
+# every field is required, and keys not listed are ignored. A shape is a tuple
+# of JSON types, an object's fields mapped to their shapes, or a function that
+# checks the value itself.
 _NUMBER = (float, int)
 _STRATEGIES = ("n1", "n2", "n3", "n4", "n5")
 _BREAKDOWN_FIELDS = {
@@ -379,11 +374,9 @@ def _check(value, shape, name: str, path: str) -> None:
         _check(value, (dict,), name, path)
         for key, inner in shape.items():
             field = f"{name}.{key}" if name else key
-            optional = type(inner) is _Optional
-            if key in value:
-                _check(value[key], inner.shape if optional else inner, field, path)
-            elif not optional:
+            if key not in value:
                 raise ParseError(f"missing field {field!r}", path)
+            _check(value[key], inner, field, path)
     else:
         shape(value, name, path)
 
@@ -418,44 +411,45 @@ def _by_family(entry):
     return check
 
 
+def _section(shape):
+    """Shape of a section: null when no classified slot counts toward it, else `shape`."""
+    def check(value, name: str, path: str) -> None:
+        _check(value, (dict, _NULL), name, path)
+        if value is not None:
+            _check(value, shape, name, path)
+    return check
+
+
 _RESPONSE = {
     "det": _breakdown,
     "amb": _breakdown,
     **dict.fromkeys(("delta_m", "delta_f", "delta_n"), _NUMBER),
-    "delta_ni": _Optional(_strategy_shift),
+    "delta_ni": _strategy_shift,
     **dict.fromkeys(("significant_m", "significant_n"), (bool,)),
 }
-_METRICS_HEAD = {
+_METRICS_DOC = {
     "system": (str,),
     "lang": (str,),
     "threshold": _NUMBER,
-    "coverage": {
-        "subsets": _Optional(_each({"classified": (int,), "unmatched": (int,), "unmatched_rate": _NUMBER})),
-        "orphan_translations": _Optional((int,)),
-        "missing_translations": _Optional((int,)),
-    },
-}
-# a section may also be null or absent
-_METRICS_SECTIONS = {
-    "baseline": _by_family(_breakdown),
-    "omission_response": _by_family(_RESPONSE),
-    "active_response": _by_family(_RESPONSE),
-    "strategy_breakdown": (dict,),
-    "stereotype": {
+    "baseline": _section(_by_family(_breakdown)),
+    "omission_response": _section(_by_family(_RESPONSE)),
+    "active_response": _section(_by_family(_RESPONSE)),
+    "stereotype": _section({
         **dict.fromkeys(("neutral", "stereo_m", "stereo_f"), _breakdown),
         **dict.fromkeys(("delta_g_avg", "delta_n_avg"), _NUMBER),
-        "significant_g": _Optional((bool,)),
+        "significant_g": (bool,),
+    }),
+    "coverage": {
+        "subsets": _each({"classified": (int,), "unmatched": (int,), "unmatched_rate": _NUMBER}),
+        "orphan_translations": (int,),
+        "missing_translations": (int,),
     },
 }
 
 
 def parse_metrics_doc(path: str | Path) -> dict:
-    """Read a metrics document; a missing or wrongly typed field that reports read raises ParseError naming the file."""
+    """Read a metrics document; a missing or wrongly typed field raises ParseError naming the file."""
     path = str(path)
     doc = _read_document(path)
-    _check(doc, _METRICS_HEAD, "", path)
-    for key, shape in _METRICS_SECTIONS.items():
-        section = _take(doc, key, (dict, _NULL), path, default=None)
-        if section is not None:
-            _check(section, shape, key, path)
+    _check(doc, _METRICS_DOC, "", path)
     return doc

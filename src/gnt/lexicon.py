@@ -120,10 +120,8 @@ class Lexicon:
             # identical duplicate rows are silently deduplicated
         self._entries = tuple(by_key.values())
         self._by_lemma: dict[str, dict[str, LexiconEntry]] = {}
-        self._by_form: dict[str, list[LexiconEntry]] = {}
         for entry in self._entries:
             self._by_lemma.setdefault(entry.lemma.casefold(), {})[entry.surface_form.casefold()] = entry
-            self._by_form.setdefault(entry.surface_form.casefold(), []).append(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -139,9 +137,6 @@ class Lexicon:
     def forms_for_lemma(self, lemma: str) -> Mapping[str, LexiconEntry]:
         """All registered surface forms of a lemma, keyed by casefolded form."""
         return self._by_lemma.get(nfc(lemma).casefold(), {})
-
-    def entries_for_form(self, surface_form: str) -> tuple[LexiconEntry, ...]:
-        return tuple(self._by_form.get(nfc(surface_form).casefold(), ()))
 
 
 def _decoded_lines(path: Path, lines: Iterable[bytes]):

@@ -147,18 +147,6 @@ def build_metrics_doc(
             "macro": breakdown_to_json(macro),
         }
 
-    strategy_breakdown = None
-    if baseline:
-        def _by_type(cell: dict) -> dict:
-            return {"n_det": cell["n"], "n1": cell["n1"], "n2": cell["n2"],
-                    "n3": cell["n3"], "n4": cell["n4"], "n5": cell["n5"]}
-
-        strategy_breakdown = {
-            "families": baseline["families"],
-            "per_family": {tag: _by_type(cell) for tag, cell in baseline["per_family"].items()},
-            "macro": _by_type(baseline["macro"]),
-        }
-
     omission = _response_section(cells, ("T3", "T4"), threshold)
     active = _response_section(cells, ("T5",), threshold)
 
@@ -199,7 +187,6 @@ def build_metrics_doc(
         "baseline": baseline,
         "omission_response": omission,
         "active_response": active,
-        "strategy_breakdown": strategy_breakdown,
         "stereotype": stereotype,
         "coverage": {
             "subsets": subsets,

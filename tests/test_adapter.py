@@ -245,6 +245,38 @@ def test_timed_out_command_names_the_batch_size_and_the_flags():
         translate_suite(_suite(3), config, sleep=_no_sleep)
 
 
+def _process_state(pid: int) -> str | None:
+    """The state letter of a process (`Z` for a zombie), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_timed_out_command_is_stopped_with_its_children(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    config = _cmd_config(f"sleep 10 & echo $! > {pid_file}; wait", timeout=0.3, max_retries=0)
+    with pytest.raises(BackendUnavailable, match="timed out"):
+        translate_suite(_suite(1), config, sleep=_no_sleep)
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 5.0
+    while _process_state(child) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _process_state(child) in (None, "Z")
+
+
+def test_reply_lines_end_at_newline_only(tmp_path):
+    # U+2028, NEL, a form feed and a lone carriage return stay in the text; a CRLF line end does not
+    reply = r"T7-000000a\tfuerte\342\200\250bien\r\nT7-000001a\tx\rbien\nT7-000002a\ta\fb\302\205c\n"
+    records = translate_suite(_suite(3), _cmd_config(f"cat > /dev/null; printf '{reply}'"), sleep=_no_sleep)
+    assert [record.target_text for record in records] == ["fuerte bien", "x\rbien", "a\fb\x85c"]
+    path = tmp_path / "translations.jsonl"
+    path.write_text("".join(translation_line(record) for record in records), encoding="utf-8")
+    assert parse_translations(path) == records
+
+
 def test_source_text_is_transmitted_byte_identically():
     instance = expand_template(
         TemplateFamily.T5_CHAR_STEREOTYPE,

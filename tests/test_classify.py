@@ -72,7 +72,7 @@ def test_neuter_rows_accepted_for_czech():
     lexicon = load_lexicon(
         Language.CS, [LexiconEntry("nonsensical", Language.CS, "nesmyslné", FormGender.NEUTER_CASE)]
     )
-    assert lexicon.entries_for_form("nesmyslné")
+    assert lexicon.forms_for_lemma("nonsensical")["nesmyslné"].form_gender is FormGender.NEUTER_CASE
 
 
 def test_neuter_rows_rejected_for_spanish():

@@ -198,18 +198,55 @@ def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, 
     assert "Traceback" not in err
 
 
-_VALID_HEAD = {"system": "s", "lang": "es", "threshold": 0.07, "coverage": {}}
+# a complete metrics document of a suite with no instances for any section
+_VALID_HEAD = {
+    "system": "s", "lang": "es", "threshold": 0.07,
+    "baseline": None, "omission_response": None, "active_response": None, "stereotype": None,
+    "coverage": {"subsets": {}, "orphan_translations": 0, "missing_translations": 0},
+}
+_DELETE = object()
 
 
-def _golden_metrics_with(*steps, value):
-    """The golden metrics document with the field at `steps` set to `value`."""
+def _golden_metrics_with(*steps, value=_DELETE):
+    """The golden metrics document with the field at `steps` set to `value`, or deleted."""
     doc = json.loads((GOLDEN / "metrics_echo_sensitive_es.json").read_text(encoding="utf-8"))
     *parents, last = steps
     target = doc
     for step in parents:
         target = target[step]
-    target[last] = value
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
     return doc
+
+
+def test_report_renders_the_valid_head(tmp_path, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(_VALID_HEAD), encoding="utf-8")
+    assert main(["report", "--metrics", str(metrics)]) == 0
+    assert "Missing translations: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("steps", [
+    ("baseline",),
+    ("omission_response",),
+    ("active_response",),
+    ("stereotype",),
+    ("coverage",),
+    ("omission_response", "macro", "delta_ni"),
+    ("active_response", "per_family", "T5", "delta_ni"),
+    ("stereotype", "significant_g"),
+    ("coverage", "subsets"),
+    ("coverage", "orphan_translations"),
+    ("coverage", "missing_translations"),
+], ids=".".join)
+def test_report_names_a_missing_metrics_field(tmp_path, capsys, steps):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(_golden_metrics_with(*steps)), encoding="utf-8")
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {metrics}:") and f"missing field {'.'.join(steps)!r}" in err
 
 
 @pytest.mark.parametrize("doc", [

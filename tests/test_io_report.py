@@ -358,6 +358,28 @@ def test_a_fuzzed_metrics_document_renders_or_is_a_parse_error(tmp_path_factory,
         render_report(doc, fmt)
 
 
+def test_a_document_with_a_strategy_breakdown_renders_as_before(tmp_path):
+    # documents written before `strategy_breakdown` was dropped still carry it,
+    # a copy of the baseline's strategy shares; unknown keys are ignored
+    def by_type(cell):
+        return {"n_det": cell["n"], **{key: cell[key] for key in ("n1", "n2", "n3", "n4", "n5")}}
+
+    baseline = _GOLDEN_METRICS["baseline"]
+    old = {}
+    for key, value in _GOLDEN_METRICS.items():
+        if key == "stereotype":
+            old["strategy_breakdown"] = {
+                "families": baseline["families"],
+                "per_family": {tag: by_type(cell) for tag, cell in baseline["per_family"].items()},
+                "macro": by_type(baseline["macro"]),
+            }
+        old[key] = value
+    path = tmp_path / "metrics.json"
+    write_metrics_doc(old, path)
+    rendered = render_report(parse_metrics_doc(path), "md")
+    assert rendered.encode("utf-8") == (GOLDEN / "report_echo_sensitive_es.md").read_bytes()
+
+
 # --- pipeline ------------------------------------------------------------------------
 
 
@@ -460,8 +482,9 @@ def test_build_metrics_doc_engineered_active_response(demo_manifest, es_resource
     assert active["significant_n"] is True
     assert doc["omission_response"]["macro"]["delta_n"] == 0.0
     assert doc["stereotype"]["delta_g_avg"] == 0.0
-    assert doc["strategy_breakdown"]["macro"] == {
-        "n_det": 0.0, "n1": 0.0, "n2": 0.0, "n3": 0.0, "n4": 0.0, "n5": 0.0,
+    baseline = doc["baseline"]["macro"]
+    assert {key: baseline[key] for key in ("n", "n1", "n2", "n3", "n4", "n5")} == {
+        "n": 0.0, "n1": 0.0, "n2": 0.0, "n3": 0.0, "n4": 0.0, "n5": 0.0,
     }
     assert all(cell["unmatched"] == 0 for cell in doc["coverage"]["subsets"].values())
 
