@@ -32,7 +32,6 @@ from .metrics import (
     ResponseReport,
     StereotypeReport,
     StrategyBreakdown,
-    aggregate,
     compute_stereotype_effect,
     flag_significance,
     label_cells,

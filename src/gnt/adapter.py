@@ -131,6 +131,7 @@ def _run_http(url: str, payload: str, timeout: float) -> str:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             body = response.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # the error holds the response and its socket open
         raise BackendUnavailable(f"HTTP {exc.code} from backend: {exc.reason}") from exc
     except OSError as exc:  # URLError and TimeoutError too
         # a timeout while connecting or sending arrives wrapped in URLError, one while waiting for the reply bare

@@ -99,8 +99,13 @@ def _read_lines(path: str):
 def _read_document(path: str) -> dict:
     with open(path, "rb") as fh:
         text = _decode(fh.read(), path)
+
+    # json.loads accepts NaN, Infinity and -Infinity, which are not JSON
+    def reject(constant: str):
+        raise ParseError(f"invalid JSON ({constant} is not a number)", path)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from None
     if not isinstance(doc, dict):
@@ -357,10 +362,8 @@ def metrics_doc_to_text(doc: Mapping) -> str:
 # of JSON types, an object's fields mapped to their shapes, or a function that
 # checks the value itself.
 _NUMBER = (float, int)
-_STRATEGIES = ("n1", "n2", "n3", "n4", "n5")
-_BREAKDOWN_FIELDS = {
-    **dict.fromkeys(("m", "f", "n", "u"), _NUMBER),
-    **dict.fromkeys(_STRATEGIES, (float, int, _NULL)),
+_BREAKDOWN = {
+    **dict.fromkeys(("m", "f", "n", "n1", "n2", "n3", "n4", "n5", "u"), _NUMBER),
     **dict.fromkeys(("count", "u_count"), (int,)),
 }
 
@@ -381,17 +384,9 @@ def _check(value, shape, name: str, path: str) -> None:
         shape(value, name, path)
 
 
-def _breakdown(value, name: str, path: str) -> None:
-    _check(value, _BREAKDOWN_FIELDS, name, path)
-    # the strategy split is known or not: reports print all five shares or none
-    if len({value[key] is None for key in _STRATEGIES}) > 1:
-        split = [value[key] for key in _STRATEGIES]
-        raise ParseError(f"{name}.n1..n5 must be all numbers or all null, got {split!r}", path)
-
-
 def _strategy_shift(value, name: str, path: str) -> None:
-    if value is not None and (type(value) is not list or len(value) != 5 or any(type(v) not in _NUMBER for v in value)):
-        raise ParseError(f"{name} must be null or an array of 5 numbers, got {value!r}", path)
+    if type(value) is not list or len(value) != 5 or any(type(v) not in _NUMBER for v in value):
+        raise ParseError(f"{name} must be an array of 5 numbers, got {value!r}", path)
 
 
 def _each(entry):
@@ -421,8 +416,8 @@ def _section(shape):
 
 
 _RESPONSE = {
-    "det": _breakdown,
-    "amb": _breakdown,
+    "det": _BREAKDOWN,
+    "amb": _BREAKDOWN,
     **dict.fromkeys(("delta_m", "delta_f", "delta_n"), _NUMBER),
     "delta_ni": _strategy_shift,
     **dict.fromkeys(("significant_m", "significant_n"), (bool,)),
@@ -431,11 +426,11 @@ _METRICS_DOC = {
     "system": (str,),
     "lang": (str,),
     "threshold": _NUMBER,
-    "baseline": _section(_by_family(_breakdown)),
+    "baseline": _section(_by_family(_BREAKDOWN)),
     "omission_response": _section(_by_family(_RESPONSE)),
     "active_response": _section(_by_family(_RESPONSE)),
     "stereotype": _section({
-        **dict.fromkeys(("neutral", "stereo_m", "stereo_f"), _breakdown),
+        **dict.fromkeys(("neutral", "stereo_m", "stereo_f"), _BREAKDOWN),
         **dict.fromkeys(("delta_g_avg", "delta_n_avg"), _NUMBER),
         "significant_g": (bool,),
     }),

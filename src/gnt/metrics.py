@@ -1,9 +1,8 @@
 """Proportion vectors and response metrics over classified slots.
 
-Breakdowns computed from label counts use exact rational arithmetic, so the
-normalisation (m + f + n = 1) and delta-closure identities hold exactly;
-breakdowns rebuilt from rounded reference proportions live in floats and are
-checked against the reporting tolerances by the callers instead.
+Every breakdown is computed from label counts in exact rational arithmetic,
+so it carries its N1..N5 split, and the normalisation (m + f + n = 1) and
+delta-closure (sum of the ΔNi = ΔN) identities hold exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .classify import GenderLabel, SlotScore
-from .errors import EmptySelection, GntError, InvalidThreshold
+from .errors import EmptySelection, GntError
 from .suite import TestInstance, quota_key_for_slot
 
 DEFAULT_SIGNIFICANCE_THRESHOLD = 0.07
@@ -34,43 +33,39 @@ class StrategyBreakdown:
 
     `count` is the denominator (non-Unmatched slots); `u_count` slots were
     unmatched and excluded, with `u` their share of the full selection.
-    The per-strategy split n1..n5 is None when unknown (e.g. breakdowns
-    rebuilt from a rounded reference (M, F, N) triplet).
+    n1..n5 split the neutral share `n` by strategy.
     """
 
-    m: Fraction | float
-    f: Fraction | float
-    n: Fraction | float
-    n1: Fraction | float | None = None
-    n2: Fraction | float | None = None
-    n3: Fraction | float | None = None
-    n4: Fraction | float | None = None
-    n5: Fraction | float | None = None
-    u: Fraction | float = 0
-    count: int | None = None
-    u_count: int = 0
+    m: Fraction
+    f: Fraction
+    n: Fraction
+    n1: Fraction
+    n2: Fraction
+    n3: Fraction
+    n4: Fraction
+    n5: Fraction
+    u: Fraction
+    count: int
+    u_count: int
 
     @property
     def is_empty(self) -> bool:
         return self.count == 0
 
     @property
-    def strategy_vector(self) -> tuple | None:
-        parts = (self.n1, self.n2, self.n3, self.n4, self.n5)
-        if any(p is None for p in parts):
-            return None
-        return parts
+    def strategy_vector(self) -> tuple:
+        return (self.n1, self.n2, self.n3, self.n4, self.n5)
 
     @classmethod
     def from_label_counts(cls, labels: Mapping[GenderLabel, int]) -> "StrategyBreakdown":
+        """Shares of each label; an empty selection (no classified slot) has all shares 0."""
         u_count = labels.get(GenderLabel.UNMATCHED, 0)
         classified = sum(count for label, count in labels.items() if label is not GenderLabel.UNMATCHED)
         total = classified + u_count
-        if classified == 0:
-            return cls(m=0, f=0, n=0, u=Fraction(u_count, total) if total else 0, count=0, u_count=u_count)
 
         def share(label: GenderLabel) -> Fraction:
-            return Fraction(labels.get(label, 0), classified)
+            # with no classified slot every count is 0, and so is every share
+            return Fraction(labels.get(label, 0), classified or 1)
 
         strategies = tuple(share(label) for label in _STRATEGY_LABELS)
         return cls(
@@ -82,43 +77,19 @@ class StrategyBreakdown:
             n3=strategies[2],
             n4=strategies[3],
             n5=strategies[4],
-            u=Fraction(u_count, total),
+            u=Fraction(u_count, total or 1),
             count=classified,
             u_count=u_count,
         )
 
-    @classmethod
-    def from_proportions(
-        cls,
-        m: float,
-        f: float,
-        n: float,
-        strategies: Sequence[float] | None = None,
-        count: int | None = None,
-        u_count: int = 0,
-    ) -> "StrategyBreakdown":
-        """Rebuild a breakdown from (rounded) reference proportions."""
-        if abs((m + f + n) - 1) > 0.05:
-            raise ValueError(f"proportions must sum to ~1, got {m + f + n}")
-        detail: Sequence = (None,) * 5
-        if strategies is not None:
-            if len(strategies) != 5:
-                raise ValueError("strategies must carry exactly n1..n5")
-            detail = tuple(strategies)
-        return cls(m=m, f=f, n=n, n1=detail[0], n2=detail[1], n3=detail[2], n4=detail[3], n5=detail[4],
-                   u=0, count=count, u_count=u_count)
 
-
-def label_cells(
-    scores: Iterable[SlotScore],
-    suite: Iterable[TestInstance] | Mapping[str, TestInstance],
-) -> dict[str, Counter]:
+def label_cells(scores: Iterable[SlotScore], index: Mapping[str, TestInstance]) -> dict[str, Counter]:
     """Count the labels of each quota-key subset (`quota_key_for_slot`) in one pass.
 
-    Raises GntError for a score whose instance id is unknown or whose slot
-    index is outside its instance's slots.
+    `index` maps each instance id to its instance. Raises GntError for a
+    score whose instance id is unknown or whose slot index is outside its
+    instance's slots.
     """
-    index = suite if isinstance(suite, Mapping) else {inst.id: inst for inst in suite}
     cells: defaultdict[str, Counter] = defaultdict(Counter)
     for score in scores:
         instance = index.get(score.instance_id)
@@ -136,28 +107,8 @@ def label_cells(
     return dict(cells)
 
 
-def aggregate(
-    scores: Iterable[SlotScore],
-    suite: Iterable[TestInstance] | Mapping[str, TestInstance],
-) -> StrategyBreakdown:
-    """Aggregate all scores into one breakdown.
-
-    Proportions are taken over classified (non-Unmatched) slots; unmatched
-    slots are reported separately via u/u_count. Raises EmptySelection when
-    there is no score.
-    """
-    labels: Counter = Counter()
-    for counts in label_cells(scores, suite).values():
-        labels.update(counts)
-    if not labels:
-        raise EmptySelection("no slot to aggregate")
-    return StrategyBreakdown.from_label_counts(labels)
-
-
 def flag_significance(delta, threshold) -> bool:
     """True iff |delta| reaches the threshold (boundary included)."""
-    if threshold < 0:
-        raise InvalidThreshold(f"threshold must be non-negative, got {threshold}")
     return abs(delta) >= threshold
 
 
@@ -167,10 +118,10 @@ class ResponseReport:
 
     det: StrategyBreakdown
     amb: StrategyBreakdown
-    delta_m: Fraction | float
-    delta_f: Fraction | float
-    delta_n: Fraction | float
-    delta_ni: tuple | None
+    delta_m: Fraction
+    delta_f: Fraction
+    delta_n: Fraction
+    delta_ni: tuple
     significant_m: bool
     significant_n: bool
     threshold: float
@@ -184,17 +135,13 @@ def paired_response(
     """Deltas of the ambiguous condition relative to the determined one."""
     if det.is_empty or amb.is_empty:
         raise EmptySelection("paired_response needs two non-empty breakdowns")
-    delta_ni = None
-    det_detail, amb_detail = det.strategy_vector, amb.strategy_vector
-    if det_detail is not None and amb_detail is not None:
-        delta_ni = tuple(a - d for a, d in zip(amb_detail, det_detail))
     return ResponseReport(
         det=det,
         amb=amb,
         delta_m=amb.m - det.m,
         delta_f=amb.f - det.f,
         delta_n=amb.n - det.n,
-        delta_ni=delta_ni,
+        delta_ni=tuple(a - d for a, d in zip(amb.strategy_vector, det.strategy_vector)),
         significant_m=flag_significance(amb.m - det.m, threshold),
         significant_n=flag_significance(amb.n - det.n, threshold),
         threshold=threshold,
@@ -212,22 +159,18 @@ def macro_average_breakdowns(breakdowns: Mapping[str, StrategyBreakdown]) -> Str
     members = list(breakdowns.values())
     if any(b.is_empty for b in members):
         raise EmptySelection("macro average over an empty breakdown")
-    details = [b.strategy_vector for b in members]
-    strategies = None
-    if all(d is not None for d in details):
-        strategies = tuple(_mean([d[i] for d in details]) for i in range(5))
-    counts = [b.count for b in members]
+    strategies = [_mean(shares) for shares in zip(*(b.strategy_vector for b in members))]
     return StrategyBreakdown(
         m=_mean([b.m for b in members]),
         f=_mean([b.f for b in members]),
         n=_mean([b.n for b in members]),
-        n1=strategies[0] if strategies else None,
-        n2=strategies[1] if strategies else None,
-        n3=strategies[2] if strategies else None,
-        n4=strategies[3] if strategies else None,
-        n5=strategies[4] if strategies else None,
+        n1=strategies[0],
+        n2=strategies[1],
+        n3=strategies[2],
+        n4=strategies[3],
+        n5=strategies[4],
         u=_mean([b.u for b in members]),
-        count=sum(counts) if all(c is not None for c in counts) else None,
+        count=sum(b.count for b in members),
         u_count=sum(b.u_count for b in members),
     )
 
@@ -252,8 +195,8 @@ class StereotypeReport:
     neutral: StrategyBreakdown
     stereo_m: StrategyBreakdown
     stereo_f: StrategyBreakdown
-    delta_g_avg: Fraction | float
-    delta_n_avg: Fraction | float
+    delta_g_avg: Fraction
+    delta_n_avg: Fraction
 
 
 def compute_stereotype_effect(

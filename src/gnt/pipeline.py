@@ -6,13 +6,14 @@ new system is purely a data change.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import GenderLabel, SlotScore, classify_instance
-from .errors import EmptySelection
+from .errors import EmptySelection, InvalidThreshold
 from .formats import (
     TranslationRecord,
     parse_translations,
@@ -37,23 +38,17 @@ from .report import render_report
 from .suite import SuiteManifest, TestInstance, generate_suite
 
 
-def _number(value):
-    if value is None:
-        return None
-    return float(value)
-
-
 def breakdown_to_json(breakdown: StrategyBreakdown) -> dict:
     return {
-        "m": _number(breakdown.m),
-        "f": _number(breakdown.f),
-        "n": _number(breakdown.n),
-        "n1": _number(breakdown.n1),
-        "n2": _number(breakdown.n2),
-        "n3": _number(breakdown.n3),
-        "n4": _number(breakdown.n4),
-        "n5": _number(breakdown.n5),
-        "u": _number(breakdown.u),
+        "m": float(breakdown.m),
+        "f": float(breakdown.f),
+        "n": float(breakdown.n),
+        "n1": float(breakdown.n1),
+        "n2": float(breakdown.n2),
+        "n3": float(breakdown.n3),
+        "n4": float(breakdown.n4),
+        "n5": float(breakdown.n5),
+        "u": float(breakdown.u),
         "count": breakdown.count,
         "u_count": breakdown.u_count,
     }
@@ -63,10 +58,10 @@ def response_to_json(report: ResponseReport) -> dict:
     return {
         "det": breakdown_to_json(report.det),
         "amb": breakdown_to_json(report.amb),
-        "delta_m": _number(report.delta_m),
-        "delta_f": _number(report.delta_f),
-        "delta_n": _number(report.delta_n),
-        "delta_ni": [_number(v) for v in report.delta_ni] if report.delta_ni is not None else None,
+        "delta_m": float(report.delta_m),
+        "delta_f": float(report.delta_f),
+        "delta_n": float(report.delta_n),
+        "delta_ni": [float(v) for v in report.delta_ni],
         "significant_m": report.significant_m,
         "significant_n": report.significant_n,
     }
@@ -128,8 +123,10 @@ def build_metrics_doc(
     The scores are counted once into quota-key cells (`T3-Det`, `T3-Amb`,
     `T7-StereoM`, ...) and every section reads the cells it compares by key.
     `missing_translations` counts the suite instances that have slots but no
-    score.
+    score. A threshold that is negative or not finite raises InvalidThreshold.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
     index = {instance.id: instance for instance in suite}
     cells = label_cells(scores, index)
 
@@ -159,8 +156,8 @@ def build_metrics_doc(
             "neutral": breakdown_to_json(effect.neutral),
             "stereo_m": breakdown_to_json(effect.stereo_m),
             "stereo_f": breakdown_to_json(effect.stereo_f),
-            "delta_g_avg": _number(effect.delta_g_avg),
-            "delta_n_avg": _number(effect.delta_n_avg),
+            "delta_g_avg": float(effect.delta_g_avg),
+            "delta_n_avg": float(effect.delta_n_avg),
             "significant_g": flag_significance(effect.delta_g_avg, threshold),
         }
     except EmptySelection:

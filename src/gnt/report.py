@@ -34,12 +34,6 @@ def _delta(value, significant: bool) -> str:
     return f"**{text}**" if significant else text
 
 
-def _strategy_cells(breakdown: Mapping) -> list[str]:
-    if breakdown["n1"] is None:
-        return ["-"] * 5
-    return [_f2(breakdown[key]) for key in ("n1", "n2", "n3", "n4", "n5")]
-
-
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
     lines = ["| " + " | ".join(header) + " |", "|" + "|".join(" --- " for _ in header) + "|"]
     lines += ["| " + " | ".join(row) + " |" for row in rows]
@@ -77,8 +71,8 @@ def _render_markdown(doc: Mapping) -> str:
     lines.append("")
     header = ["Family", "M", "F", "N", "N1", "N2", "N3", "N4", "N5", "Classified", "Unmatched rate"]
     rows = [
-        [family, _f2(breakdown["m"]), _f2(breakdown["f"]), _f2(breakdown["n"])]
-        + _strategy_cells(breakdown)
+        [family]
+        + [_f2(breakdown[key]) for key in ("m", "f", "n", "n1", "n2", "n3", "n4", "n5")]
         + [str(breakdown["count"]), _f2(breakdown["u"])]
         for family, breakdown in _entries(doc["baseline"])
     ]
@@ -100,7 +94,7 @@ def _render_markdown(doc: Mapping) -> str:
     shift_rows = [
         [f"{name} (macro)"] + [_f3(v) for v in section["macro"]["delta_ni"]]
         for name, section in (("omission", omission), ("active", active))
-        if section is not None and section["macro"]["delta_ni"] is not None
+        if section is not None
     ]
     lines += _table(["Condition", "ΔN1", "ΔN2", "ΔN3", "ΔN4", "ΔN5"], shift_rows)
     lines.append("")
@@ -156,7 +150,7 @@ def _render_csv(doc: Mapping) -> str:
 
     def breakdown_cells(breakdown: Mapping, prefix: str) -> dict:
         cells = {f"m_{prefix}": breakdown["m"], f"f_{prefix}": breakdown["f"], f"n_{prefix}": breakdown["n"]}
-        if prefix == "det" and breakdown["n1"] is not None:
+        if prefix == "det":
             cells.update({key: breakdown[key] for key in ("n1", "n2", "n3", "n4", "n5")})
         return cells
 
@@ -168,7 +162,7 @@ def _render_csv(doc: Mapping) -> str:
         )
     for section_name, key in (("omission", "omission_response"), ("active", "active_response")):
         for family, response in _entries(doc[key]):
-            row = {
+            writer.writerow({
                 "section": section_name,
                 "subset": family,
                 **breakdown_cells(response["det"], "det"),
@@ -178,10 +172,8 @@ def _render_csv(doc: Mapping) -> str:
                 "delta_n": response["delta_n"],
                 "significant_m": str(response["significant_m"]).lower(),
                 "significant_n": str(response["significant_n"]).lower(),
-            }
-            if response["delta_ni"] is not None:
-                row.update({f"delta_n{i + 1}": v for i, v in enumerate(response["delta_ni"])})
-            writer.writerow(row)
+                **{f"delta_n{i + 1}": v for i, v in enumerate(response["delta_ni"])},
+            })
     stereo = doc["stereotype"]
     if stereo is not None:
         for subset in ("neutral", "stereo_m", "stereo_f"):

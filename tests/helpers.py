@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gnt import DescriptorPair, Language, SuiteManifest
+from gnt import DescriptorPair, Language, StrategyBreakdown, SuiteManifest
 from gnt.lexicon import (
     AltPhraseEntry,
     FormGender,
@@ -13,6 +13,16 @@ from gnt.lexicon import (
     PatternKind,
     load_lexicon,
 )
+
+def reference_breakdown(m: float, f: float, n: float, strategies=None) -> StrategyBreakdown:
+    """A breakdown holding a reference table row's rounded (M, F, N) floats as they are.
+
+    A row printed without its N1..N5 split gets (n, 0, 0, 0, 0), so n is still
+    the sum of the split; no replay of such a row reads the strategy deltas.
+    """
+    n1, n2, n3, n4, n5 = strategies if strategies is not None else (n, 0.0, 0.0, 0.0, 0.0)
+    return StrategyBreakdown(m=m, f=f, n=n, n1=n1, n2=n2, n3=n3, n4=n4, n5=n5, u=0, count=1000, u_count=0)
+
 
 _ADJECTIVE_POOL = [
     "stubborn", "fit", "nonsensical", "cautious", "strong", "happy", "tired",

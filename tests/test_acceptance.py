@@ -36,7 +36,7 @@ from gnt.formats import (
 )
 from gnt.suite import AMBIGUOUS_OMISSION, AdjectiveSlot, Referent
 from conftest import GOLDEN, backend_command
-from helpers import random_classifier_case, random_manifest
+from helpers import random_classifier_case, random_manifest, reference_breakdown
 from oracle import oracle_classify
 
 
@@ -138,9 +138,7 @@ def test_criterion_05_response_metric_replay():
         ("omission ES row", (0.33, 0.29, 0.38), (0.56, 0.06, 0.37), 0.235, -0.230, -0.005),
     ]
     for name, det, amb, delta_m, delta_f, delta_n in rows:
-        report = paired_response(
-            StrategyBreakdown.from_proportions(*det), StrategyBreakdown.from_proportions(*amb)
-        )
+        report = paired_response(reference_breakdown(*det), reference_breakdown(*amb))
         assert report.delta_m == pytest.approx(delta_m, abs=0.01), name
         assert report.delta_f == pytest.approx(delta_f, abs=0.01), name
         assert report.delta_n == pytest.approx(delta_n, abs=0.01), name
@@ -148,8 +146,8 @@ def test_criterion_05_response_metric_replay():
 
 
 def test_criterion_06_strategy_additivity():
-    det = StrategyBreakdown.from_proportions(0.42, 0.36, 0.221, strategies=(0.015, 0.012, 0.009, 0.0, 0.185))
-    amb = StrategyBreakdown.from_proportions(0.51, 0.09, 0.400, strategies=(0.0, 0.0, 0.0, 0.0, 0.400))
+    det = reference_breakdown(0.42, 0.36, 0.221, strategies=(0.015, 0.012, 0.009, 0.0, 0.185))
+    amb = reference_breakdown(0.51, 0.09, 0.400, strategies=(0.0, 0.0, 0.0, 0.0, 0.400))
     report = paired_response(det, amb)
     assert report.delta_ni == pytest.approx((-0.015, -0.012, -0.009, 0.0, 0.215), abs=1e-9)
     assert report.delta_n == pytest.approx(0.180, abs=0.01)
@@ -177,9 +175,9 @@ def test_criterion_07_stereotype_replay():
     ]
     for neutral, stereo_m, stereo_f, expected_g, expected_n in rows:
         report = compute_stereotype_effect(
-            StrategyBreakdown.from_proportions(*neutral),
-            StrategyBreakdown.from_proportions(*stereo_m),
-            StrategyBreakdown.from_proportions(*stereo_f),
+            reference_breakdown(*neutral),
+            reference_breakdown(*stereo_m),
+            reference_breakdown(*stereo_f),
         )
         assert report.delta_g_avg == pytest.approx(expected_g, abs=0.01)
         assert report.delta_n_avg == pytest.approx(expected_n, abs=0.01)

@@ -342,6 +342,7 @@ def echo_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/translate"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

@@ -155,6 +155,19 @@ def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("threshold", ["-1", "nan", "inf", "-inf"])
+def test_metrics_rejects_a_threshold_that_is_negative_or_not_finite(tmp_path, suite_path, capsys, threshold):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("", encoding="utf-8")
+    metrics = tmp_path / "metrics.json"
+    code = main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
+                 "--lang", "es", f"--threshold={threshold}", "--out", str(metrics)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: threshold must be a finite non-negative number") and "Traceback" not in err
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("flags, setting", [
     (["--batch-size", "0"], "batch_size"),
     (["--timeout", "0"], "timeout"),
@@ -221,6 +234,13 @@ def _golden_metrics_with(*steps, value=_DELETE):
     return doc
 
 
+def _golden_metrics_without_split():
+    """The golden metrics document with the baseline macro's n1..n5 all null."""
+    doc = _golden_metrics_with("baseline", "macro", "n1", value=None)
+    doc["baseline"]["macro"].update(dict.fromkeys(("n2", "n3", "n4", "n5")))
+    return doc
+
+
 def test_report_renders_the_valid_head(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps(_VALID_HEAD), encoding="utf-8")
@@ -277,17 +297,41 @@ def test_report_names_a_missing_metrics_field(tmp_path, capsys, steps):
     _golden_metrics_with("coverage", "subsets", "T1-Det", value=5),
     _golden_metrics_with("coverage", "subsets", "T1-Det", "classified", value="24"),
     _golden_metrics_with("coverage", "missing_translations", value=0.5),
+    _golden_metrics_without_split(),
+    _golden_metrics_with("active_response", "macro", "delta_ni", value=None),
 ], ids=["system-only", "baseline-int", "system-int", "threshold-string", "threshold-bool", "coverage-null",
         "baseline-in-valid-head", "omission-list", "stereotype-string", "subsets-int", "families-int",
         "non-string-family", "family-without-entry", "string-share", "float-count", "null-u-count",
         "one-null-strategy", "null-delta", "string-significance", "four-strategy-deltas", "per-family-list",
-        "null-amb", "partial-breakdown", "bool-delta", "int-subset-cell", "string-classified", "float-missing"])
+        "null-amb", "partial-breakdown", "bool-delta", "int-subset-cell", "string-classified", "float-missing",
+        "null-strategy-split", "null-strategy-deltas"])
 def test_report_rejects_a_malformed_metrics_document(tmp_path, capsys, doc):
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["report", "--metrics", str(metrics)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {metrics}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_golden_metrics_without_split(), "baseline.macro.n1"),
+    (_golden_metrics_with("active_response", "macro", "delta_ni", value=None), "active_response.macro.delta_ni"),
+], ids=["null-strategy-split", "null-strategy-deltas"])
+def test_report_names_a_null_strategy_field(tmp_path, capsys, doc, field):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    assert f": {field} must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_report_rejects_a_number_that_is_not_json(tmp_path, capsys, constant):
+    metrics = tmp_path / "metrics.json"
+    text = json.dumps(_golden_metrics_with("baseline", "macro", "m", value=12345.5)).replace("12345.5", constant)
+    metrics.write_text(text, encoding="utf-8")
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {metrics}:") and constant in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "validate", "translate", "score", "metrics", "report", "run"])

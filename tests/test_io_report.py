@@ -259,8 +259,8 @@ def test_a_fuzzed_field_parses_or_is_a_parse_error(tmp_path_factory, valid_recor
 
 def _reference_row_doc():
     def breakdown(m, f, n):
-        return {"m": m, "f": f, "n": n, "n1": None, "n2": None, "n3": None, "n4": None,
-                "n5": None, "u": 0.0, "count": 100, "u_count": 0}
+        return {"m": m, "f": f, "n": n, "n1": n, "n2": 0.0, "n3": 0.0, "n4": 0.0,
+                "n5": 0.0, "u": 0.0, "count": 100, "u_count": 0}
 
     response = {
         "det": breakdown(0.42, 0.36, 0.22),
@@ -268,7 +268,7 @@ def _reference_row_doc():
         "delta_m": 0.087,
         "delta_f": -0.267,
         "delta_n": 0.180,
-        "delta_ni": None,
+        "delta_ni": [0.180, 0.0, 0.0, 0.0, 0.0],
         "significant_m": True,
         "significant_n": True,
     }
@@ -418,7 +418,7 @@ def test_label_cells_rejects_slot_index_past_the_instance(demo_manifest):
     instance = suite[0]
     past = len(instance.slots)
     with pytest.raises(GntError, match=rf"{instance.id}.*slot_index {past}"):
-        label_cells([SlotScore(instance.id, past, GenderLabel.MASCULINE)], suite)
+        label_cells([SlotScore(instance.id, past, GenderLabel.MASCULINE)], {instance.id: instance})
 
 
 def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_resources):

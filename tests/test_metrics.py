@@ -8,17 +8,20 @@ import pytest
 
 from gnt import (
     GenderLabel,
+    Language,
     SlotScore,
     StrategyBreakdown,
-    aggregate,
+    build_metrics_doc,
     compute_stereotype_effect,
     expand_template,
     flag_significance,
+    label_cells,
     macro_average,
     paired_response,
 )
 from gnt.errors import EmptySelection, InvalidThreshold
 from gnt.suite import TemplateFamily
+from helpers import reference_breakdown
 
 _LABELS = [
     GenderLabel.MASCULINE,
@@ -42,14 +45,22 @@ def _scores_for(suite, labels):
     return [SlotScore(inst.id, 0, label) for inst, label in zip(suite, labels)]
 
 
-# --- aggregate -------------------------------------------------------------------
+def _aggregate(scores, suite):
+    """One breakdown over all scores, from their label_cells counts."""
+    labels: Counter = Counter()
+    for counts in label_cells(scores, {inst.id: inst for inst in suite}).values():
+        labels.update(counts)
+    return StrategyBreakdown.from_label_counts(labels)
+
+
+# --- label counts ------------------------------------------------------------------
 
 
 def test_aggregate_quarter_split():
     suite = _t7_suite(4)
     labels = [GenderLabel.MASCULINE, GenderLabel.FEMININE,
               GenderLabel.N1_COMMON_FORM, GenderLabel.N2_NEUTER_CASE]
-    breakdown = aggregate(_scores_for(suite, labels), suite)
+    breakdown = _aggregate(_scores_for(suite, labels), suite)
     assert breakdown.m == Fraction(1, 4)
     assert breakdown.f == Fraction(1, 4)
     assert breakdown.n == Fraction(1, 2)
@@ -61,7 +72,7 @@ def test_aggregate_quarter_split():
 def test_aggregate_excludes_unmatched_from_denominator():
     suite = _t7_suite(3)
     labels = [GenderLabel.MASCULINE, GenderLabel.UNMATCHED, GenderLabel.UNMATCHED]
-    breakdown = aggregate(_scores_for(suite, labels), suite)
+    breakdown = _aggregate(_scores_for(suite, labels), suite)
     assert breakdown.m == 1
     assert breakdown.count == 1
     assert breakdown.u_count == 2
@@ -72,7 +83,7 @@ def test_aggregate_matches_direct_count_oracle():
     rng = random.Random(99)
     suite = _t7_suite(1000)
     labels = [rng.choice(_LABELS + [GenderLabel.UNMATCHED]) for _ in range(1000)]
-    breakdown = aggregate(_scores_for(suite, labels), suite)
+    breakdown = _aggregate(_scores_for(suite, labels), suite)
     counts = Counter(labels)
     classified = 1000 - counts[GenderLabel.UNMATCHED]
     assert breakdown.m == Fraction(counts[GenderLabel.MASCULINE], classified)
@@ -81,10 +92,11 @@ def test_aggregate_matches_direct_count_oracle():
     assert breakdown.u == Fraction(counts[GenderLabel.UNMATCHED], 1000)
 
 
-def test_aggregate_empty_filter_raises():
-    suite = _t7_suite(2)
-    with pytest.raises(EmptySelection):
-        aggregate([], suite)
+def test_aggregate_of_no_score_is_empty_with_zero_shares():
+    breakdown = _aggregate([], _t7_suite(2))
+    assert breakdown.is_empty
+    assert (breakdown.m, breakdown.f, breakdown.n, breakdown.u) == (0, 0, 0, 0)
+    assert breakdown.strategy_vector == (0, 0, 0, 0, 0)
 
 
 def test_aggregate_rejects_scores_for_unknown_instances():
@@ -93,13 +105,13 @@ def test_aggregate_rejects_scores_for_unknown_instances():
     suite = _t7_suite(1)
     rogue = SlotScore("T7-999999a", 0, GenderLabel.MASCULINE)
     with pytest.raises(GntError, match="unknown instance"):
-        aggregate([rogue], suite)
+        _aggregate([rogue], suite)
 
 
 def test_aggregate_all_unmatched_yields_empty_marker():
     suite = _t7_suite(2)
     scores = _scores_for(suite, [GenderLabel.UNMATCHED, GenderLabel.UNMATCHED])
-    breakdown = aggregate(scores, suite)
+    breakdown = _aggregate(scores, suite)
     assert breakdown.is_empty
     assert breakdown.u == 1
 
@@ -110,15 +122,15 @@ def test_aggregate_is_permutation_invariant():
     scores = _scores_for(suite, [rng.choice(_LABELS) for _ in range(60)])
     shuffled = scores[:]
     rng.shuffle(shuffled)
-    assert aggregate(scores, suite) == aggregate(shuffled, suite)
+    assert _aggregate(scores, suite) == _aggregate(shuffled, suite)
 
 
 def test_aggregate_is_scale_invariant():
     rng = random.Random(6)
     suite = _t7_suite(30)
     labels = [rng.choice(_LABELS) for _ in range(30)]
-    single = aggregate(_scores_for(suite, labels), suite)
-    tripled = aggregate(_scores_for(suite, labels) * 3, suite)
+    single = _aggregate(_scores_for(suite, labels), suite)
+    tripled = _aggregate(_scores_for(suite, labels) * 3, suite)
     assert (single.m, single.f, single.n) == (tripled.m, tripled.f, tripled.n)
     assert tripled.count == 3 * single.count
 
@@ -127,8 +139,8 @@ def test_aggregate_is_scale_invariant():
 
 
 def test_response_replay_from_reference_active_row():
-    det = StrategyBreakdown.from_proportions(0.42, 0.36, 0.22)
-    amb = StrategyBreakdown.from_proportions(0.51, 0.09, 0.40)
+    det = reference_breakdown(0.42, 0.36, 0.22)
+    amb = reference_breakdown(0.51, 0.09, 0.40)
     report = paired_response(det, amb)
     assert report.delta_m == pytest.approx(0.087, abs=0.01)
     assert report.delta_f == pytest.approx(-0.267, abs=0.01)
@@ -137,15 +149,15 @@ def test_response_replay_from_reference_active_row():
 
 
 def test_identical_breakdowns_have_zero_deltas():
-    same = StrategyBreakdown.from_proportions(0.4, 0.4, 0.2)
+    same = reference_breakdown(0.4, 0.4, 0.2)
     report = paired_response(same, same)
     assert report.delta_m == 0 and report.delta_f == 0 and report.delta_n == 0
     assert not report.significant_m and not report.significant_n
 
 
 def test_strategy_delta_vector_replay():
-    det = StrategyBreakdown.from_proportions(0.42, 0.36, 0.221, strategies=(0.015, 0.012, 0.009, 0.0, 0.185))
-    amb = StrategyBreakdown.from_proportions(0.51, 0.09, 0.400, strategies=(0.0, 0.0, 0.0, 0.0, 0.400))
+    det = reference_breakdown(0.42, 0.36, 0.221, strategies=(0.015, 0.012, 0.009, 0.0, 0.185))
+    amb = reference_breakdown(0.51, 0.09, 0.400, strategies=(0.0, 0.0, 0.0, 0.0, 0.400))
     report = paired_response(det, amb)
     assert report.delta_ni == pytest.approx((-0.015, -0.012, -0.009, 0.0, 0.215), abs=1e-12)
     assert sum(report.delta_ni) == pytest.approx(report.delta_n, abs=1e-12)
@@ -154,7 +166,7 @@ def test_strategy_delta_vector_replay():
 
 def test_response_requires_non_empty_sides():
     empty = StrategyBreakdown.from_label_counts({GenderLabel.UNMATCHED: 3})
-    full = StrategyBreakdown.from_proportions(0.5, 0.3, 0.2)
+    full = reference_breakdown(0.5, 0.3, 0.2)
     with pytest.raises(EmptySelection):
         paired_response(empty, full)
 
@@ -178,16 +190,6 @@ def test_exact_closure_on_synthetic_counts():
         assert sum(report.delta_ni) == report.delta_n
 
 
-def test_float_closure_within_1e_12():
-    rng = random.Random(78)
-    for _ in range(200):
-        values = [rng.random() for _ in range(3)]
-        total = sum(values)
-        m, f, n = (v / total for v in values)
-        breakdown = StrategyBreakdown.from_proportions(m, f, n)
-        assert abs(breakdown.m + breakdown.f + breakdown.n - 1) <= 1e-12
-
-
 # --- macro averaging -----------------------------------------------------------------
 
 
@@ -203,12 +205,12 @@ def test_macro_average_of_single_report_is_identity():
 
 def test_macro_average_is_field_wise_mean():
     r1 = paired_response(
-        StrategyBreakdown.from_proportions(0.5, 0.4, 0.1),
-        StrategyBreakdown.from_proportions(0.5, 0.3, 0.2),
+        reference_breakdown(0.5, 0.4, 0.1),
+        reference_breakdown(0.5, 0.3, 0.2),
     )
     r2 = paired_response(
-        StrategyBreakdown.from_proportions(0.3, 0.5, 0.2),
-        StrategyBreakdown.from_proportions(0.3, 0.3, 0.4),
+        reference_breakdown(0.3, 0.5, 0.2),
+        reference_breakdown(0.3, 0.3, 0.4),
     )
     macro = macro_average({"T3": r1, "T4": r2})
     assert macro.delta_n == pytest.approx((0.1 + 0.2) / 2)
@@ -243,16 +245,16 @@ def test_macro_average_three_families_hand_checked():
 )
 def test_stereotype_effect_replay(neutral, stereo_m, stereo_f, expected_g, expected_n):
     report = compute_stereotype_effect(
-        StrategyBreakdown.from_proportions(*neutral),
-        StrategyBreakdown.from_proportions(*stereo_m),
-        StrategyBreakdown.from_proportions(*stereo_f),
+        reference_breakdown(*neutral),
+        reference_breakdown(*stereo_m),
+        reference_breakdown(*stereo_f),
     )
     assert report.delta_g_avg == pytest.approx(expected_g, abs=0.01)
     assert report.delta_n_avg == pytest.approx(expected_n, abs=0.01)
 
 
 def test_identical_conditions_have_zero_stereotype_effect():
-    same = StrategyBreakdown.from_proportions(0.4, 0.4, 0.2)
+    same = reference_breakdown(0.4, 0.4, 0.2)
     report = compute_stereotype_effect(same, same, same)
     assert report.delta_g_avg == 0
     assert report.delta_n_avg == 0
@@ -294,4 +296,4 @@ def test_flag_significance(delta, threshold, expected):
 
 def test_negative_threshold_rejected():
     with pytest.raises(InvalidThreshold):
-        flag_significance(0.1, -0.01)
+        build_metrics_doc(_t7_suite(1), [], "sys", Language.ES, threshold=-0.01)
