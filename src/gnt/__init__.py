@@ -13,47 +13,22 @@ from .formats import (
     write_suite,
     write_translations,
 )
-from .lexicon import (
-    AltPhraseEntry,
-    FormGender,
-    Language,
-    LanguageResources,
-    Lexicon,
-    LexiconEntry,
-    MorphPattern,
-    PatternKind,
-    load_alt_phrases,
-    load_language_resources,
-    load_lexicon,
-    load_patterns,
-)
+from .lexicon import Language, load_language_resources, load_lexicon
 from .metrics import (
-    DEFAULT_SIGNIFICANCE_THRESHOLD,
-    ResponseReport,
-    StereotypeReport,
     StrategyBreakdown,
     compute_stereotype_effect,
     flag_significance,
     label_cells,
     macro_average,
-    macro_average_breakdowns,
     paired_response,
 )
-from .pipeline import build_metrics_doc, run_pipeline, score_suite
+from .pipeline import build_metrics_doc, run_pipeline
 from .report import render_report
 from .suite import (
-    AdjectiveSlot,
-    AmbiguityKind,
-    BalanceDiagnostics,
     DescriptorPair,
     GenderCondition,
-    GenderKind,
-    Referent,
-    StereotypeCondition,
-    StereotypeKind,
     SuiteManifest,
     TemplateFamily,
-    TestInstance,
     expand_template,
     generate_suite,
     quota_key_for_slot,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .lexicon import LanguageResources, Lexicon, AltPhraseEntry, MorphPattern, PatternKind, nfc
+from .lexicon import LanguageResources, MorphPattern, PatternKind, nfc
 from .suite import AdjectiveSlot, TestInstance
 
 
@@ -81,9 +81,8 @@ def normalize(text: str) -> list[str]:
     return tokens
 
 
-def _pattern_variants(pattern: MorphPattern, token: str) -> tuple[str, ...]:
-    """Surface forms a pattern-annotated token stands for, or () if no match."""
-    folded = token.casefold()
+def _pattern_variants(pattern: MorphPattern, token: str, folded: str) -> tuple[str, ...]:
+    """Surface forms a pattern-annotated token (casefolded: `folded`) stands for, or () if no match."""
     if pattern.kind is PatternKind.SLASH_SUFFIX:
         first, second = pattern.template.split("/")
         for tail in (f"{first}/{second}", f"({first}/{second})"):
@@ -107,51 +106,38 @@ def _pattern_variants(pattern: MorphPattern, token: str) -> tuple[str, ...]:
     return ()
 
 
-def _tokens(translation: str | Sequence[str]) -> list[str]:
-    if isinstance(translation, str):
-        return normalize(translation)
-    return list(translation)
-
-
 def classify_slot(
     slot: AdjectiveSlot,
-    translation: str | Sequence[str],
-    lexicon: Lexicon,
-    patterns: Sequence[MorphPattern] = (),
-    alt_phrases: Sequence[AltPhraseEntry] = (),
-    consumed: set[int] | None = None,
+    tokens: Sequence[str],
+    resources: LanguageResources,
+    consumed: set[int],
     instance_id: str = "",
 ) -> SlotScore:
-    """Classify one slot against a translation.
+    """Classify one slot against the `normalize`d tokens of a translation.
 
-    `translation` may be raw text or an already-normalised token sequence;
     `consumed` holds token positions claimed by earlier slots of the same
     instance and is extended with whatever this call matches. Every input
     yields a SlotScore; Unmatched is a value, not an error.
     """
-    tokens = _tokens(translation)
-    if consumed is None:
-        consumed = set()
     lemma_key = nfc(slot.lemma).casefold()
-    forms = lexicon.forms_for_lemma(slot.lemma)
+    forms = resources.lexicon.forms_for_lemma(slot.lemma)
+    unclaimed = [
+        (position, token, token.casefold()) for position, token in enumerate(tokens) if position not in consumed
+    ]
 
     def score(label: GenderLabel, matched: str, rule: str) -> SlotScore:
         return SlotScore(instance_id, slot.slot_index, label, matched, rule)
 
-    for position, token in enumerate(tokens):
-        if position in consumed:
-            continue
-        entry = forms.get(token.casefold())
+    for position, token, folded in unclaimed:
+        entry = forms.get(folded)
         if entry is not None:
             consumed.add(position)
             label = _LABEL_BY_FORM_GENDER[entry.form_gender.value]
             return score(label, token, f"lexicon:{entry.surface_form}:{entry.form_gender.value}")
 
-    for position, token in enumerate(tokens):
-        if position in consumed:
-            continue
-        for pattern in patterns:
-            variants = _pattern_variants(pattern, token)
+    for position, token, folded in unclaimed:
+        for pattern in resources.patterns:
+            variants = _pattern_variants(pattern, token, folded)
             if variants and any(variant.casefold() in forms for variant in variants):
                 consumed.add(position)
                 return score(
@@ -160,23 +146,20 @@ def classify_slot(
                     f"pattern:{pattern.kind.value}:{pattern.template}",
                 )
 
-    lemma_phrases = [p for p in alt_phrases if p.lemma.casefold() == lemma_key]
-    if lemma_phrases:
+    phrases = resources.phrases_by_lemma.get(lemma_key)
+    if phrases:
+        # a consumed position, or one past the end, reads None and matches no phrase token
+        folded_at = {position: folded for position, _, folded in unclaimed}
         for start in range(len(tokens)):
-            for phrase in lemma_phrases:
-                width = len(phrase.tokens)
-                positions = range(start, start + width)
-                if start + width > len(tokens) or any(p in consumed for p in positions):
-                    continue
-                window = tokens[start : start + width]
-                if all(w.casefold() == nfc(p).casefold() for w, p in zip(window, phrase.tokens)):
+            for phrase_words, phrase in phrases:
+                positions = range(start, start + len(phrase_words))
+                if tuple(folded_at.get(p) for p in positions) == phrase_words:
                     consumed.update(positions)
-                    return score(GenderLabel.N3_ALT_PART_OF_SPEECH, " ".join(window), f"phrase:{phrase.phrase}")
+                    matched = " ".join(tokens[start : positions.stop])
+                    return score(GenderLabel.N3_ALT_PART_OF_SPEECH, matched, f"phrase:{phrase}")
 
-    for position, token in enumerate(tokens):
-        if position in consumed:
-            continue
-        if token.casefold() == lemma_key:
+    for position, token, folded in unclaimed:
+        if folded == lemma_key:
             consumed.add(position)
             return score(GenderLabel.N4_SOURCE_COPY, token, "copy")
 
@@ -192,14 +175,6 @@ def classify_instance(
     tokens = normalize(translation)
     consumed: set[int] = set()
     return [
-        classify_slot(
-            slot,
-            tokens,
-            resources.lexicon,
-            resources.patterns,
-            resources.alt_phrases,
-            consumed,
-            instance_id=instance.id,
-        )
+        classify_slot(slot, tokens, resources, consumed, instance.id)
         for slot in sorted(instance.slots, key=lambda s: s.slot_index)
     ]

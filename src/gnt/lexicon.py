@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidEntry, LexiconConflict
 
@@ -53,7 +53,6 @@ def nfc(text: str) -> str:
 @dataclass(frozen=True)
 class LexiconEntry:
     lemma: str
-    language: Language
     surface_form: str
     form_gender: FormGender
 
@@ -61,12 +60,7 @@ class LexiconEntry:
 @dataclass(frozen=True)
 class AltPhraseEntry:
     lemma: str
-    language: Language
     phrase: str
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.phrase.split())
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,6 @@ class MorphPattern:
     trailing "@" standing in for the alternation.
     """
 
-    language: Language
     kind: PatternKind
     template: str
 
@@ -96,39 +89,32 @@ class MorphPattern:
 
 
 class Lexicon:
-    """Immutable per-language lookup over declined adjective surface forms."""
+    """Per-language lookup over declined adjective surface forms."""
 
-    def __init__(self, language: Language, entries: Iterable[LexiconEntry]):
+    def __init__(self, language: Language, entries: Iterable[LexiconEntry] = ()):
         self.language = language
-        by_key: dict[tuple[str, str], LexiconEntry] = {}
-        for entry in entries:
-            if entry.language is not language:
-                raise InvalidEntry(f"entry {entry} does not belong to lexicon language {language.value}")
-            if language is Language.ES and entry.form_gender is FormGender.NEUTER_CASE:
-                raise InvalidEntry(
-                    f"{entry.lemma!r}/{entry.surface_form!r}: Spanish adjectives have no neuter case"
-                )
-            key = (entry.lemma.casefold(), entry.surface_form.casefold())
-            known = by_key.get(key)
-            if known is None:
-                by_key[key] = entry
-            elif known.form_gender is not entry.form_gender:
-                raise LexiconConflict(
-                    f"form {entry.surface_form!r} for lemma {entry.lemma!r} listed as both "
-                    f"{known.form_gender.value!r} and {entry.form_gender.value!r}"
-                )
-            # identical duplicate rows are silently deduplicated
-        self._entries = tuple(by_key.values())
         self._by_lemma: dict[str, dict[str, LexiconEntry]] = {}
-        for entry in self._entries:
-            self._by_lemma.setdefault(entry.lemma.casefold(), {})[entry.surface_form.casefold()] = entry
+        for entry in entries:
+            self.add(entry)
+
+    def add(self, entry: LexiconEntry) -> None:
+        """Register one form; an identical duplicate is a no-op, a contradicting one an error."""
+        if self.language is Language.ES and entry.form_gender is FormGender.NEUTER_CASE:
+            raise InvalidEntry(f"{entry.lemma!r}/{entry.surface_form!r}: Spanish adjectives have no neuter case")
+        forms = self._by_lemma.setdefault(entry.lemma.casefold(), {})
+        known = forms.setdefault(entry.surface_form.casefold(), entry)
+        if known.form_gender is not entry.form_gender:
+            raise LexiconConflict(
+                f"form {entry.surface_form!r} for lemma {entry.lemma!r} listed as both "
+                f"{known.form_gender.value!r} and {entry.form_gender.value!r}"
+            )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(forms) for forms in self._by_lemma.values())
 
     @property
     def entries(self) -> tuple[LexiconEntry, ...]:
-        return self._entries
+        return tuple(entry for forms in self._by_lemma.values() for entry in forms.values())
 
     @property
     def lemmas(self) -> tuple[str, ...]:
@@ -147,80 +133,89 @@ def _decoded_lines(path: Path, lines: Iterable[bytes]):
             raise InvalidEntry(f"{path}:{number}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _csv_rows(path: Path, expected_header: list[str]):
+def _csv_rows(path: Path, header: list[str], build: Callable[..., object]) -> list:
+    """`build(*cells)` for each non-blank row; a row it rejects is an error naming path:line."""
+    built = []
     with open(path, "rb") as fh:
         reader = csv.reader(_decoded_lines(path, fh))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise InvalidEntry(f"{path}: expected header {','.join(expected_header)!r}, got {header!r}")
-        for number, row in enumerate(reader, start=2):
+        found = next(reader, None)
+        if found is None or [h.strip() for h in found] != header:
+            raise InvalidEntry(f"{path}: expected header {','.join(header)!r}, got {found!r}")
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(expected_header):
-                raise InvalidEntry(f"{path}:{number}: expected {len(expected_header)} fields, got {len(row)}")
-            yield number, [nfc(cell.strip()) for cell in row]
-
-
-def load_lexicon(language: Language, source: str | Path | Iterable[LexiconEntry]) -> Lexicon:
-    """Build a lexicon from a CSV file (header lemma,form,gender) or entries."""
-    if isinstance(source, (str, Path)):
-        entries = []
-        for number, (lemma, form, gender) in _csv_rows(Path(source), ["lemma", "form", "gender"]):
+            if len(row) != len(header):
+                raise InvalidEntry(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
-                form_gender = FormGender(gender)
-            except ValueError:
-                raise InvalidEntry(
-                    f"{source}:{number}: gender must be one of m/f/neu/common, got {gender!r}"
-                ) from None
-            if not lemma or not form:
-                raise InvalidEntry(f"{source}:{number}: lemma and form must be non-empty")
-            if len(form.split()) != 1:
-                raise InvalidEntry(
-                    f"{source}:{number}: surface forms are single tokens; use the alt-phrases file for {form!r}"
-                )
-            entries.append(LexiconEntry(lemma, language, form, form_gender))
-        return Lexicon(language, entries)
-    return Lexicon(language, source)
+                built.append(build(*(nfc(cell.strip()) for cell in row)))
+            except (InvalidEntry, LexiconConflict) as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+    return built
 
 
-def load_alt_phrases(
-    language: Language, source: str | Path | Iterable[AltPhraseEntry]
-) -> tuple[AltPhraseEntry, ...]:
+def load_lexicon(language: Language, path: str | Path) -> Lexicon:
+    """Build a lexicon from a CSV file with the header lemma,form,gender."""
+    lexicon = Lexicon(language)
+
+    def add(lemma: str, form: str, gender: str) -> None:
+        try:
+            form_gender = FormGender(gender)
+        except ValueError:
+            raise InvalidEntry(f"gender must be one of m/f/neu/common, got {gender!r}") from None
+        if not lemma or not form:
+            raise InvalidEntry("lemma and form must be non-empty")
+        if len(form.split()) != 1:
+            raise InvalidEntry(f"surface forms are single tokens; use the alt-phrases file for {form!r}")
+        lexicon.add(LexiconEntry(lemma, form, form_gender))
+
+    _csv_rows(Path(path), ["lemma", "form", "gender"], add)
+    return lexicon
+
+
+def load_alt_phrases(path: str | Path) -> tuple[AltPhraseEntry, ...]:
     """Load the lemma,phrase table; matching is whole-token and contiguous."""
-    if isinstance(source, (str, Path)):
-        entries = []
-        for number, (lemma, phrase) in _csv_rows(Path(source), ["lemma", "phrase"]):
-            if not lemma or not phrase.split():
-                raise InvalidEntry(f"{source}:{number}: phrase must contain at least one token")
-            entries.append(AltPhraseEntry(nfc(lemma), language, " ".join(phrase.split())))
-        return tuple(entries)
-    return tuple(source)
+
+    def entry(lemma: str, phrase: str) -> AltPhraseEntry:
+        if not lemma or not phrase.split():
+            raise InvalidEntry("phrase must contain at least one token")
+        return AltPhraseEntry(lemma, " ".join(phrase.split()))
+
+    return tuple(_csv_rows(Path(path), ["lemma", "phrase"], entry))
 
 
-def load_patterns(language: Language, source: str | Path | Iterable[MorphPattern]) -> tuple[MorphPattern, ...]:
+def load_patterns(path: str | Path) -> tuple[MorphPattern, ...]:
     """Load the kind,template pattern table (kinds: slash, paren, at)."""
-    if isinstance(source, (str, Path)):
-        patterns = []
-        for number, (kind, template) in _csv_rows(Path(source), ["kind", "template"]):
-            try:
-                pattern_kind = PatternKind(kind)
-            except ValueError:
-                raise InvalidEntry(
-                    f"{source}:{number}: pattern kind must be one of slash/paren/at, got {kind!r}"
-                ) from None
-            patterns.append(MorphPattern(language, pattern_kind, template))
-        return tuple(patterns)
-    return tuple(source)
+
+    def pattern(kind: str, template: str) -> MorphPattern:
+        try:
+            pattern_kind = PatternKind(kind)
+        except ValueError:
+            raise InvalidEntry(f"pattern kind must be one of slash/paren/at, got {kind!r}") from None
+        return MorphPattern(pattern_kind, template)
+
+    return tuple(_csv_rows(Path(path), ["kind", "template"], pattern))
 
 
 @dataclass(frozen=True)
 class LanguageResources:
-    """Everything the classifier needs for one target language."""
+    """Everything the classifier needs for one target language.
+
+    `phrases_by_lemma` is derived from `alt_phrases`: per casefolded lemma, each
+    phrase's casefolded tokens and its text, in registration order.
+    """
 
     language: Language
     lexicon: Lexicon
     patterns: tuple[MorphPattern, ...] = ()
     alt_phrases: tuple[AltPhraseEntry, ...] = ()
+    phrases_by_lemma: Mapping[str, list[tuple[tuple[str, ...], str]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_lemma: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        for entry in self.alt_phrases:
+            folded = tuple(token.casefold() for token in entry.phrase.split())
+            by_lemma.setdefault(entry.lemma.casefold(), []).append((folded, entry.phrase))
+        object.__setattr__(self, "phrases_by_lemma", by_lemma)
 
 
 def load_language_resources(lexicon_dir: str | Path, language: Language) -> LanguageResources:
@@ -235,6 +230,6 @@ def load_language_resources(lexicon_dir: str | Path, language: Language) -> Lang
     lexicon = load_lexicon(language, lexicon_path)
     phrases_path = root / "alt_phrases.csv"
     patterns_path = root / "patterns.csv"
-    alt_phrases = load_alt_phrases(language, phrases_path) if phrases_path.is_file() else ()
-    patterns = load_patterns(language, patterns_path) if patterns_path.is_file() else ()
+    alt_phrases = load_alt_phrases(phrases_path) if phrases_path.is_file() else ()
+    patterns = load_patterns(patterns_path) if patterns_path.is_file() else ()
     return LanguageResources(language, lexicon, patterns, alt_phrases)

@@ -110,6 +110,12 @@ def _response_section(cells, families, threshold):
     }
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise InvalidThreshold unless the threshold is finite and non-negative."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
+
+
 def build_metrics_doc(
     suite: list[TestInstance],
     scores: list[SlotScore],
@@ -125,8 +131,7 @@ def build_metrics_doc(
     `missing_translations` counts the suite instances that have slots but no
     score. A threshold that is negative or not finite raises InvalidThreshold.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise InvalidThreshold(f"threshold must be a finite non-negative number, got {threshold}")
+    _check_threshold(threshold)
     index = {instance.id: instance for instance in suite}
     cells = label_cells(scores, index)
 
@@ -216,7 +221,11 @@ def run_pipeline(
     threshold: float = DEFAULT_SIGNIFICANCE_THRESHOLD,
     seed: int | None = None,
 ) -> list[ReportDocument]:
-    """Generate the suite, score every (system, language) found, and report."""
+    """Generate the suite, score every (system, language) found, and report.
+
+    A bad threshold raises InvalidThreshold before anything is written.
+    """
+    _check_threshold(threshold)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

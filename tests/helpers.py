@@ -8,10 +8,10 @@ from gnt import DescriptorPair, Language, StrategyBreakdown, SuiteManifest
 from gnt.lexicon import (
     AltPhraseEntry,
     FormGender,
+    Lexicon,
     LexiconEntry,
     MorphPattern,
     PatternKind,
-    load_lexicon,
 )
 
 def reference_breakdown(m: float, f: float, n: float, strategies=None) -> StrategyBreakdown:
@@ -111,17 +111,17 @@ def random_classifier_case(rng: random.Random):
             form = _random_word(rng)
             key = (lemma.casefold(), form.casefold())
             if key not in entries:
-                entries[key] = LexiconEntry(lemma, language, form, rng.choice(genders))
-    lexicon = load_lexicon(language, list(entries.values()))
+                entries[key] = LexiconEntry(lemma, form, rng.choice(genders))
+    lexicon = Lexicon(language, entries.values())
 
     pattern_picks = rng.sample(_PATTERN_CHOICES, rng.randint(0, len(_PATTERN_CHOICES)))
-    patterns = tuple(MorphPattern(language, kind, template) for kind, template in pattern_picks)
+    patterns = tuple(MorphPattern(kind, template) for kind, template in pattern_picks)
 
     alt_phrases = []
     for lemma in lemmas:
         for _ in range(rng.randint(0, 2)):
             phrase = " ".join(_random_word(rng) for _ in range(rng.randint(1, 3)))
-            alt_phrases.append(AltPhraseEntry(lemma, language, phrase))
+            alt_phrases.append(AltPhraseEntry(lemma, phrase))
 
     def mangle(word: str) -> str:
         if rng.random() < 0.3:

@@ -20,6 +20,7 @@ from gnt import (
     compute_stereotype_effect,
     generate_suite,
     load_language_resources,
+    normalize,
     paired_response,
     quota_key_for_slot,
     validate_balance,
@@ -34,6 +35,7 @@ from gnt.formats import (
     write_scores,
     write_suite,
 )
+from gnt.lexicon import LanguageResources
 from gnt.suite import AMBIGUOUS_OMISSION, AdjectiveSlot, Referent
 from conftest import GOLDEN, backend_command
 from helpers import random_classifier_case, random_manifest, reference_breakdown
@@ -112,8 +114,7 @@ def test_criterion_03_classifier_golden_set():
     resources = {code: load_language_resources(lexicon_dir(), Language(code)) for code in ("is", "cs", "es")}
     for code, lemma, cell_text, expected in cells:
         r = resources[code]
-        score = classify_slot(_slot(lemma), f"Creo que soy {cell_text}, dijo.",
-                              r.lexicon, r.patterns, r.alt_phrases)
+        score = classify_slot(_slot(lemma), normalize(f"Creo que soy {cell_text}, dijo."), r, set())
         assert score.label.value == expected, (code, lemma, cell_text, score)
     _passed(3, f"all {len(cells)} golden lexicon cells classify to their strategy labels")
 
@@ -121,11 +122,12 @@ def test_criterion_03_classifier_golden_set():
 def test_criterion_04_oracle_equivalence_10000_cases():
     rng = random.Random(31337)
     for case in range(10000):
-        _, lexicon, patterns, alt_phrases, lemma, tokens, consumed = random_classifier_case(rng)
+        language, lexicon, patterns, alt_phrases, lemma, tokens, consumed = random_classifier_case(rng)
         expected_label, expected_match, _ = oracle_classify(
             lemma, tokens, lexicon, patterns, alt_phrases, set(consumed)
         )
-        score = classify_slot(_slot(lemma), tokens, lexicon, patterns, alt_phrases, set(consumed))
+        resources = LanguageResources(language, lexicon, patterns, alt_phrases)
+        score = classify_slot(_slot(lemma), tokens, resources, set(consumed))
         assert score.label is expected_label, (case, lemma, tokens, consumed)
         assert score.matched_text == expected_match, (case, lemma, tokens, consumed)
     _passed(4, "classifier agrees with the brute-force oracle on 10,000 randomized cases")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gnt import (
     GenderLabel,
@@ -10,11 +12,13 @@ from gnt import (
     classify_instance,
     classify_slot,
     expand_template,
+    load_language_resources,
     load_lexicon,
     normalize,
 )
+from gnt.data import lexicon_dir
 from gnt.errors import InvalidEntry, LexiconConflict
-from gnt.lexicon import FormGender, LexiconEntry
+from gnt.lexicon import FormGender, LanguageResources, Lexicon, LexiconEntry, load_alt_phrases
 from gnt.suite import AMBIGUOUS_OMISSION, AdjectiveSlot, Referent, TemplateFamily
 from helpers import random_classifier_case
 from oracle import oracle_classify
@@ -60,43 +64,37 @@ def test_normalize_composes_decomposed_accents():
 
 
 def test_load_lexicon_from_rows():
-    lexicon = load_lexicon(
-        Language.ES, [LexiconEntry("fit", Language.ES, "fuerte", FormGender.COMMON_FORM)]
-    )
+    lexicon = Lexicon(Language.ES, [LexiconEntry("fit", "fuerte", FormGender.COMMON_FORM)])
     assert len(lexicon) == 1
     assert lexicon.lemmas == ("fit",)
     assert lexicon.forms_for_lemma("fit")["fuerte"].form_gender is FormGender.COMMON_FORM
 
 
 def test_neuter_rows_accepted_for_czech():
-    lexicon = load_lexicon(
-        Language.CS, [LexiconEntry("nonsensical", Language.CS, "nesmyslné", FormGender.NEUTER_CASE)]
-    )
+    lexicon = Lexicon(Language.CS, [LexiconEntry("nonsensical", "nesmyslné", FormGender.NEUTER_CASE)])
     assert lexicon.forms_for_lemma("nonsensical")["nesmyslné"].form_gender is FormGender.NEUTER_CASE
 
 
 def test_neuter_rows_rejected_for_spanish():
     with pytest.raises(InvalidEntry, match="neuter"):
-        load_lexicon(
-            Language.ES, [LexiconEntry("fit", Language.ES, "musculoso", FormGender.NEUTER_CASE)]
-        )
+        Lexicon(Language.ES, [LexiconEntry("fit", "musculoso", FormGender.NEUTER_CASE)])
 
 
 def test_conflicting_rows_raise():
     rows = [
-        LexiconEntry("fit", Language.ES, "fuerte", FormGender.COMMON_FORM),
-        LexiconEntry("fit", Language.ES, "fuerte", FormGender.MASCULINE_ONLY),
+        LexiconEntry("fit", "fuerte", FormGender.COMMON_FORM),
+        LexiconEntry("fit", "fuerte", FormGender.MASCULINE_ONLY),
     ]
     with pytest.raises(LexiconConflict, match="fuerte"):
-        load_lexicon(Language.ES, rows)
+        Lexicon(Language.ES, rows)
 
 
 def test_identical_duplicate_rows_are_deduplicated():
     rows = [
-        LexiconEntry("fit", Language.ES, "fuerte", FormGender.COMMON_FORM),
-        LexiconEntry("fit", Language.ES, "fuerte", FormGender.COMMON_FORM),
+        LexiconEntry("fit", "fuerte", FormGender.COMMON_FORM),
+        LexiconEntry("fit", "fuerte", FormGender.COMMON_FORM),
     ]
-    assert len(load_lexicon(Language.ES, rows)) == 1
+    assert len(Lexicon(Language.ES, rows)) == 1
 
 
 def test_csv_round_trip(tmp_path):
@@ -113,85 +111,65 @@ def test_csv_bad_gender_reports_line(tmp_path):
         load_lexicon(Language.ES, path)
 
 
+def test_csv_row_error_names_the_physical_line_after_a_multiline_cell(tmp_path):
+    path = tmp_path / "alt_phrases.csv"
+    path.write_text('lemma,phrase\nfit,"en\nforma"\nfit,\n', encoding="utf-8")
+    with pytest.raises(InvalidEntry, match=r"alt_phrases\.csv:4: phrase must contain at least one token"):
+        load_alt_phrases(path)
+
+
 # --- classify_slot ---------------------------------------------------------------
 
 
 def test_exact_common_form_wins(es_resources):
-    score = classify_slot(
-        _slot("fit"), "Creo que soy fuerte, dijo.",
-        es_resources.lexicon, es_resources.patterns, es_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("fit"), normalize("Creo que soy fuerte, dijo."), es_resources, set())
     assert score.label is GenderLabel.N1_COMMON_FORM
     assert score.matched_text == "fuerte"
     assert score.rule == "lexicon:fuerte:common"
 
 
 def test_source_copy_detected_case_insensitively(is_resources):
-    score = classify_slot(
-        _slot("cautious"), "Ég er Cautious, sagði hún.",
-        is_resources.lexicon, is_resources.patterns, is_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("cautious"), normalize("Ég er Cautious, sagði hún."), is_resources, set())
     assert score.label is GenderLabel.N4_SOURCE_COPY
     assert score.matched_text == "Cautious"
 
 
 def test_slash_annotation_yields_alt_morphology(es_resources):
-    score = classify_slot(
-        _slot("fit"), "Eres musculos(o/a).",
-        es_resources.lexicon, es_resources.patterns, es_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("fit"), normalize("Eres musculos(o/a)."), es_resources, set())
     assert score.label is GenderLabel.N5_ALT_MORPHOLOGY
     assert score.rule == "pattern:slash:o/a"
 
 
 def test_alt_phrase_yields_n3(cs_resources):
-    score = classify_slot(
-        _slot("nonsensical"), "To je nemám smysl.",
-        cs_resources.lexicon, cs_resources.patterns, cs_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("nonsensical"), normalize("To je nemám smysl."), cs_resources, set())
     assert score.label is GenderLabel.N3_ALT_PART_OF_SPEECH
     assert score.matched_text == "nemám smysl"
 
 
 def test_unknown_translation_is_unmatched(es_resources):
-    score = classify_slot(
-        _slot("stubborn"), "Una frase sin pistas.",
-        es_resources.lexicon, es_resources.patterns, es_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("stubborn"), normalize("Una frase sin pistas."), es_resources, set())
     assert score.label is GenderLabel.UNMATCHED
     assert score.matched_text == ""
 
 
 def test_diacritics_are_significant(is_resources):
-    score = classify_slot(
-        _slot("cautious"), "Ég er varkar.",  # missing accent
-        is_resources.lexicon, is_resources.patterns, is_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("cautious"), normalize("Ég er varkar."), is_resources, set())  # missing accent
     assert score.label is GenderLabel.UNMATCHED
 
 
 def test_unvalidated_annotation_stays_unmatched(es_resources):
     # "(o/a)" on a stem that is not a known form of the lemma must not fire
-    score = classify_slot(
-        _slot("fit"), "Eres zanahori(o/a).",
-        es_resources.lexicon, es_resources.patterns, es_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("fit"), normalize("Eres zanahori(o/a)."), es_resources, set())
     assert score.label is GenderLabel.UNMATCHED
 
 
 def test_priority_prefers_exact_form_over_copy(es_resources):
-    score = classify_slot(
-        _slot("fit"), "fit fuerte",
-        es_resources.lexicon, es_resources.patterns, es_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("fit"), normalize("fit fuerte"), es_resources, set())
     assert score.label is GenderLabel.N1_COMMON_FORM
 
 
 def test_textual_order_breaks_ties_within_a_priority(es_resources):
-    score = classify_slot(
-        _slot("fit"), "Eres musculosa o musculoso.",
-        es_resources.lexicon, es_resources.patterns, es_resources.alt_phrases,
-    )
+    score = classify_slot(_slot("fit"), normalize("Eres musculosa o musculoso."), es_resources, set())
     assert score.label is GenderLabel.FEMININE
     assert score.matched_text == "musculosa"
 
@@ -215,10 +193,8 @@ def test_repeated_lemma_consumes_matches_in_textual_order(es_resources):
     slots = [_slot("fit", 0), _slot("fit", 1)]
     consumed: set[int] = set()
     tokens = normalize("Estoy fuerte hoy.")
-    first = classify_slot(slots[0], tokens, es_resources.lexicon,
-                          es_resources.patterns, es_resources.alt_phrases, consumed)
-    second = classify_slot(slots[1], tokens, es_resources.lexicon,
-                           es_resources.patterns, es_resources.alt_phrases, consumed)
+    first = classify_slot(slots[0], tokens, es_resources, consumed)
+    second = classify_slot(slots[1], tokens, es_resources, consumed)
     assert first.label is GenderLabel.N1_COMMON_FORM
     assert second.label is GenderLabel.UNMATCHED
 
@@ -228,8 +204,7 @@ def test_repeated_lemma_with_two_occurrences_matches_both(es_resources):
     consumed: set[int] = set()
     tokens = normalize("Estoy fuerte y muy fuerte.")
     labels = [
-        classify_slot(slot, tokens, es_resources.lexicon,
-                      es_resources.patterns, es_resources.alt_phrases, consumed).label
+        classify_slot(slot, tokens, es_resources, consumed).label
         for slot in slots
     ]
     assert labels == [GenderLabel.N1_COMMON_FORM, GenderLabel.N1_COMMON_FORM]
@@ -240,10 +215,8 @@ def test_phrase_consumes_all_its_positions(es_resources):
     slots = [_slot("fit", 0), _slot("fit", 1)]
     consumed: set[int] = set()
     tokens = normalize("Estoy en forma.")
-    first = classify_slot(slots[0], tokens, es_resources.lexicon,
-                          es_resources.patterns, es_resources.alt_phrases, consumed)
-    second = classify_slot(slots[1], tokens, es_resources.lexicon,
-                           es_resources.patterns, es_resources.alt_phrases, consumed)
+    first = classify_slot(slots[0], tokens, es_resources, consumed)
+    second = classify_slot(slots[1], tokens, es_resources, consumed)
     assert first.label is GenderLabel.N3_ALT_PART_OF_SPEECH
     assert consumed == {1, 2}
     assert second.label is GenderLabel.UNMATCHED
@@ -279,7 +252,57 @@ def test_classifier_agrees_with_brute_force_oracle():
             lemma, tokens, lexicon, patterns, alt_phrases, set(consumed)
         )
         mutable = set(consumed)
-        score = classify_slot(_slot(lemma), tokens, lexicon, patterns, alt_phrases, mutable)
+        resources = LanguageResources(language, lexicon, patterns, alt_phrases)
+        score = classify_slot(_slot(lemma), tokens, resources, mutable)
         assert score.label is expected_label, (language, lemma, tokens, consumed, score)
         assert score.matched_text == expected_match
         assert mutable == consumed | set(expected_positions)
+
+
+_SHIPPED = {language: load_language_resources(lexicon_dir(), language) for language in Language}
+_LETTERS = "abcdefghijklmnopqrstuvwxyzáéíóúýčěřšžůñðþæö"
+_ANNOTATION_TAILS = ["o/a", "(o/a)", "ý/á", "(ý/á)", "(ur)", "(l)", "@", "/", "()"]
+_CASE_CHANGES = [str, str.upper, str.capitalize, str.swapcase]
+
+
+@st.composite
+def _shipped_translations(draw):
+    """A shipped language, one of its lemmas, a translation and the positions earlier slots took."""
+    resources = _SHIPPED[draw(st.sampled_from(list(Language)))]
+    # half the cases take a lemma that has a registered phrase, which few lemmas have
+    phrase_lemmas = sorted({entry.lemma.casefold() for entry in resources.alt_phrases})
+    lemma = draw(st.sampled_from(resources.lexicon.lemmas) | st.sampled_from(phrase_lemmas))
+    forms = [entry.surface_form for entry in resources.lexicon.forms_for_lemma(lemma).values()]
+    copies = [entry.phrase for entry in resources.alt_phrases if entry.lemma.casefold() == lemma] + [lemma]
+    words = []
+    # f: a lexicon form, a: an annotated form, c: a phrase or the lemma, n: noise; forms are drawn
+    # less often than annotations and copies, or the lexicon rule would decide almost every case
+    for kind in draw(st.lists(st.sampled_from("faaaccn"), max_size=8)):
+        if kind == "f":
+            word = draw(st.sampled_from(forms))
+        elif kind == "a":
+            form = draw(st.sampled_from(forms))
+            word = form[: len(form) - draw(st.integers(0, 2))] + draw(st.sampled_from(_ANNOTATION_TAILS))
+        elif kind == "c":
+            word = draw(st.sampled_from(copies))
+        else:
+            word = draw(st.text(alphabet=_LETTERS + "/()@", min_size=1, max_size=8))
+        word = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), draw(st.sampled_from(_CASE_CHANGES))(word))
+        words.append(word + draw(st.sampled_from(["", ",", ".", ")"])))
+    tokens = normalize(" ".join(words))
+    consumed = draw(st.sets(st.integers(0, len(tokens)), max_size=3))
+    return resources, lemma, tokens, consumed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_shipped_translations())
+def test_classifier_agrees_with_the_oracle_on_drawn_translations(case):
+    resources, lemma, tokens, consumed = case
+    expected_label, expected_match, expected_positions = oracle_classify(
+        lemma, tokens, resources.lexicon, resources.patterns, resources.alt_phrases, set(consumed)
+    )
+    mutable = set(consumed)
+    score = classify_slot(_slot(lemma), tokens, resources, mutable)
+    assert score.label is expected_label, (lemma, tokens, consumed, score)
+    assert score.matched_text == expected_match
+    assert mutable == consumed | set(expected_positions)

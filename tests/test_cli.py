@@ -189,13 +189,16 @@ def test_translate_batch_size_defaults_to_the_adapter_default():
     assert args.batch_size == AdapterConfig.batch_size == 256
 
 
-@pytest.mark.parametrize("command", ["score", "run"])
-def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, capsys, command):
+def _score_with_extra_row(tmp_path, suite_path, command: str, file: str, row: bytes) -> tuple[int, int]:
+    """Run `command` on one es translation with `row` appended to a copy of the es `file`.
+
+    Returns the exit code and the line number the appended row has in the file.
+    """
     lexicons = tmp_path / "lexicons"
     shutil.copytree(lexicon_dir() / "es", lexicons / "es")
-    lexicon = lexicons / "es" / "lexicon.csv"
-    rows = lexicon.read_bytes()
-    lexicon.write_bytes(rows + b"fuerte,fuert\xe9,m\n")
+    table = lexicons / "es" / file
+    rows = table.read_bytes()
+    table.write_bytes(rows + row)
     first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
     translations = tmp_path / "translations.jsonl"
     translations.write_text(json.dumps({"system": "s", "lang": "es", "id": first["id"], "text": "fuerte"}) + "\n",
@@ -204,11 +207,46 @@ def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, 
         "score": ["--suite", str(suite_path), "--lang", "es", "--out", str(tmp_path / "scores.jsonl")],
         "run": ["--manifest", str(demo_manifest_path()), "--out-dir", str(tmp_path / "out")],
     }[command]
-    assert main([command, "--translations", str(translations), "--lexicon-dir", str(lexicons)] + argv) == 2
+    code = main([command, "--translations", str(translations), "--lexicon-dir", str(lexicons)] + argv)
+    return code, rows.count(b"\n") + 1
+
+
+@pytest.mark.parametrize("command", ["score", "run"])
+def test_non_utf8_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, capsys, command):
+    code, line = _score_with_extra_row(tmp_path, suite_path, command, "lexicon.csv", b"fuerte,fuert\xe9,m\n")
+    assert code == 2
     err = capsys.readouterr().err
-    line = rows.count(b"\n") + 1
     assert err.startswith("error:") and f"lexicon.csv:{line}: not UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["score", "run"])
+@pytest.mark.parametrize("file, row, message", [
+    ("patterns.csv", b"slash,oa\n", "slash pattern template must name one alternation like 'o/a', got 'oa'"),
+    ("lexicon.csv", b"fit,fuerte,m\n", "form 'fuerte' for lemma 'fit' listed as both 'common' and 'm'"),
+    ("lexicon.csv", b"fit,fuerto,neu\n", "'fit'/'fuerto': Spanish adjectives have no neuter case"),
+], ids=["bad-pattern-template", "conflicting-genders", "spanish-neuter"])
+def test_invalid_lexicon_row_is_an_error_naming_the_line(tmp_path, suite_path, capsys, command, file, row, message):
+    code, line = _score_with_extra_row(tmp_path, suite_path, command, file, row)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'lexicons' / 'es' / file}:{line}: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold, records", [("nan", 0), ("-1", 1)], ids=["nan-no-records", "negative-with-records"])
+def test_run_rejects_a_bad_threshold_before_writing(tmp_path, suite_path, capsys, threshold, records):
+    first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
+    translations = tmp_path / "translations.jsonl"
+    record = json.dumps({"system": "s", "lang": "es", "id": first["id"], "text": "fuerte"}) + "\n"
+    translations.write_text(record * records, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), f"--threshold={threshold}", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: threshold must be a finite non-negative number") and "Traceback" not in err
+    assert not out.exists()
 
 
 # a complete metrics document of a suite with no instances for any section
