@@ -19,6 +19,7 @@ import subprocess
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from enum import Enum
@@ -62,20 +63,21 @@ class AdapterConfig:
         """Build a config from a CLI spec: cmd:"<command>" or http:<url>."""
         if spec.startswith("cmd:"):
             return cls(AdapterKind.EXTERNAL_COMMAND, spec[4:], language, system_id, **kwargs)
-        if spec.startswith(("http://", "https://")):
-            return cls(AdapterKind.HTTP_ENDPOINT, spec, language, system_id, **kwargs)
-        if spec.startswith("http:"):
-            return cls(AdapterKind.HTTP_ENDPOINT, spec[5:], language, system_id, **kwargs)
-        raise GntError(f"adapter spec must start with cmd: or http:, got {spec!r}")
+        if not spec.startswith(("http:", "https://")):
+            raise GntError(f"adapter spec must start with cmd: or http:, got {spec!r}")
+        url = spec if spec.startswith(("http://", "https://")) else spec[5:]
+        try:
+            parts = urllib.parse.urlsplit(url)
+            valid = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+        except ValueError:  # a bad IPv6 address, or a port that is no number in range
+            valid = False
+        if not valid:
+            raise GntError(f"adapter spec {spec!r} must be http:<url> with an http or https URL and a host")
+        return cls(AdapterKind.HTTP_ENDPOINT, url, language, system_id, **kwargs)
 
 
 def _encode_batch(batch: Sequence[TestInstance]) -> str:
-    lines = []
-    for instance in batch:
-        if "\n" in instance.source_text or "\t" in instance.id:
-            raise ProtocolViolation(f"instance {instance.id!r} cannot be framed on the line protocol")
-        lines.append(f"{instance.id}\t{instance.source_text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{instance.id}\t{instance.source_text}\n" for instance in batch)
 
 
 def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
@@ -204,6 +206,9 @@ def translate_suite(
                 done[record.instance_id] = record
 
     pending = [instance for instance in instances if instance.id not in done]
+    for instance in pending:  # checked before the first batch, so no backend starts on a suite it cannot frame
+        if "\n" in instance.source_text or "\t" in instance.id or "\n" in instance.id:
+            raise ProtocolViolation(f"instance {instance.id!r} cannot be framed on the line protocol")
     batches = [pending[i : i + config.batch_size] for i in range(0, len(pending), config.batch_size)]
     todo = iter(enumerate(batches))
     rng = random.Random()

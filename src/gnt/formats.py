@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -31,6 +33,11 @@ from .suite import (
 
 # json.dumps(record, ensure_ascii=False) builds a new encoder on every call
 _dump = json.JSONEncoder(ensure_ascii=False).encode
+# the fixed-key writers build each line as _dump would: strings through the
+# encoder's own escaping, Enum values as their constant JSON text
+_str = encode_basestring
+# json.loads less its per-call checks; _read_lines strips each line first
+_raw_decode = json.JSONDecoder().raw_decode
 
 _MISSING = object()
 _NULL = type(None)
@@ -44,6 +51,8 @@ _MEMBERS = {
     kind: {member.value: member for member in kind}
     for kind in (TemplateFamily, Referent, GenderKind, AmbiguityKind, StereotypeKind, GenderLabel)
 }
+_LANGUAGES = {member.value: member for member in Language}
+_TEXT = {member: _str(member.value) for members in (*_MEMBERS.values(), _LANGUAGES) for member in members.values()}
 
 
 def _take(record: dict, key: str, kinds, path: str, line: int = 0, default=_MISSING):
@@ -88,9 +97,13 @@ def _read_lines(path: str):
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", path, number) from None
+                # the messages of json.loads, which looks for a byte order mark first
+                message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else exc.msg
+                raise ParseError(f"invalid JSON ({message})", path, number) from None
             if not isinstance(record, dict):
                 raise ParseError("record must be a JSON object", path, number)
             yield number, record
@@ -152,58 +165,52 @@ def parse_manifest(path: str | Path) -> SuiteManifest:
 # --- suite -------------------------------------------------------------------
 
 
-def instance_to_dict(instance: TestInstance) -> dict:
-    return {
-        "id": instance.id,
-        "family": instance.family.tag,
-        "source_text": instance.source_text,
-        "slots": [
-            {
-                "slot_index": slot.slot_index,
-                "lemma": slot.lemma,
-                "referent": slot.referent.value,
-                "gender_kind": slot.gender.kind.value,
-                "ambiguity_kind": slot.gender.ambiguity.value,
-                "stereotype_kind": slot.stereotype.kind.value,
-                "stereotype_cue": slot.stereotype.cue,
-            }
-            for slot in instance.slots
-        ],
-        "pair_id": instance.pair_id,
-        "bindings": dict(instance.bindings),
-    }
+def _slot_from_dict(raw: dict, path: str, number: int) -> AdjectiveSlot:
+    try:
+        gender = GenderCondition(
+            _take(raw, "gender_kind", GenderKind, path, number),
+            _take(raw, "ambiguity_kind", AmbiguityKind, path, number),
+        )
+        stereotype = StereotypeCondition(
+            _take(raw, "stereotype_kind", StereotypeKind, path, number),
+            _take(raw, "stereotype_cue", (str,), path, number, ""),
+        )
+    except ValueError as exc:
+        raise ParseError(f"invalid slot record: {exc}", path, number) from None
+    return AdjectiveSlot(
+        slot_index=_take(raw, "slot_index", (int,), path, number),
+        lemma=_take(raw, "lemma", (str,), path, number),
+        referent=_take(raw, "referent", Referent, path, number),
+        gender=gender,
+        stereotype=stereotype,
+    )
 
 
-def instance_from_dict(record: dict, path: str = "", number: int = 0) -> TestInstance:
-    """Build a suite instance; a malformed record raises ParseError (path:line)."""
+def instance_from_dict(record: dict, path: str, number: int, known_slots: dict) -> TestInstance:
+    """Build a suite instance; a malformed record raises ParseError (path:line).
+
+    `known_slots` maps each slot record already checked to its slot, which every
+    instance that repeats the record shares. The index's type is part of the
+    key: 1, 1.0 and true are equal, but only 1 is a valid index.
+    """
     slots = []
     for raw in _take(record, "slots", (list,), path, number):
         if type(raw) is not dict:
             raise ParseError(f"each slot must be an object, got {raw!r}", path, number)
+        slot_key = (*raw.items(), type(raw.get("slot_index")))
         try:
-            gender = GenderCondition(
-                _take(raw, "gender_kind", GenderKind, path, number),
-                _take(raw, "ambiguity_kind", AmbiguityKind, path, number),
-            )
-            stereotype = StereotypeCondition(
-                _take(raw, "stereotype_kind", StereotypeKind, path, number),
-                _take(raw, "stereotype_cue", (str,), path, number, ""),
-            )
-        except ValueError as exc:
-            raise ParseError(f"invalid slot record: {exc}", path, number) from None
-        slots.append(
-            AdjectiveSlot(
-                slot_index=_take(raw, "slot_index", (int,), path, number),
-                lemma=_take(raw, "lemma", (str,), path, number),
-                referent=_take(raw, "referent", Referent, path, number),
-                gender=gender,
-                stereotype=stereotype,
-            )
-        )
-    slots.sort(key=lambda s: s.slot_index)
+            slot = known_slots.get(slot_key)
+        except TypeError:  # an array or object value cannot be hashed
+            slot = slot_key = None
+        if slot is None:
+            slot = _slot_from_dict(raw, path, number)
+            if slot_key is not None:
+                known_slots[slot_key] = slot
+        slots.append(slot)
+    slots.sort(key=attrgetter("slot_index"))
     # scores name their slot by index, so indices must be exactly 0..n-1
-    if any(slot.slot_index != i for i, slot in enumerate(slots)):
-        indices = [slot.slot_index for slot in slots]
+    indices = [slot.slot_index for slot in slots]
+    if indices != list(range(len(slots))):
         raise ParseError(f"slot indices must be 0..{len(slots) - 1}, got {indices!r}", path, number)
     bindings = _take(record, "bindings", (dict,), path, number, {})
     for key, value in bindings.items():
@@ -219,18 +226,32 @@ def instance_from_dict(record: dict, path: str = "", number: int = 0) -> TestIns
     )
 
 
+def _suite_line(instance: TestInstance) -> str:
+    slots = ", ".join(
+        f'{{"slot_index": {slot.slot_index}, "lemma": {_str(slot.lemma)}, "referent": {_TEXT[slot.referent]}, '
+        f'"gender_kind": {_TEXT[slot.gender.kind]}, "ambiguity_kind": {_TEXT[slot.gender.ambiguity]}, '
+        f'"stereotype_kind": {_TEXT[slot.stereotype.kind]}, "stereotype_cue": {_str(slot.stereotype.cue)}}}'
+        for slot in instance.slots
+    )
+    pair_id = "null" if instance.pair_id is None else _str(instance.pair_id)
+    return (
+        f'{{"id": {_str(instance.id)}, "family": {_TEXT[instance.family]}, "source_text": {_str(instance.source_text)}, '
+        f'"slots": [{slots}], "pair_id": {pair_id}, "bindings": {_dump(instance.bindings)}}}\n'
+    )
+
+
 def write_suite(instances: Iterable[TestInstance], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for instance in instances:
-            fh.write(_dump(instance_to_dict(instance)) + "\n")
+        fh.writelines(map(_suite_line, instances))
 
 
 def parse_suite(path: str | Path) -> list[TestInstance]:
     path = str(path)
     instances = []
     seen: set[str] = set()
+    known_slots: dict = {}
     for number, record in _read_lines(path):
-        instance = instance_from_dict(record, path, number)
+        instance = instance_from_dict(record, path, number, known_slots)
         if instance.id in seen:
             raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance.id!r}")
         seen.add(instance.id)
@@ -251,14 +272,10 @@ class TranslationRecord:
 
 def translation_line(record: TranslationRecord) -> str:
     """One translations-file line, newline included."""
-    return _dump(
-        {
-            "system": record.system_id,
-            "lang": record.language.value,
-            "id": record.instance_id,
-            "text": record.target_text,
-        }
-    ) + "\n"
+    return (
+        f'{{"system": {_str(record.system_id)}, "lang": {_TEXT[record.language]}, '
+        f'"id": {_str(record.instance_id)}, "text": {_str(record.target_text)}}}\n'
+    )
 
 
 def write_translations(records: Iterable[TranslationRecord], path: str | Path) -> None:
@@ -281,10 +298,9 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
         lang = _take(record, "lang", (str,), path, number)
         instance_id = _take(record, "id", (str,), path, number)
         text = _take(record, "text", (str,), path, number)
-        try:
-            language = Language(lang.lower())
-        except ValueError:
-            raise ParseError(f"unknown language {lang!r}", path, number) from None
+        language = _LANGUAGES.get(lang.lower())
+        if language is None:
+            raise ParseError(f"unknown language {lang!r}", path, number)
         key = (system, language.value, instance_id)
         if key in seen:
             raise DuplicateRecord(
@@ -308,21 +324,16 @@ def split_orphans(
 # --- scores ----------------------------------------------------------------------
 
 
+def _score_line(score: SlotScore) -> str:
+    return (
+        f'{{"instance_id": {_str(score.instance_id)}, "slot_index": {score.slot_index}, "label": {_TEXT[score.label]}, '
+        f'"matched_text": {_str(score.matched_text)}, "rule": {_str(score.rule)}}}\n'
+    )
+
+
 def write_scores(scores: Iterable[SlotScore], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for score in scores:
-            fh.write(
-                _dump(
-                    {
-                        "instance_id": score.instance_id,
-                        "slot_index": score.slot_index,
-                        "label": score.label.value,
-                        "matched_text": score.matched_text,
-                        "rule": score.rule,
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(map(_score_line, scores))
 
 
 def parse_scores(path: str | Path) -> list[SlotScore]:

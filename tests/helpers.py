@@ -13,6 +13,30 @@ from gnt.lexicon import (
     MorphPattern,
     PatternKind,
 )
+from gnt.suite import TestInstance
+
+def instance_to_dict(instance: TestInstance) -> dict:
+    """A suite instance as the record a suite line holds; the reference the suite writer is checked against."""
+    return {
+        "id": instance.id,
+        "family": instance.family.tag,
+        "source_text": instance.source_text,
+        "slots": [
+            {
+                "slot_index": slot.slot_index,
+                "lemma": slot.lemma,
+                "referent": slot.referent.value,
+                "gender_kind": slot.gender.kind.value,
+                "ambiguity_kind": slot.gender.ambiguity.value,
+                "stereotype_kind": slot.stereotype.kind.value,
+                "stereotype_cue": slot.stereotype.cue,
+            }
+            for slot in instance.slots
+        ],
+        "pair_id": instance.pair_id,
+        "bindings": dict(instance.bindings),
+    }
+
 
 def reference_breakdown(m: float, f: float, n: float, strategies=None) -> StrategyBreakdown:
     """A breakdown holding a reference table row's rounded (M, F, N) floats as they are.

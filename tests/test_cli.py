@@ -189,6 +189,32 @@ def test_translate_batch_size_defaults_to_the_adapter_default():
     assert args.batch_size == AdapterConfig.batch_size == 256
 
 
+@pytest.mark.parametrize("spec", ["http:", "http://[::1", "http:localhost:9/x"],
+                         ids=["empty-url", "bad-ipv6-host", "url-without-scheme"])
+def test_translate_rejects_a_bad_http_spec(tmp_path, suite_path, capsys, spec):
+    out = tmp_path / "tr.jsonl"
+    assert main(["translate", "--suite", str(suite_path), "--adapter", spec, "--lang", "es",
+                 "--system", "s", "--out", str(out), "--max-retries", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(spec) in err and "Traceback" not in err
+    assert not (tmp_path / "tr.jsonl.partial").exists()
+
+
+def test_translate_rejects_a_newline_in_an_id_before_any_batch(tmp_path, suite_path, capsys):
+    lines = suite_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[3])
+    record["id"] = "T1-bad\nid"
+    lines[3] = json.dumps(record, ensure_ascii=False) + "\n"
+    suite_path.write_text("".join(lines), encoding="utf-8")
+    spawns = tmp_path / "spawns"
+    adapter = f"cmd:sh -c 'echo x >> {spawns}; cat'"
+    assert main(["translate", "--suite", str(suite_path), "--adapter", adapter, "--lang", "es",
+                 "--system", "s", "--out", str(tmp_path / "tr.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr("T1-bad\nid") in err and "Traceback" not in err
+    assert not spawns.exists()
+
+
 def _score_with_extra_row(tmp_path, suite_path, command: str, file: str, row: bytes) -> tuple[int, int]:
     """Run `command` on one es translation with `row` appended to a copy of the es `file`.
 

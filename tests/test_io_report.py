@@ -27,11 +27,23 @@ from gnt import (
     write_translations,
 )
 from gnt.errors import DuplicateRecord, GntError, InvalidEntry, ParseError
-from gnt.formats import instance_to_dict, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
+from gnt.formats import metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
 from gnt.data import demo_manifest_path, lexicon_dir
 from gnt.pipeline import build_metrics_doc, score_suite
-from gnt.suite import AMBIGUOUS_ACTIVE, TemplateFamily
+from gnt.suite import (
+    AMBIGUOUS_ACTIVE,
+    AdjectiveSlot,
+    AmbiguityKind,
+    GenderCondition,
+    GenderKind,
+    Referent,
+    StereotypeCondition,
+    StereotypeKind,
+    TemplateFamily,
+)
+from gnt.suite import TestInstance as SuiteInstance  # a name pytest does not collect
 from conftest import GOLDEN
+from helpers import instance_to_dict
 
 
 # --- translations ------------------------------------------------------------
@@ -169,6 +181,121 @@ def test_instance_to_dict_copies_bindings(demo_manifest):
     before = dict(instance.bindings)
     instance_to_dict(instance)["bindings"]["A"] = "edited"
     assert instance.bindings == before
+
+
+@pytest.mark.parametrize("index", [True, 1.0], ids=["bool-index", "float-index"])
+def test_a_repeated_slot_record_with_an_equal_but_invalid_index_is_rejected(tmp_path, demo_manifest, index):
+    # line 2 repeats line 1's slot 1 but for its index, which equals 1 without being an integer
+    good = instance_to_dict(next(inst for inst in generate_suite(demo_manifest) if len(inst.slots) == 4))
+    bad = copy.deepcopy(good)
+    bad["id"] += "-repeated"
+    bad["slots"][1]["slot_index"] = index
+    path = _write_lines(tmp_path / "suite.jsonl", [good, bad])
+    with pytest.raises(ParseError) as caught:
+        parse_suite(path)
+    assert str(caught.value) == f"{path}:2: slot_index must be an integer, got {index!r}"
+
+
+@pytest.mark.parametrize("extra", [[1, "x"], {"note": [1]}], ids=["array", "object"])
+def test_a_slot_with_an_unhashable_unknown_field_parses_as_without_it(tmp_path, demo_manifest, extra):
+    records = [instance_to_dict(instance) for instance in generate_suite(demo_manifest)[:6]]
+    records.append({**copy.deepcopy(records[0]), "id": "T9-repeated"})
+    plain = parse_suite(_write_lines(tmp_path / "plain.jsonl", records))
+    for record in records:
+        for slot in record["slots"]:
+            slot["extra"] = extra
+    assert parse_suite(_write_lines(tmp_path / "extra.jsonl", records)) == plain
+
+
+@pytest.fixture(scope="module")
+def full_scale_suite_file(tmp_path_factory, full_scale_manifest):
+    path = tmp_path_factory.mktemp("full_scale") / "suite.jsonl"
+    write_suite(generate_suite(full_scale_manifest), path)
+    return path
+
+
+def test_full_scale_suite_file_round_trip_is_byte_identical(tmp_path, full_scale_suite_file):
+    again = tmp_path / "suite.jsonl"
+    write_suite(parse_suite(full_scale_suite_file), again)
+    assert again.read_bytes() == full_scale_suite_file.read_bytes()
+
+
+def test_a_parsed_suite_shares_slots_but_not_bindings(full_scale_suite_file):
+    suite = parse_suite(full_scale_suite_file)
+    lines = full_scale_suite_file.read_text(encoding="utf-8").splitlines()
+    records = {json.dumps(slot) for line in lines for slot in json.loads(line)["slots"]}
+    assert len(records) == 232
+    assert len({id(slot) for instance in suite for slot in instance.slots}) <= len(records)
+    first, *others = [instance for instance in suite if instance.bindings]
+    before = [dict(instance.bindings) for instance in others]
+    first.bindings[next(iter(first.bindings))] = "edited"
+    assert [instance.bindings for instance in others] == before
+
+
+@pytest.mark.parametrize("line", ['{"id": "x"} trailing', '\ufeff{"id": "x"}', "not json", '{"id": ', '{"id": "x"}}'],
+                         ids=["extra-data", "byte-order-mark", "not-json", "cut", "extra-brace"])
+def test_an_invalid_json_line_carries_the_decoder_message(tmp_path, line):
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(line)
+    path = tmp_path / "tr.jsonl"
+    path.write_text(json.dumps(_TRANSLATION) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        parse_translations(path)
+    assert str(caught.value) == f"{path}:2: invalid JSON ({decoded.value.msg})"
+
+
+# quotes, escapes, control and line-break characters, and a non-BMP character, among any others
+_TEXTS = st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\U0001f600", "\n", "\t", "é"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+).map("".join)
+_CONDITIONS = [
+    GenderCondition(GenderKind.DETERMINED_MASCULINE), GenderCondition(GenderKind.DETERMINED_FEMININE),
+    GenderCondition(GenderKind.AMBIGUOUS, AmbiguityKind.OMISSION), AMBIGUOUS_ACTIVE,
+]
+
+
+def _draw_instance(data) -> SuiteInstance:
+    slots = []
+    for index in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(StereotypeKind))
+        cue = "" if kind is StereotypeKind.NONE else data.draw(_TEXTS)
+        slots.append(AdjectiveSlot(index, data.draw(_TEXTS), data.draw(st.sampled_from(Referent)),
+                                   data.draw(st.sampled_from(_CONDITIONS)), StereotypeCondition(kind, cue)))
+    return SuiteInstance(
+        id=data.draw(_TEXTS),
+        family=data.draw(st.sampled_from(TemplateFamily)),
+        source_text=data.draw(_TEXTS),
+        slots=tuple(slots),
+        pair_id=data.draw(st.none() | _TEXTS),
+        bindings=data.draw(st.dictionaries(_TEXTS, st.none() | st.booleans() | st.integers() | _TEXTS, max_size=3)),
+    )
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_each_record_writer_writes_what_the_json_encoder_writes(tmp_path_factory, data):
+    instance = _draw_instance(data)
+    translation = TranslationRecord(data.draw(_TEXTS), data.draw(st.sampled_from(Language)),
+                                    data.draw(_TEXTS), data.draw(_TEXTS))
+    score = SlotScore(data.draw(_TEXTS), data.draw(st.integers(0, 10**6)), data.draw(st.sampled_from(GenderLabel)),
+                      data.draw(_TEXTS), data.draw(_TEXTS))
+    expected = {
+        "suite": instance_to_dict(instance),
+        "translations": {"system": translation.system_id, "lang": translation.language.value,
+                         "id": translation.instance_id, "text": translation.target_text},
+        "scores": {"instance_id": score.instance_id, "slot_index": score.slot_index, "label": score.label.value,
+                   "matched_text": score.matched_text, "rule": score.rule},
+    }
+    base = tmp_path_factory.getbasetemp()
+    write_suite([instance], base / "suite.jsonl")
+    write_translations([translation], base / "translations.jsonl")
+    write_scores([score], base / "scores.jsonl")
+    for name, record in expected.items():
+        written = (base / f"{name}.jsonl").read_bytes()
+        assert written == (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"), name
+    assert parse_suite(base / "suite.jsonl") == [instance]
 
 
 _MANIFEST = json.loads(demo_manifest_path().read_text(encoding="utf-8"))

@@ -19,7 +19,7 @@ from gnt import (
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 from gnt.formats import write_suite
 from gnt.suite import AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind
-from helpers import random_manifest
+from helpers import instance_to_dict, random_manifest
 
 T1 = TemplateFamily.T1_ONE_PERSON_KNOWN
 T2 = TemplateFamily.T2_TWO_PERSON_KNOWN
@@ -222,7 +222,6 @@ def test_all_quotas_zero_yields_empty_suite():
 
 
 def test_generation_is_deterministic(demo_manifest):
-    from gnt.formats import instance_to_dict
     import json
 
     first = [json.dumps(instance_to_dict(i), ensure_ascii=False) for i in generate_suite(demo_manifest)]
