@@ -62,6 +62,8 @@ class AdapterConfig:
     def parse_target(cls, spec: str, language: Language, system_id: str, **kwargs) -> "AdapterConfig":
         """Build a config from a CLI spec: cmd:"<command>" or http:<url>."""
         if spec.startswith("cmd:"):
+            if not spec[4:].strip():
+                raise GntError(f"adapter spec {spec!r} must be cmd:<command> with a non-empty command")
             return cls(AdapterKind.EXTERNAL_COMMAND, spec[4:], language, system_id, **kwargs)
         if not spec.startswith(("http:", "https://")):
             raise GntError(f"adapter spec must start with cmd: or http:, got {spec!r}")

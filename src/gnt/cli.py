@@ -72,7 +72,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    suite = parse_suite(args.suite)
     config = AdapterConfig.parse_target(
         args.adapter,
         Language.parse(args.lang),
@@ -82,6 +81,7 @@ def _cmd_translate(args) -> int:
         max_retries=args.max_retries,
         max_concurrent_batches=args.max_concurrent_batches,
     )
+    suite = parse_suite(args.suite)  # after the settings, so a bad flag fails before a full read
     resume = Path(str(args.out) + ".partial")
     records = translate_suite(suite, config, resume_path=resume)
     write_translations(records, args.out)

@@ -7,7 +7,11 @@ parse -> write round trip reproduces a valid file byte for byte.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from copy import copy
 from dataclasses import dataclass
+from enum import EnumMeta
+from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
@@ -16,6 +20,7 @@ from typing import Iterable, Mapping
 from .classify import GenderLabel, SlotScore
 from .errors import DuplicateRecord, ParseError
 from .lexicon import Language
+from .metrics import ResponseReport, StrategyBreakdown
 from .suite import (
     AdjectiveSlot,
     AmbiguityKind,
@@ -55,28 +60,49 @@ _LANGUAGES = {member.value: member for member in Language}
 _TEXT = {member: _str(member.value) for members in (*_MEMBERS.values(), _LANGUAGES) for member in members.values()}
 
 
-def _take(record: dict, key: str, kinds, path: str, line: int = 0, default=_MISSING):
-    """Field `key` of a JSON record; a wrong type, or a missing field without `default`, is a ParseError.
+# an object field that may be absent: checked against `shape`, or else read as a copy of `value`
+_Default = namedtuple("_Default", "shape value")
 
-    `kinds` is a tuple of JSON types, matched exactly so that a boolean is no
-    integer, or a string-valued Enum class, which reads the member whose value
-    the field's string is.
+
+def _check(value, shape, name: str, path: str, line: int = 0):
+    """Check `value`, named `name` ("" for a whole record), against `shape` and return it read.
+
+    A shape is a tuple of JSON types, matched exactly so that a boolean is no integer; a string-valued Enum class,
+    read as the member whose value the string is; a function `(value, name, path, line)` that checks the value and
+    returns it read; or an object's fields mapped to their shapes, read as the list of the field values. Fields are
+    checked in table order, each is required unless its shape is a `_Default`, and keys not listed are ignored.
+    A mismatch is a ParseError naming the file, and the line when `line` is not 0.
     """
-    value = record.get(key, _MISSING)
-    if value is _MISSING:
-        if default is _MISSING:
-            raise ParseError(f"missing field {key!r}", path, line)
-        return default
-    if type(kinds) is tuple:
-        if type(value) in kinds:
+    if type(shape) is dict:
+        if type(value) is not dict:
+            raise ParseError(f"{name} must be an object, got {value!r}", path, line)
+        fields = []
+        for key, inner in shape.items():
+            item = value.get(key, _MISSING)
+            # the common case: a leaf checked with no call, and no field name built
+            if type(inner) is tuple and type(item) in inner:
+                fields.append(item)
+                continue
+            if type(inner) is _Default:
+                if item is _MISSING:
+                    fields.append(copy(inner.value))
+                    continue
+                inner = inner.shape
+            field = f"{name}.{key}" if name else key
+            if item is _MISSING:
+                raise ParseError(f"missing field {field!r}", path, line)
+            fields.append(_check(item, inner, field, path, line))
+        return fields
+    if type(shape) is tuple:
+        if type(value) in shape:
             return value
-        expected = _kind_names(kinds)
-    else:
-        members = _MEMBERS[kinds]
-        if type(value) is str and value in members:
-            return members[value]
-        expected = "one of " + ", ".join(map(repr, members))
-    raise ParseError(f"{key} must be {expected}, got {value!r}", path, line)
+        raise ParseError(f"{name} must be {_kind_names(shape)}, got {value!r}", path, line)
+    if type(shape) is not EnumMeta:
+        return shape(value, name, path, line)
+    members = _MEMBERS[shape]
+    if type(value) is str and value in members:
+        return members[value]
+    raise ParseError(f"{name} must be one of {', '.join(map(repr, members))}, got {value!r}", path, line)
 
 
 def _kind_names(kinds: tuple) -> str:
@@ -129,35 +155,43 @@ def _read_document(path: str) -> dict:
 # --- manifest ----------------------------------------------------------------
 
 
-def _string_array(value, name: str, path: str) -> None:
+def _string_array(value, name: str, path: str, line: int) -> list[str]:
     if type(value) is not list or any(type(item) is not str for item in value):
-        raise ParseError(f"{name} must be an array of strings, got {value!r}", path)
+        raise ParseError(f"{name} must be an array of strings, got {value!r}", path, line)
+    return value
 
 
-def _strings(data: dict, key: str, path: str) -> list[str]:
-    values = _take(data, key, (list,), path, default=[])
-    _string_array(values, key, path)
-    return values
+def _word_list(value, name: str, path: str, line: int) -> list[str]:
+    return _string_array(_check(value, (list,), name, path, line), name, path, line)
+
+
+_DESCRIPTOR_PAIR = {"masculine": (str,), "feminine": (str,)}
+
+
+def _descriptor_pairs(value, name: str, path: str, line: int) -> list[DescriptorPair]:
+    pairs = []
+    for raw in _check(value, (list,), name, path, line):
+        if type(raw) is not dict:
+            raise ParseError(f"each descriptor pair must be an object, got {raw!r}", path, line)
+        pairs.append(DescriptorPair(*_check(raw, _DESCRIPTOR_PAIR, "", path, line)))
+    return pairs
+
+
+_MANIFEST = {
+    "descriptor_pairs": _Default(_descriptor_pairs, []),
+    **dict.fromkeys(("adjectives", "adverbs_masculine", "adverbs_feminine"), _Default(_word_list, [])),
+    "quotas": _Default((dict,), {}),
+    "seed": _Default((int,), 0),
+}
 
 
 def parse_manifest(path: str | Path) -> SuiteManifest:
     """Read a suite manifest; a malformed one raises ParseError naming the file."""
     path = str(path)
-    data = _read_document(path)
-    pairs = []
-    for raw in _take(data, "descriptor_pairs", (list,), path, default=[]):
-        if type(raw) is not dict:
-            raise ParseError(f"each descriptor pair must be an object, got {raw!r}", path)
-        pairs.append(DescriptorPair(_take(raw, "masculine", (str,), path), _take(raw, "feminine", (str,), path)))
+    # the pairs are checked first, then the manifest's fields in their order
+    pairs, adjectives, *others = _check(_read_document(path), _MANIFEST, "", path)
     try:
-        return SuiteManifest(
-            adjectives=_strings(data, "adjectives", path),
-            descriptor_pairs=pairs,
-            adverbs_masculine=_strings(data, "adverbs_masculine", path),
-            adverbs_feminine=_strings(data, "adverbs_feminine", path),
-            quotas=_take(data, "quotas", (dict,), path, default={}),
-            seed=_take(data, "seed", (int,), path, default=0),
-        )
+        return SuiteManifest(adjectives, pairs, *others)
     except ValueError as exc:
         raise ParseError(str(exc), path) from None
 
@@ -165,45 +199,40 @@ def parse_manifest(path: str | Path) -> SuiteManifest:
 # --- suite -------------------------------------------------------------------
 
 
-def _slot_from_dict(raw: dict, path: str, number: int) -> AdjectiveSlot:
-    try:
-        gender = GenderCondition(
-            _take(raw, "gender_kind", GenderKind, path, number),
-            _take(raw, "ambiguity_kind", AmbiguityKind, path, number),
-        )
-        stereotype = StereotypeCondition(
-            _take(raw, "stereotype_kind", StereotypeKind, path, number),
-            _take(raw, "stereotype_cue", (str,), path, number, ""),
-        )
-    except ValueError as exc:
-        raise ParseError(f"invalid slot record: {exc}", path, number) from None
-    return AdjectiveSlot(
-        slot_index=_take(raw, "slot_index", (int,), path, number),
-        lemma=_take(raw, "lemma", (str,), path, number),
-        referent=_take(raw, "referent", Referent, path, number),
-        gender=gender,
-        stereotype=stereotype,
-    )
+_SLOT = {
+    "gender_kind": GenderKind, "ambiguity_kind": AmbiguityKind, "stereotype_kind": StereotypeKind,
+    "stereotype_cue": _Default((str,), ""), "slot_index": (int,), "lemma": (str,), "referent": Referent,
+}
 
 
-def instance_from_dict(record: dict, path: str, number: int, known_slots: dict) -> TestInstance:
-    """Build a suite instance; a malformed record raises ParseError (path:line).
+def _slots(known_slots: dict | None, value, name: str, path: str, line: int) -> tuple[AdjectiveSlot, ...]:
+    """An instance's slots, sorted by index.
 
     `known_slots` maps each slot record already checked to its slot, which every
-    instance that repeats the record shares. The index's type is part of the
-    key: 1, 1.0 and true are equal, but only 1 is a valid index.
+    instance that repeats the record shares (None: share within this instance).
+    The index's type is part of the key: 1, 1.0 and true are equal, but only 1
+    is a valid index.
     """
+    known_slots = {} if known_slots is None else known_slots
     slots = []
-    for raw in _take(record, "slots", (list,), path, number):
+    for raw in _check(value, (list,), name, path, line):
         if type(raw) is not dict:
-            raise ParseError(f"each slot must be an object, got {raw!r}", path, number)
+            raise ParseError(f"each slot must be an object, got {raw!r}", path, line)
         slot_key = (*raw.items(), type(raw.get("slot_index")))
         try:
             slot = known_slots.get(slot_key)
         except TypeError:  # an array or object value cannot be hashed
             slot = slot_key = None
         if slot is None:
-            slot = _slot_from_dict(raw, path, number)
+            gender_kind, ambiguity_kind, stereotype_kind, cue, index, lemma, referent = _check(
+                raw, _SLOT, "", path, line
+            )
+            try:
+                gender = GenderCondition(gender_kind, ambiguity_kind)
+                stereotype = StereotypeCondition(stereotype_kind, cue)
+            except ValueError as exc:
+                raise ParseError(f"invalid slot record: {exc}", path, line) from None
+            slot = AdjectiveSlot(index, lemma, referent, gender, stereotype)
             if slot_key is not None:
                 known_slots[slot_key] = slot
         slots.append(slot)
@@ -211,19 +240,21 @@ def instance_from_dict(record: dict, path: str, number: int, known_slots: dict) 
     # scores name their slot by index, so indices must be exactly 0..n-1
     indices = [slot.slot_index for slot in slots]
     if indices != list(range(len(slots))):
-        raise ParseError(f"slot indices must be 0..{len(slots) - 1}, got {indices!r}", path, number)
-    bindings = _take(record, "bindings", (dict,), path, number, {})
-    for key, value in bindings.items():
-        if type(value) not in _BINDING_KINDS:
-            raise ParseError(f"binding {key!r} must be a string, integer, boolean or null, got {value!r}", path, number)
-    return TestInstance(
-        id=_take(record, "id", (str,), path, number),
-        family=_take(record, "family", TemplateFamily, path, number),
-        source_text=_take(record, "source_text", (str,), path, number),
-        slots=tuple(slots),
-        pair_id=_take(record, "pair_id", (str, _NULL), path, number, None),
-        bindings=bindings,
-    )
+        raise ParseError(f"slot indices must be 0..{len(slots) - 1}, got {indices!r}", path, line)
+    return tuple(slots)
+
+
+def _bindings(value, name: str, path: str, line: int) -> dict:
+    for key, item in _check(value, (dict,), name, path, line).items():
+        if type(item) not in _BINDING_KINDS:
+            raise ParseError(f"binding {key!r} must be a string, integer, boolean or null, got {item!r}", path, line)
+    return value
+
+
+_INSTANCE = {
+    "slots": partial(_slots, None), "bindings": _Default(_bindings, {}), "id": (str,), "family": TemplateFamily,
+    "source_text": (str,), "pair_id": _Default((str, _NULL), None),
+}
 
 
 def _suite_line(instance: TestInstance) -> str:
@@ -249,13 +280,14 @@ def parse_suite(path: str | Path) -> list[TestInstance]:
     path = str(path)
     instances = []
     seen: set[str] = set()
-    known_slots: dict = {}
+    # one slot cache for the whole file
+    table = {**_INSTANCE, "slots": partial(_slots, {})}
     for number, record in _read_lines(path):
-        instance = instance_from_dict(record, path, number, known_slots)
-        if instance.id in seen:
-            raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance.id!r}")
-        seen.add(instance.id)
-        instances.append(instance)
+        slots, bindings, instance_id, family, source_text, pair_id = _check(record, table, "", path, number)
+        if instance_id in seen:
+            raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance_id!r}")
+        seen.add(instance_id)
+        instances.append(TestInstance(instance_id, family, source_text, slots, pair_id, bindings))
     return instances
 
 
@@ -283,6 +315,16 @@ def write_translations(records: Iterable[TranslationRecord], path: str | Path) -
         fh.writelines(translation_line(record) for record in records)
 
 
+_TRANSLATION = {"system": (str,), "lang": (str,), "id": (str,), "text": (str,)}
+
+
+def _first_seen(seen: dict, key: tuple, path: str, number: int) -> None:
+    """Note that `key` is read on line `number`; a key read on an earlier line is a DuplicateRecord."""
+    first = seen.setdefault(key, number)
+    if first != number:
+        raise DuplicateRecord(f"{path}:{number}: duplicate record for {key} (first seen on line {first})")
+
+
 def parse_translations(path: str | Path) -> list[TranslationRecord]:
     """Parse and validate a translations file.
 
@@ -294,19 +336,11 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
     records = []
     seen: dict[tuple[str, str, str], int] = {}
     for number, record in _read_lines(path):
-        system = _take(record, "system", (str,), path, number)
-        lang = _take(record, "lang", (str,), path, number)
-        instance_id = _take(record, "id", (str,), path, number)
-        text = _take(record, "text", (str,), path, number)
+        system, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
         language = _LANGUAGES.get(lang.lower())
         if language is None:
             raise ParseError(f"unknown language {lang!r}", path, number)
-        key = (system, language.value, instance_id)
-        if key in seen:
-            raise DuplicateRecord(
-                f"{path}:{number}: duplicate record for {key} (first seen on line {seen[key]})"
-            )
-        seen[key] = number
+        _first_seen(seen, (system, language.value, instance_id), path, number)
         records.append(TranslationRecord(system, language, instance_id, text))
     return records
 
@@ -336,23 +370,28 @@ def write_scores(scores: Iterable[SlotScore], path: str | Path) -> None:
         fh.writelines(map(_score_line, scores))
 
 
+def _slot_index(value, name: str, path: str, line: int) -> int:
+    # a negative index would count against another slot
+    if _check(value, (int,), name, path, line) < 0:
+        raise ParseError(f"{name} must be a non-negative integer, got {value}", path, line)
+    return value
+
+
+_SCORE = {
+    "slot_index": _slot_index, "instance_id": (str,), "label": GenderLabel,
+    "matched_text": _Default((str,), ""), "rule": _Default((str,), ""),
+}
+
+
 def parse_scores(path: str | Path) -> list[SlotScore]:
+    """Parse and validate a scores file; one (instance_id, slot_index) read twice is a DuplicateRecord."""
     path = str(path)
     scores = []
+    seen: dict[tuple[str, int], int] = {}
     for number, record in _read_lines(path):
-        slot_index = _take(record, "slot_index", (int,), path, number)
-        # a negative index would count against another slot
-        if slot_index < 0:
-            raise ParseError(f"slot_index must be a non-negative integer, got {slot_index}", path, number)
-        scores.append(
-            SlotScore(
-                instance_id=_take(record, "instance_id", (str,), path, number),
-                slot_index=slot_index,
-                label=_take(record, "label", GenderLabel, path, number),
-                matched_text=_take(record, "matched_text", (str,), path, number, ""),
-                rule=_take(record, "rule", (str,), path, number, ""),
-            )
-        )
+        slot_index, instance_id, label, matched_text, rule = _check(record, _SCORE, "", path, number)
+        _first_seen(seen, (instance_id, slot_index), path, number)
+        scores.append(SlotScore(instance_id, slot_index, label, matched_text, rule))
     return scores
 
 
@@ -369,9 +408,7 @@ def metrics_doc_to_text(doc: Mapping) -> str:
 
 
 # The shapes below are the whole metrics document as `report.py` reads it;
-# every field is required, and keys not listed are ignored. A shape is a tuple
-# of JSON types, an object's fields mapped to their shapes, or a function that
-# checks the value itself.
+# every field is required, and keys not listed are ignored.
 _NUMBER = (float, int)
 _BREAKDOWN = {
     **dict.fromkeys(("m", "f", "n", "n1", "n2", "n3", "n4", "n5", "u"), _NUMBER),
@@ -379,50 +416,37 @@ _BREAKDOWN = {
 }
 
 
-def _check(value, shape, name: str, path: str) -> None:
-    """Check a metrics-document value against `shape`; a mismatch is a ParseError naming the file."""
-    if type(shape) is tuple:
-        if type(value) not in shape:
-            raise ParseError(f"{name} must be {_kind_names(shape)}, got {value!r}", path)
-    elif type(shape) is dict:
-        _check(value, (dict,), name, path)
-        for key, inner in shape.items():
-            field = f"{name}.{key}" if name else key
-            if key not in value:
-                raise ParseError(f"missing field {field!r}", path)
-            _check(value[key], inner, field, path)
-    else:
-        shape(value, name, path)
-
-
-def _strategy_shift(value, name: str, path: str) -> None:
+def _strategy_shift(value, name: str, path: str, line: int) -> list:
     if type(value) is not list or len(value) != 5 or any(type(v) not in _NUMBER for v in value):
-        raise ParseError(f"{name} must be an array of 5 numbers, got {value!r}", path)
+        raise ParseError(f"{name} must be an array of 5 numbers, got {value!r}", path, line)
+    return value
 
 
 def _each(entry):
     """Shape of an object whose every value has shape `entry`."""
-    def check(value, name: str, path: str) -> None:
-        _check(value, (dict,), name, path)
-        for key, item in value.items():
-            _check(item, entry, f"{name}.{key}", path)
+    def check(value, name: str, path: str, line: int) -> dict:
+        for key, item in _check(value, (dict,), name, path, line).items():
+            _check(item, entry, f"{name}.{key}", path, line)
+        return value
     return check
 
 
 def _by_family(entry):
     """Shape of a section with an `entry` for each of its `families`, and their `macro`."""
-    def check(section, name: str, path: str) -> None:
-        _check(section, {"families": _string_array, "per_family": (dict,), "macro": entry}, name, path)
-        _check(section["per_family"], dict.fromkeys(section["families"], entry), f"{name}.per_family", path)
+    def check(section, name: str, path: str, line: int) -> dict:
+        shape = {"families": _string_array, "per_family": (dict,), "macro": entry}
+        families, per_family, _ = _check(section, shape, name, path, line)
+        _check(per_family, dict.fromkeys(families, entry), f"{name}.per_family", path, line)
+        return section
     return check
 
 
 def _section(shape):
     """Shape of a section: null when no classified slot counts toward it, else `shape`."""
-    def check(value, name: str, path: str) -> None:
-        _check(value, (dict, _NULL), name, path)
-        if value is not None:
-            _check(value, shape, name, path)
+    def check(value, name: str, path: str, line: int):
+        if _check(value, (dict, _NULL), name, path, line) is not None:
+            _check(value, shape, name, path, line)
+        return value
     return check
 
 
@@ -459,3 +483,27 @@ def parse_metrics_doc(path: str | Path) -> dict:
     doc = _read_document(path)
     _check(doc, _METRICS_DOC, "", path)
     return doc
+
+
+_ENTRY_SHAPES = {StrategyBreakdown: _BREAKDOWN, ResponseReport: _RESPONSE}
+
+
+def metrics_entry(value: StrategyBreakdown | ResponseReport) -> dict:
+    """The metrics-document object of `value`: each field of its shape read from the attribute of that name."""
+    entry = {}
+    for key, shape in _ENTRY_SHAPES[type(value)].items():
+        item = getattr(value, key)
+        if type(shape) is dict:
+            item = metrics_entry(item)
+        elif shape is _NUMBER:  # an exact fraction
+            item = float(item)
+        elif shape is _strategy_shift:
+            item = [float(v) for v in item]
+        entry[key] = item
+    return entry
+
+
+def by_family_entry(per_family: Mapping[str, StrategyBreakdown | ResponseReport], macro) -> dict:
+    """A section of one entry per family, and the entry of their `macro` average."""
+    entries = {family: metrics_entry(value) for family, value in per_family.items()}
+    return {"families": sorted(entries), "per_family": entries, "macro": metrics_entry(macro)}

@@ -16,6 +16,8 @@ from .classify import GenderLabel, SlotScore, classify_instance
 from .errors import EmptySelection, InvalidThreshold
 from .formats import (
     TranslationRecord,
+    by_family_entry,
+    metrics_entry,
     parse_translations,
     split_orphans,
     write_metrics_doc,
@@ -36,35 +38,6 @@ from .metrics import (
 )
 from .report import render_report
 from .suite import SuiteManifest, TestInstance, generate_suite
-
-
-def breakdown_to_json(breakdown: StrategyBreakdown) -> dict:
-    return {
-        "m": float(breakdown.m),
-        "f": float(breakdown.f),
-        "n": float(breakdown.n),
-        "n1": float(breakdown.n1),
-        "n2": float(breakdown.n2),
-        "n3": float(breakdown.n3),
-        "n4": float(breakdown.n4),
-        "n5": float(breakdown.n5),
-        "u": float(breakdown.u),
-        "count": breakdown.count,
-        "u_count": breakdown.u_count,
-    }
-
-
-def response_to_json(report: ResponseReport) -> dict:
-    return {
-        "det": breakdown_to_json(report.det),
-        "amb": breakdown_to_json(report.amb),
-        "delta_m": float(report.delta_m),
-        "delta_f": float(report.delta_f),
-        "delta_n": float(report.delta_n),
-        "delta_ni": [float(v) for v in report.delta_ni],
-        "significant_m": report.significant_m,
-        "significant_n": report.significant_n,
-    }
 
 
 def score_suite(
@@ -91,23 +64,13 @@ def _cell(cells: dict[str, Counter], key: str) -> StrategyBreakdown:
 
 
 def _response_section(cells, families, threshold):
-    per_family: dict[str, dict] = {}
     reports: dict[str, ResponseReport] = {}
     for family in families:
         try:
-            report = paired_response(_cell(cells, f"{family}-Det"), _cell(cells, f"{family}-Amb"), threshold)
+            reports[family] = paired_response(_cell(cells, f"{family}-Det"), _cell(cells, f"{family}-Amb"), threshold)
         except EmptySelection:
             continue
-        reports[family] = report
-        per_family[family] = response_to_json(report)
-    if not reports:
-        return None
-    macro = macro_average(reports)
-    return {
-        "families": sorted(per_family),
-        "per_family": per_family,
-        "macro": response_to_json(macro),
-    }
+    return by_family_entry(reports, macro_average(reports)) if reports else None
 
 
 def _check_threshold(threshold: float) -> None:
@@ -135,32 +98,20 @@ def build_metrics_doc(
     index = {instance.id: instance for instance in suite}
     cells = label_cells(scores, index)
 
-    baseline = None
-    per_family_breakdowns: dict[str, StrategyBreakdown] = {}
-    for family in ("T1", "T2", "T3", "T4", "T5"):
-        breakdown = _cell(cells, f"{family}-Det")
-        if not breakdown.is_empty:
-            per_family_breakdowns[family] = breakdown
-    if per_family_breakdowns:
-        macro = macro_average_breakdowns(per_family_breakdowns)
-        baseline = {
-            "families": sorted(per_family_breakdowns),
-            "per_family": {tag: breakdown_to_json(b) for tag, b in per_family_breakdowns.items()},
-            "macro": breakdown_to_json(macro),
-        }
+    breakdowns = {family: _cell(cells, f"{family}-Det") for family in ("T1", "T2", "T3", "T4", "T5")}
+    breakdowns = {family: breakdown for family, breakdown in breakdowns.items() if not breakdown.is_empty}
+    baseline = by_family_entry(breakdowns, macro_average_breakdowns(breakdowns)) if breakdowns else None
 
     omission = _response_section(cells, ("T3", "T4"), threshold)
     active = _response_section(cells, ("T5",), threshold)
 
     stereotype = None
     try:
-        effect = compute_stereotype_effect(
-            _cell(cells, "T7-None"), _cell(cells, "T7-StereoM"), _cell(cells, "T7-StereoF")
-        )
+        effect = compute_stereotype_effect(*(_cell(cells, f"T7-{key}") for key in ("None", "StereoM", "StereoF")))
         stereotype = {
-            "neutral": breakdown_to_json(effect.neutral),
-            "stereo_m": breakdown_to_json(effect.stereo_m),
-            "stereo_f": breakdown_to_json(effect.stereo_f),
+            "neutral": metrics_entry(effect.neutral),
+            "stereo_m": metrics_entry(effect.stereo_m),
+            "stereo_f": metrics_entry(effect.stereo_f),
             "delta_g_avg": float(effect.delta_g_avg),
             "delta_n_avg": float(effect.delta_n_avg),
             "significant_g": flag_significance(effect.delta_g_avg, threshold),
@@ -172,9 +123,7 @@ def build_metrics_doc(
     for key, labels in sorted(cells.items()):
         unmatched = labels[GenderLabel.UNMATCHED]
         total = labels.total()
-        subsets[key] = {
-            "classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total,
-        }
+        subsets[key] = {"classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total}
 
     # the index becomes the unscored instances: a new set of score ids would
     # raise the peak memory of the run

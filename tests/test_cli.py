@@ -5,6 +5,8 @@ import shutil
 
 import pytest
 
+import gnt.cli
+from gnt import adapter
 from gnt.adapter import AdapterConfig
 from gnt.cli import build_parser, main
 from gnt.data import demo_manifest_path, lexicon_dir
@@ -155,6 +157,20 @@ def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index
     assert "Traceback" not in err
 
 
+def test_metrics_rejects_a_second_score_for_one_slot(tmp_path, suite_path, capsys):
+    first, second = (json.loads(line)["id"] for line in suite_path.read_text(encoding="utf-8").splitlines()[:2])
+    records = [{"instance_id": first, "slot_index": 0, "label": "M"},
+               {"instance_id": second, "slot_index": 0, "label": "F"},
+               {"instance_id": first, "slot_index": 0, "label": "N1"}]
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
+                 "--lang", "es", "--out", str(tmp_path / "metrics.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {scores}:3: duplicate record for ({first!r}, 0) (first seen on line 1)\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("threshold", ["-1", "nan", "inf", "-inf"])
 def test_metrics_rejects_a_threshold_that_is_negative_or_not_finite(tmp_path, suite_path, capsys, threshold):
     scores = tmp_path / "scores.jsonl"
@@ -198,6 +214,37 @@ def test_translate_rejects_a_bad_http_spec(tmp_path, suite_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(spec) in err and "Traceback" not in err
     assert not (tmp_path / "tr.jsonl.partial").exists()
+
+
+@pytest.mark.parametrize("spec", ["cmd:", "cmd:   "], ids=["empty", "blank"])
+def test_translate_rejects_an_empty_command_spec(tmp_path, suite_path, capsys, monkeypatch, spec):
+    def run_command(*args):
+        raise AssertionError("a backend was started")
+
+    monkeypatch.setattr(adapter, "_run_command", run_command)
+    out = tmp_path / "tr.jsonl"
+    assert main(["translate", "--suite", str(suite_path), "--adapter", spec, "--lang", "es",
+                 "--system", "s", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: adapter spec {spec!r} must be cmd:<command> with a non-empty command\n"
+    assert not (tmp_path / "tr.jsonl.partial").exists()
+
+
+@pytest.mark.parametrize("flags", [["--adapter", "ftp:x"], ["--adapter", "cmd:"], ["--batch-size", "0"]],
+                         ids=["unknown-adapter", "empty-command", "batch-size"])
+def test_translate_checks_its_settings_before_reading_the_suite(tmp_path, suite_path, monkeypatch, flags):
+    reads = []
+    read = gnt.cli.parse_suite
+
+    def parse_suite(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(gnt.cli, "parse_suite", parse_suite)
+    argv = ["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es",
+            "--system", "s", "--out", str(tmp_path / "tr.jsonl")]
+    assert main(argv + flags) == 2
+    assert reads == []
 
 
 def test_translate_rejects_a_newline_in_an_id_before_any_batch(tmp_path, suite_path, capsys):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,13 +33,16 @@ from gnt.data import demo_manifest_path, lexicon_dir
 from gnt.pipeline import build_metrics_doc, score_suite
 from gnt.suite import (
     AMBIGUOUS_ACTIVE,
+    QUOTA_KEYS,
     AdjectiveSlot,
     AmbiguityKind,
+    DescriptorPair,
     GenderCondition,
     GenderKind,
     Referent,
     StereotypeCondition,
     StereotypeKind,
+    SuiteManifest,
     TemplateFamily,
 )
 from gnt.suite import TestInstance as SuiteInstance  # a name pytest does not collect
@@ -379,6 +383,178 @@ def test_a_fuzzed_field_parses_or_is_a_parse_error(tmp_path_factory, valid_recor
         parse(path)
     except ParseError as exc:
         assert str(path) in str(exc)
+
+
+_SUITE_RECORD = {
+    "id": "T3-000000a", "family": "T3", "source_text": "I am fit, he said calmly.",
+    "slots": [
+        {"slot_index": 0, "lemma": "fit", "referent": "speaker", "gender_kind": "determined_feminine",
+         "ambiguity_kind": "none", "stereotype_kind": "masculine", "stereotype_cue": "calmly"},
+        {"slot_index": 1, "lemma": "calm", "referent": "listener", "gender_kind": "ambiguous",
+         "ambiguity_kind": "omission", "stereotype_kind": "none", "stereotype_cue": ""},
+    ],
+    "pair_id": "T3-000000", "bindings": {"A1": "fit", "first_person": 1},
+}
+_SMALL_MANIFEST = {
+    "seed": 7, "adjectives": ["fit", "calm"],
+    "descriptor_pairs": [{"masculine": "strong doctor", "feminine": "pretty nurse"}],
+    "adverbs_masculine": ["firmly"], "adverbs_feminine": ["gently"], "quotas": {"T1-Det": 2, "T7-None": 1},
+}
+_READERS = {
+    "suite": (parse_suite, _SUITE_RECORD),
+    "translations": (parse_translations, _TRANSLATION),
+    "scores": (parse_scores, _SCORE),
+    "manifest": (parse_manifest, _SMALL_MANIFEST),
+}
+# (reader, field, edit) -> the message after "<file>:1: " ("<file>: " for a manifest), or None when the
+# record still parses; a slot's fields are the suite's ("slots", 0, <key>)
+_EXACT_ERRORS = {
+    ("suite", ("id",), "delete"): "missing field 'id'",
+    ("suite", ("id",), "mistype"): "id must be a string, got []",
+    ("suite", ("family",), "delete"): "missing field 'family'",
+    ("suite", ("family",), "mistype"): "family must be one of 'T1', 'T2', 'T3', 'T4', 'T5', 'T7', got []",
+    ("suite", ("source_text",), "delete"): "missing field 'source_text'",
+    ("suite", ("source_text",), "mistype"): "source_text must be a string, got []",
+    ("suite", ("slots",), "delete"): "missing field 'slots'",
+    ("suite", ("slots",), "mistype"): "slots must be an array, got {}",
+    ("suite", ("slots", 0), "delete"): "slot indices must be 0..0, got [1]",
+    ("suite", ("slots", 0), "mistype"): "each slot must be an object, got []",
+    ("suite", ("slots", 0, "slot_index"), "delete"): "missing field 'slot_index'",
+    ("suite", ("slots", 0, "slot_index"), "mistype"): "slot_index must be an integer, got []",
+    ("suite", ("slots", 0, "lemma"), "delete"): "missing field 'lemma'",
+    ("suite", ("slots", 0, "lemma"), "mistype"): "lemma must be a string, got []",
+    ("suite", ("slots", 0, "referent"), "delete"): "missing field 'referent'",
+    ("suite", ("slots", 0, "referent"), "mistype"): "referent must be one of 'speaker', 'listener', got []",
+    ("suite", ("slots", 0, "gender_kind"), "delete"): "missing field 'gender_kind'",
+    ("suite", ("slots", 0, "gender_kind"), "mistype"):
+        "gender_kind must be one of 'determined_masculine', 'determined_feminine', 'ambiguous', got []",
+    ("suite", ("slots", 0, "ambiguity_kind"), "delete"): "missing field 'ambiguity_kind'",
+    ("suite", ("slots", 0, "ambiguity_kind"), "mistype"):
+        "ambiguity_kind must be one of 'none', 'omission', 'active', got []",
+    ("suite", ("slots", 0, "stereotype_kind"), "delete"): "missing field 'stereotype_kind'",
+    ("suite", ("slots", 0, "stereotype_kind"), "mistype"):
+        "stereotype_kind must be one of 'none', 'masculine', 'feminine', got []",
+    ("suite", ("slots", 0, "stereotype_cue"), "delete"): None,
+    ("suite", ("slots", 0, "stereotype_cue"), "mistype"): "stereotype_cue must be a string, got []",
+    ("suite", ("pair_id",), "delete"): None,
+    ("suite", ("pair_id",), "mistype"): "pair_id must be a string or null, got []",
+    ("suite", ("bindings",), "delete"): None,
+    ("suite", ("bindings",), "mistype"): "bindings must be an object, got []",
+    ("suite", ("bindings", "A1"), "delete"): None,
+    ("suite", ("bindings", "A1"), "mistype"): "binding 'A1' must be a string, integer, boolean or null, got []",
+    ("suite", ("bindings", "first_person"), "delete"): None,
+    ("suite", ("bindings", "first_person"), "mistype"):
+        "binding 'first_person' must be a string, integer, boolean or null, got []",
+    ("translations", ("system",), "delete"): "missing field 'system'",
+    ("translations", ("system",), "mistype"): "system must be a string, got []",
+    ("translations", ("lang",), "delete"): "missing field 'lang'",
+    ("translations", ("lang",), "mistype"): "lang must be a string, got []",
+    ("translations", ("id",), "delete"): "missing field 'id'",
+    ("translations", ("id",), "mistype"): "id must be a string, got []",
+    ("translations", ("text",), "delete"): "missing field 'text'",
+    ("translations", ("text",), "mistype"): "text must be a string, got []",
+    ("scores", ("instance_id",), "delete"): "missing field 'instance_id'",
+    ("scores", ("instance_id",), "mistype"): "instance_id must be a string, got []",
+    ("scores", ("slot_index",), "delete"): "missing field 'slot_index'",
+    ("scores", ("slot_index",), "mistype"): "slot_index must be an integer, got []",
+    ("scores", ("label",), "delete"): "missing field 'label'",
+    ("scores", ("label",), "mistype"): "label must be one of 'M', 'F', 'N1', 'N2', 'N3', 'N4', 'N5', 'U', got []",
+    ("scores", ("matched_text",), "delete"): None,
+    ("scores", ("matched_text",), "mistype"): "matched_text must be a string, got []",
+    ("scores", ("rule",), "delete"): None,
+    ("scores", ("rule",), "mistype"): "rule must be a string, got []",
+    ("manifest", ("seed",), "delete"): None,
+    ("manifest", ("seed",), "mistype"): "seed must be an integer, got []",
+    ("manifest", ("adjectives",), "delete"): None,
+    ("manifest", ("adjectives",), "mistype"): "adjectives must be an array, got {}",
+    ("manifest", ("adjectives", 0), "delete"): None,
+    ("manifest", ("adjectives", 0), "mistype"): "adjectives must be an array of strings, got [[], 'calm']",
+    ("manifest", ("descriptor_pairs",), "delete"): None,
+    ("manifest", ("descriptor_pairs",), "mistype"): "descriptor_pairs must be an array, got {}",
+    ("manifest", ("descriptor_pairs", 0), "delete"): None,
+    ("manifest", ("descriptor_pairs", 0), "mistype"): "each descriptor pair must be an object, got []",
+    ("manifest", ("descriptor_pairs", 0, "masculine"), "delete"): "missing field 'masculine'",
+    ("manifest", ("descriptor_pairs", 0, "masculine"), "mistype"): "masculine must be a string, got []",
+    ("manifest", ("descriptor_pairs", 0, "feminine"), "delete"): "missing field 'feminine'",
+    ("manifest", ("descriptor_pairs", 0, "feminine"), "mistype"): "feminine must be a string, got []",
+    ("manifest", ("adverbs_masculine",), "delete"): None,
+    ("manifest", ("adverbs_masculine",), "mistype"): "adverbs_masculine must be an array, got {}",
+    ("manifest", ("adverbs_masculine", 0), "delete"): None,
+    ("manifest", ("adverbs_masculine", 0), "mistype"): "adverbs_masculine must be an array of strings, got [[]]",
+    ("manifest", ("adverbs_feminine",), "delete"): None,
+    ("manifest", ("adverbs_feminine",), "mistype"): "adverbs_feminine must be an array, got {}",
+    ("manifest", ("adverbs_feminine", 0), "delete"): None,
+    ("manifest", ("adverbs_feminine", 0), "mistype"): "adverbs_feminine must be an array of strings, got [[]]",
+    ("manifest", ("quotas",), "delete"): None,
+    ("manifest", ("quotas",), "mistype"): "quotas must be an object, got []",
+    ("manifest", ("quotas", "T1-Det"), "delete"): None,
+    ("manifest", ("quotas", "T1-Det"), "mistype"): "quota T1-Det must be a non-negative integer, got []",
+    ("manifest", ("quotas", "T7-None"), "delete"): None,
+    ("manifest", ("quotas", "T7-None"), "mistype"): "quota T7-None must be a non-negative integer, got []",
+}
+
+
+@pytest.mark.parametrize("reader, field, edit", [
+    (reader, field, edit)
+    for reader, (_, record) in _READERS.items() for field in _field_paths(record) for edit in ("delete", "mistype")
+], ids=lambda value: ".".join(map(str, value)) if isinstance(value, tuple) else value)
+def test_a_deleted_or_mistyped_field_gives_the_same_parse_error_text(tmp_path, reader, field, edit):
+    parse, record = _READERS[reader]
+    expected = _EXACT_ERRORS[reader, field, edit]
+    record = copy.deepcopy(record)
+    *parents, last = field
+    target = record
+    for step in parents:
+        target = target[step]
+    if edit == "delete":
+        del target[last]
+    else:  # a wrongly typed value: an object for an array, else an array
+        target[last] = {} if type(target[last]) is list else []
+    path = tmp_path / f"{reader}.json"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    if expected is None:
+        parse(path)
+        return
+    with pytest.raises(ParseError) as caught:
+        parse(path)
+    assert str(caught.value) == f"{path}{': ' if reader == 'manifest' else ':1: '}{expected}"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_manifest_reads_back_as_it_was_written(tmp_path_factory, data):
+    words = st.lists(_TEXTS, max_size=3)
+    manifest = SuiteManifest(
+        adjectives=data.draw(words),
+        descriptor_pairs=[DescriptorPair(*pair) for pair in data.draw(st.lists(st.tuples(_TEXTS, _TEXTS), max_size=2))],
+        adverbs_masculine=data.draw(words),
+        adverbs_feminine=data.draw(words),
+        quotas=data.draw(st.dictionaries(st.sampled_from(QUOTA_KEYS), st.integers(0, 10**6), max_size=4)),
+        seed=data.draw(st.integers(-(2**63), 2**63)),
+    )
+    # a field left at its default may also be left out
+    record = {key: value for key, value in asdict(manifest).items() if value or data.draw(st.booleans())}
+    path = tmp_path_factory.getbasetemp() / "manifest.json"
+    path.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
+    assert parse_manifest(path) == manifest
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(weights=st.lists(st.integers(0, 3), min_size=len(GenderLabel), max_size=len(GenderLabel)),
+       stride=st.integers(0, 4), threshold=st.floats(0, 1), orphans=st.integers(0, 3))
+def test_a_built_metrics_document_reads_back_as_it_was_written(tmp_path_factory, demo_manifest, weights, stride,
+                                                              threshold, orphans):
+    suite = generate_suite(demo_manifest)
+    # the slots take the drawn label counts in turn, and every stride-th instance has no score
+    labels = itertools.cycle([label for label, weight in zip(GenderLabel, weights) for _ in range(weight)]
+                             or [GenderLabel.UNMATCHED])
+    scores = [SlotScore(instance.id, slot.slot_index, next(labels), "", "")
+              for number, instance in enumerate(suite, start=1) if not stride or number % stride
+              for slot in instance.slots]
+    doc = build_metrics_doc(suite, scores, "sys", Language.ES, threshold, orphan_translations=orphans)
+    path = tmp_path_factory.getbasetemp() / "metrics.json"
+    write_metrics_doc(doc, path)
+    assert parse_metrics_doc(path) == doc
 
 
 # --- rendering ---------------------------------------------------------------------
