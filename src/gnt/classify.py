@@ -11,8 +11,14 @@ order, and within a priority the earliest unconsumed token position wins:
 4. the English lemma itself copied into the translation -> N4
 5. otherwise Unmatched
 
-A shared consumed-position set keeps two slots of one instance from matching
-the same token, assigning repeated lemmas in textual order.
+The three single-token rules depend only on the lemma and the token, so each
+token's best one is worked out once per (lemma key, token) and kept in the
+lemma's `LemmaTable` as a rank: 0 lexicon, 1 pattern, 3 copy. A slot is then
+classified in one pass over the unconsumed positions that keeps the lowest
+(rank, position); rank 0 or 1 wins at once, else the phrase rule runs, else a
+rank-3 copy wins. A shared consumed-position set keeps two slots of one
+instance from matching the same token, assigning repeated lemmas in textual
+order.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .lexicon import LanguageResources, MorphPattern, PatternKind, nfc
+from .lexicon import LanguageResources, LemmaTable, MorphPattern, PatternKind, nfc
 from .suite import AdjectiveSlot, TestInstance
 
 
@@ -73,9 +79,16 @@ def _strip_token(raw: str) -> str:
 
 def normalize(text: str) -> list[str]:
     """NFC-normalise and tokenise; case is preserved, diacritics significant."""
+    return _tokens(text, {})
+
+
+def _tokens(text: str, stripped: dict[str, str]) -> list[str]:
+    """`normalize(text)`, with `stripped` memoising `_strip_token` per whitespace-split token."""
     tokens = []
     for raw in nfc(text).split():
-        token = _strip_token(raw)
+        token = stripped.get(raw)
+        if token is None:
+            token = stripped[raw] = _strip_token(raw)
         if token:
             tokens.append(token)
     return tokens
@@ -106,6 +119,27 @@ def _pattern_variants(pattern: MorphPattern, token: str, folded: str) -> tuple[s
     return ()
 
 
+def _token_rule(
+    token: str, table: LemmaTable, patterns: Sequence[MorphPattern]
+) -> tuple[int, GenderLabel, str] | None:
+    """The best single-token rule `token` fires for the table's lemma: (rank, label, rule), or None."""
+    folded = token.casefold()
+    entry = table.forms.get(folded)
+    if entry is not None:
+        gender = entry.form_gender.value
+        return 0, _LABEL_BY_FORM_GENDER[gender], f"lexicon:{entry.surface_form}:{gender}"
+    for pattern in patterns:
+        variants = _pattern_variants(pattern, token, folded)
+        if variants and any(variant.casefold() in table.forms for variant in variants):
+            return 1, GenderLabel.N5_ALT_MORPHOLOGY, f"pattern:{pattern.kind.value}:{pattern.template}"
+    if folded == table.key:
+        return 3, GenderLabel.N4_SOURCE_COPY, "copy"
+    return None
+
+
+_UNSEEN = object()
+
+
 def classify_slot(
     slot: AdjectiveSlot,
     tokens: Sequence[str],
@@ -119,51 +153,38 @@ def classify_slot(
     instance and is extended with whatever this call matches. Every input
     yields a SlotScore; Unmatched is a value, not an error.
     """
-    lemma_key = nfc(slot.lemma).casefold()
-    forms = resources.lexicon.forms_for_lemma(slot.lemma)
-    unclaimed = [
-        (position, token, token.casefold()) for position, token in enumerate(tokens) if position not in consumed
-    ]
+    table = resources.lemma_table(slot.lemma)
+    token_rules = table.token_rules
+    best = None
+    best_position = -1
+    for position, token in enumerate(tokens):
+        if position in consumed:
+            continue
+        hit = token_rules.get(token, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = token_rules[token] = _token_rule(token, table, resources.patterns)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best, best_position = hit, position
+            if hit[0] == 0:  # no later position can beat the earliest lexicon form
+                break
 
-    def score(label: GenderLabel, matched: str, rule: str) -> SlotScore:
-        return SlotScore(instance_id, slot.slot_index, label, matched, rule)
-
-    for position, token, folded in unclaimed:
-        entry = forms.get(folded)
-        if entry is not None:
-            consumed.add(position)
-            label = _LABEL_BY_FORM_GENDER[entry.form_gender.value]
-            return score(label, token, f"lexicon:{entry.surface_form}:{entry.form_gender.value}")
-
-    for position, token, folded in unclaimed:
-        for pattern in resources.patterns:
-            variants = _pattern_variants(pattern, token, folded)
-            if variants and any(variant.casefold() in forms for variant in variants):
-                consumed.add(position)
-                return score(
-                    GenderLabel.N5_ALT_MORPHOLOGY,
-                    token,
-                    f"pattern:{pattern.kind.value}:{pattern.template}",
-                )
-
-    phrases = resources.phrases_by_lemma.get(lemma_key)
-    if phrases:
+    if table.phrases and (best is None or best[0] > 1):
         # a consumed position, or one past the end, reads None and matches no phrase token
-        folded_at = {position: folded for position, _, folded in unclaimed}
+        folded_at = {position: token.casefold() for position, token in enumerate(tokens) if position not in consumed}
         for start in range(len(tokens)):
-            for phrase_words, phrase in phrases:
+            for phrase_words, phrase in table.phrases:
                 positions = range(start, start + len(phrase_words))
                 if tuple(folded_at.get(p) for p in positions) == phrase_words:
                     consumed.update(positions)
                     matched = " ".join(tokens[start : positions.stop])
-                    return score(GenderLabel.N3_ALT_PART_OF_SPEECH, matched, f"phrase:{phrase}")
+                    return SlotScore(
+                        instance_id, slot.slot_index, GenderLabel.N3_ALT_PART_OF_SPEECH, matched, f"phrase:{phrase}"
+                    )
 
-    for position, token, folded in unclaimed:
-        if folded == lemma_key:
-            consumed.add(position)
-            return score(GenderLabel.N4_SOURCE_COPY, token, "copy")
-
-    return score(GenderLabel.UNMATCHED, "", "")
+    if best is None:
+        return SlotScore(instance_id, slot.slot_index, GenderLabel.UNMATCHED, "", "")
+    consumed.add(best_position)
+    return SlotScore(instance_id, slot.slot_index, best[1], tokens[best_position], best[2])
 
 
 def classify_instance(
@@ -172,7 +193,7 @@ def classify_instance(
     resources: LanguageResources,
 ) -> list[SlotScore]:
     """Score every slot of an instance in slot order with a shared consumed set."""
-    tokens = normalize(translation)
+    tokens = _tokens(translation, resources.stripped_tokens)
     consumed: set[int] = set()
     return [
         classify_slot(slot, tokens, resources, consumed, instance.id)

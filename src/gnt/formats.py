@@ -170,10 +170,10 @@ _DESCRIPTOR_PAIR = {"masculine": (str,), "feminine": (str,)}
 
 def _descriptor_pairs(value, name: str, path: str, line: int) -> list[DescriptorPair]:
     pairs = []
-    for raw in _check(value, (list,), name, path, line):
+    for i, raw in enumerate(_check(value, (list,), name, path, line)):
         if type(raw) is not dict:
             raise ParseError(f"each descriptor pair must be an object, got {raw!r}", path, line)
-        pairs.append(DescriptorPair(*_check(raw, _DESCRIPTOR_PAIR, "", path, line)))
+        pairs.append(DescriptorPair(*_check(raw, _DESCRIPTOR_PAIR, f"{name}.{i}", path, line)))
     return pairs
 
 
@@ -215,7 +215,7 @@ def _slots(known_slots: dict | None, value, name: str, path: str, line: int) -> 
     """
     known_slots = {} if known_slots is None else known_slots
     slots = []
-    for raw in _check(value, (list,), name, path, line):
+    for i, raw in enumerate(_check(value, (list,), name, path, line)):
         if type(raw) is not dict:
             raise ParseError(f"each slot must be an object, got {raw!r}", path, line)
         slot_key = (*raw.items(), type(raw.get("slot_index")))
@@ -225,7 +225,7 @@ def _slots(known_slots: dict | None, value, name: str, path: str, line: int) -> 
             slot = slot_key = None
         if slot is None:
             gender_kind, ambiguity_kind, stereotype_kind, cue, index, lemma, referent = _check(
-                raw, _SLOT, "", path, line
+                raw, _SLOT, f"{name}.{i}", path, line
             )
             try:
                 gender = GenderCondition(gender_kind, ambiguity_kind)

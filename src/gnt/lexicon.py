@@ -2,8 +2,9 @@
 
 All classification resources are flat CSV files so that the adjective
 dictionaries stay user-editable data rather than code. Lookups are
-case-insensitive (casefold) with diacritics significant; everything is NFC
-normalised at load time.
+case-insensitive (casefold) with diacritics significant: every lemma, form
+and phrase word is keyed by `lookup_key`, and the loaders NFC-normalise
+every cell.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ class PatternKind(Enum):
 
 def nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
+
+
+def lookup_key(text: str) -> str:
+    """The key every lemma, surface form and phrase word is looked up by: NFC, then casefold."""
+    return nfc(text).casefold()
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ class Lexicon:
         """Register one form; an identical duplicate is a no-op, a contradicting one an error."""
         if self.language is Language.ES and entry.form_gender is FormGender.NEUTER_CASE:
             raise InvalidEntry(f"{entry.lemma!r}/{entry.surface_form!r}: Spanish adjectives have no neuter case")
-        forms = self._by_lemma.setdefault(entry.lemma.casefold(), {})
-        known = forms.setdefault(entry.surface_form.casefold(), entry)
+        forms = self._by_lemma.setdefault(lookup_key(entry.lemma), {})
+        known = forms.setdefault(lookup_key(entry.surface_form), entry)
         if known.form_gender is not entry.form_gender:
             raise LexiconConflict(
                 f"form {entry.surface_form!r} for lemma {entry.lemma!r} listed as both "
@@ -121,8 +127,8 @@ class Lexicon:
         return tuple(sorted(self._by_lemma))
 
     def forms_for_lemma(self, lemma: str) -> Mapping[str, LexiconEntry]:
-        """All registered surface forms of a lemma, keyed by casefolded form."""
-        return self._by_lemma.get(nfc(lemma).casefold(), {})
+        """All registered surface forms of a lemma, keyed by `lookup_key` of the form."""
+        return self._by_lemma.get(lookup_key(lemma), {})
 
 
 def _decoded_lines(path: Path, lines: Iterable[bytes]):
@@ -197,11 +203,30 @@ def load_patterns(path: str | Path) -> tuple[MorphPattern, ...]:
 
 
 @dataclass(frozen=True)
+class LemmaTable:
+    """What the classifier knows about one lemma key, worked out once per language.
+
+    `forms` and `phrases` are the lemma's lexicon forms and registered phrases;
+    `token_rules` maps each token met so far, as written, to the rule it fires
+    for this lemma (or None), and is filled by the classifier.
+    """
+
+    key: str
+    forms: Mapping[str, LexiconEntry]
+    phrases: list[tuple[tuple[str, ...], str]]
+    token_rules: dict[str, tuple | None] = field(default_factory=dict, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class LanguageResources:
     """Everything the classifier needs for one target language.
 
-    `phrases_by_lemma` is derived from `alt_phrases`: per casefolded lemma, each
-    phrase's casefolded tokens and its text, in registration order.
+    `phrases_by_lemma` is derived from `alt_phrases`: per lemma key, each
+    phrase's folded tokens and its text, in registration order. The other
+    derived fields fill as translations are scored: `lemma_tables` holds one
+    `LemmaTable` per lemma key, `_table_of` the same tables per lemma as
+    written, and `stripped_tokens` maps each whitespace-split token to its
+    edge-stripped form.
     """
 
     language: Language
@@ -209,13 +234,30 @@ class LanguageResources:
     patterns: tuple[MorphPattern, ...] = ()
     alt_phrases: tuple[AltPhraseEntry, ...] = ()
     phrases_by_lemma: Mapping[str, list[tuple[tuple[str, ...], str]]] = field(init=False, repr=False, compare=False)
+    lemma_tables: dict[str, LemmaTable] = field(init=False, repr=False, compare=False)
+    _table_of: dict[str, LemmaTable] = field(init=False, repr=False, compare=False)
+    stripped_tokens: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_lemma: dict[str, list[tuple[tuple[str, ...], str]]] = {}
         for entry in self.alt_phrases:
-            folded = tuple(token.casefold() for token in entry.phrase.split())
-            by_lemma.setdefault(entry.lemma.casefold(), []).append((folded, entry.phrase))
+            folded = tuple(lookup_key(token) for token in entry.phrase.split())
+            by_lemma.setdefault(lookup_key(entry.lemma), []).append((folded, entry.phrase))
         object.__setattr__(self, "phrases_by_lemma", by_lemma)
+        for name in ("lemma_tables", "_table_of", "stripped_tokens"):
+            object.__setattr__(self, name, {})
+
+    def lemma_table(self, lemma: str) -> LemmaTable:
+        """The table of `lemma`'s key, built on the key's first use."""
+        table = self._table_of.get(lemma)
+        if table is None:
+            key = lookup_key(lemma)
+            table = self.lemma_tables.get(key)
+            if table is None:
+                table = LemmaTable(key, self.lexicon.forms_for_lemma(lemma), self.phrases_by_lemma.get(key, []))
+                self.lemma_tables[key] = table
+            self._table_of[lemma] = table
+        return table
 
 
 def load_language_resources(lexicon_dir: str | Path, language: Language) -> LanguageResources:

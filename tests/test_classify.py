@@ -4,7 +4,7 @@ import random
 import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gnt import (
     GenderLabel,
@@ -16,10 +16,24 @@ from gnt import (
     load_lexicon,
     normalize,
 )
+from gnt import classify
 from gnt.data import lexicon_dir
 from gnt.errors import InvalidEntry, LexiconConflict
-from gnt.lexicon import FormGender, LanguageResources, Lexicon, LexiconEntry, load_alt_phrases
-from gnt.suite import AMBIGUOUS_OMISSION, AdjectiveSlot, Referent, TemplateFamily
+from gnt.formats import TranslationRecord
+from gnt.lexicon import (
+    AltPhraseEntry,
+    FormGender,
+    LanguageResources,
+    Lexicon,
+    LexiconEntry,
+    MorphPattern,
+    PatternKind,
+    load_alt_phrases,
+    lookup_key,
+)
+from gnt.pipeline import score_suite
+from gnt.suite import AMBIGUOUS_OMISSION, AdjectiveSlot, Referent, TemplateFamily, generate_suite
+from gnt.suite import TestInstance as SuiteInstance  # a name pytest does not collect
 from helpers import random_classifier_case
 from oracle import oracle_classify
 
@@ -116,6 +130,30 @@ def test_csv_row_error_names_the_physical_line_after_a_multiline_cell(tmp_path):
     path.write_text('lemma,phrase\nfit,"en\nforma"\nfit,\n', encoding="utf-8")
     with pytest.raises(InvalidEntry, match=r"alt_phrases\.csv:4: phrase must contain at least one token"):
         load_alt_phrases(path)
+
+
+def test_entries_built_in_nfd_are_found_by_their_nfc_lemma():
+    def nfd(text: str) -> str:
+        return unicodedata.normalize("NFD", text)
+
+    lemma = "naïve"
+    assert nfd(lemma) != lemma
+    lexicon = Lexicon(Language.ES, [
+        LexiconEntry(nfd(lemma), nfd("cándido"), FormGender.MASCULINE_ONLY),
+        LexiconEntry(nfd(lemma.upper()), "cándida", FormGender.FEMININE_ONLY),
+    ])
+    resources = LanguageResources(Language.ES, lexicon, (), (AltPhraseEntry(nfd(lemma), nfd("de buen corazón")),))
+    assert sorted(lexicon.forms_for_lemma(lemma)) == ["cándida", "cándido"]
+    assert lexicon.lemmas == (lemma,)
+
+    def labelled(text: str) -> tuple[str, str]:
+        score = classify_slot(_slot(lemma), normalize(text), resources, set())
+        return score.label.value, score.matched_text
+
+    assert labelled("Soy cándido.") == ("M", "cándido")
+    assert labelled("Soy CÁNDIDA.") == ("F", "CÁNDIDA")
+    assert labelled("Soy de buen corazón.") == ("N3", "de buen corazón")
+    assert labelled("Soy Naïve.") == ("N4", "Naïve")
 
 
 # --- classify_slot ---------------------------------------------------------------
@@ -306,3 +344,108 @@ def test_classifier_agrees_with_the_oracle_on_drawn_translations(case):
     assert score.label is expected_label, (lemma, tokens, consumed, score)
     assert score.matched_text == expected_match
     assert mutable == consumed | set(expected_positions)
+
+
+# --- the per-lemma token memo -------------------------------------------------------
+
+# one token serving two lemmas: "fit" is a form of "strong" and the copy of "fit", and "tranquil(o/a)" a
+# form of "odd" and a slash-pattern hit of "calm"
+_CROSSED = LanguageResources(
+    Language.ES,
+    Lexicon(Language.ES, [
+        LexiconEntry("fit", "fuerte", FormGender.COMMON_FORM),
+        LexiconEntry("fit", "musculoso", FormGender.MASCULINE_ONLY),
+        LexiconEntry("strong", "fit", FormGender.MASCULINE_ONLY),
+        LexiconEntry("calm", "tranquilo", FormGender.MASCULINE_ONLY),
+        LexiconEntry("calm", "tranquila", FormGender.FEMININE_ONLY),
+        LexiconEntry("odd", "tranquil(o/a)", FormGender.COMMON_FORM),
+    ]),
+    (MorphPattern(PatternKind.SLASH_SUFFIX, "o/a"), MorphPattern(PatternKind.AT_SIGN, "o/a")),
+    (AltPhraseEntry("calm", "en calma"),),
+)
+
+
+@st.composite
+def _case_sequences(draw):
+    """Resources and a sequence of (slot lemmas, translation) cases over a few of its lemmas.
+
+    Every word is drawn from the forms, annotations and copies of all the drawn lemmas, so one token
+    meets several lemmas, and every translation comes back once more in another case.
+    """
+    resources = draw(st.sampled_from([_CROSSED, *_SHIPPED.values()]))
+    lemmas = sorted({entry.lemma.casefold() for entry in resources.alt_phrases} | set(resources.lexicon.lemmas))
+    pool = draw(st.lists(st.sampled_from(lemmas), min_size=1, max_size=3, unique=True))
+    forms = [entry.surface_form for lemma in pool for entry in resources.lexicon.forms_for_lemma(lemma).values()]
+    copies = pool + [entry.phrase for entry in resources.alt_phrases if entry.lemma.casefold() in pool]
+    cases = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = []
+        for kind in draw(st.lists(st.sampled_from("faacn" if forms else "cn"), max_size=6)):
+            if kind == "f":
+                word = draw(st.sampled_from(forms))
+            elif kind == "a":
+                form = draw(st.sampled_from(forms))
+                word = form[: len(form) - draw(st.integers(0, 2))] + draw(st.sampled_from(_ANNOTATION_TAILS))
+            elif kind == "c":
+                word = draw(st.sampled_from(copies))
+            else:
+                word = draw(st.text(alphabet=_LETTERS + "/()@", min_size=1, max_size=8))
+            words.append(draw(st.sampled_from(_CASE_CHANGES))(word) + draw(st.sampled_from(["", ",", ".", ")"])))
+        slot_lemmas = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+        translation = " ".join(words)
+        cases.append((slot_lemmas, translation))
+        cases.append((slot_lemmas, draw(st.sampled_from([str.upper, str.swapcase, str.capitalize]))(translation)))
+    return resources, cases
+
+
+def _classified(resources: LanguageResources, lemmas: tuple[str, ...], translation: str):
+    slots = tuple(_slot(lemma, index) for index, lemma in enumerate(lemmas))
+    instance = SuiteInstance("T1-000000a", TemplateFamily.T1_ONE_PERSON_KNOWN, "", slots)
+    return classify_instance(instance, translation, resources)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_case_sequences())
+@example((_CROSSED, [
+    (("strong",), "Soy Fit."), (("fit",), "soy FIT"), (("fit", "fit"), "fit, Fit"), (("strong", "fit"), "FIT fit"),
+    (("calm",), "Tranquil(o/a) tranquila"), (("odd", "calm"), "tranquil(o/a) TRANQUIL(O/A)"), (("calm",), "en calma"),
+]))
+def test_the_token_memo_never_changes_a_result(case):
+    base, cases = case
+    shared = LanguageResources(base.language, base.lexicon, base.patterns, base.alt_phrases)
+    for lemmas, translation in cases:
+        scores = _classified(shared, lemmas, translation)
+        fresh = LanguageResources(base.language, base.lexicon, base.patterns, base.alt_phrases)
+        assert scores == _classified(fresh, lemmas, translation)
+        tokens = normalize(translation)
+        consumed: set[int] = set()
+        for lemma, score in zip(lemmas, scores):
+            label, matched, positions = oracle_classify(
+                lemma, tokens, base.lexicon, base.patterns, base.alt_phrases, consumed
+            )
+            assert (score.label, score.matched_text) == (label, matched), (lemma, translation, score)
+            consumed |= set(positions)
+
+
+def test_each_token_rule_is_worked_out_once_per_lemma(monkeypatch, full_scale_manifest):
+    """Scoring echoed English sources works out at most one rule per distinct (lemma key, token) pair."""
+    calls = 0
+    token_rule = classify._token_rule
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return token_rule(*args)
+
+    monkeypatch.setattr(classify, "_token_rule", counted)
+    suite = generate_suite(full_scale_manifest)
+    echoed = [TranslationRecord("echo", Language.ES, instance.id, instance.source_text) for instance in suite]
+    scores, missing = score_suite(suite, echoed, load_language_resources(lexicon_dir(), Language.ES))
+    pairs = {
+        (lookup_key(slot.lemma), token)
+        for instance in suite
+        for token in normalize(instance.source_text)
+        for slot in instance.slots
+    }
+    assert (len(scores), missing) == (13918, 0)
+    assert 0 < calls <= len(pairs)

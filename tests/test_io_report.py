@@ -197,7 +197,28 @@ def test_a_repeated_slot_record_with_an_equal_but_invalid_index_is_rejected(tmp_
     path = _write_lines(tmp_path / "suite.jsonl", [good, bad])
     with pytest.raises(ParseError) as caught:
         parse_suite(path)
-    assert str(caught.value) == f"{path}:2: slot_index must be an integer, got {index!r}"
+    assert str(caught.value) == f"{path}:2: slots.1.slot_index must be an integer, got {index!r}"
+
+
+def test_a_field_error_inside_an_array_names_the_element(tmp_path, demo_manifest):
+    # line 12 repeats a four-slot instance whose slot 2 has lost its lemma; the intact slot records
+    # before it were checked and shared already, the bad one is checked where it stands
+    records = [instance_to_dict(instance) for instance in generate_suite(demo_manifest)[:11]]
+    bad = copy.deepcopy(next(record for record in records if len(record["slots"]) == 4))
+    bad["id"] += "-repeated"
+    del bad["slots"][2]["lemma"]
+    path = _write_lines(tmp_path / "suite.jsonl", [*records, bad])
+    with pytest.raises(ParseError) as caught:
+        parse_suite(path)
+    assert str(caught.value) == f"{path}:12: missing field 'slots.2.lemma'"
+
+    manifest = copy.deepcopy(_SMALL_MANIFEST)
+    manifest["descriptor_pairs"] = [{"masculine": "m", "feminine": "f"}] * 2 + [{"masculine": "m"}]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        parse_manifest(path)
+    assert str(caught.value) == f"{path}: missing field 'descriptor_pairs.2.feminine'"
 
 
 @pytest.mark.parametrize("extra", [[1, "x"], {"note": [1]}], ids=["array", "object"])
@@ -419,23 +440,23 @@ _EXACT_ERRORS = {
     ("suite", ("slots",), "mistype"): "slots must be an array, got {}",
     ("suite", ("slots", 0), "delete"): "slot indices must be 0..0, got [1]",
     ("suite", ("slots", 0), "mistype"): "each slot must be an object, got []",
-    ("suite", ("slots", 0, "slot_index"), "delete"): "missing field 'slot_index'",
-    ("suite", ("slots", 0, "slot_index"), "mistype"): "slot_index must be an integer, got []",
-    ("suite", ("slots", 0, "lemma"), "delete"): "missing field 'lemma'",
-    ("suite", ("slots", 0, "lemma"), "mistype"): "lemma must be a string, got []",
-    ("suite", ("slots", 0, "referent"), "delete"): "missing field 'referent'",
-    ("suite", ("slots", 0, "referent"), "mistype"): "referent must be one of 'speaker', 'listener', got []",
-    ("suite", ("slots", 0, "gender_kind"), "delete"): "missing field 'gender_kind'",
+    ("suite", ("slots", 0, "slot_index"), "delete"): "missing field 'slots.0.slot_index'",
+    ("suite", ("slots", 0, "slot_index"), "mistype"): "slots.0.slot_index must be an integer, got []",
+    ("suite", ("slots", 0, "lemma"), "delete"): "missing field 'slots.0.lemma'",
+    ("suite", ("slots", 0, "lemma"), "mistype"): "slots.0.lemma must be a string, got []",
+    ("suite", ("slots", 0, "referent"), "delete"): "missing field 'slots.0.referent'",
+    ("suite", ("slots", 0, "referent"), "mistype"): "slots.0.referent must be one of 'speaker', 'listener', got []",
+    ("suite", ("slots", 0, "gender_kind"), "delete"): "missing field 'slots.0.gender_kind'",
     ("suite", ("slots", 0, "gender_kind"), "mistype"):
-        "gender_kind must be one of 'determined_masculine', 'determined_feminine', 'ambiguous', got []",
-    ("suite", ("slots", 0, "ambiguity_kind"), "delete"): "missing field 'ambiguity_kind'",
+        "slots.0.gender_kind must be one of 'determined_masculine', 'determined_feminine', 'ambiguous', got []",
+    ("suite", ("slots", 0, "ambiguity_kind"), "delete"): "missing field 'slots.0.ambiguity_kind'",
     ("suite", ("slots", 0, "ambiguity_kind"), "mistype"):
-        "ambiguity_kind must be one of 'none', 'omission', 'active', got []",
-    ("suite", ("slots", 0, "stereotype_kind"), "delete"): "missing field 'stereotype_kind'",
+        "slots.0.ambiguity_kind must be one of 'none', 'omission', 'active', got []",
+    ("suite", ("slots", 0, "stereotype_kind"), "delete"): "missing field 'slots.0.stereotype_kind'",
     ("suite", ("slots", 0, "stereotype_kind"), "mistype"):
-        "stereotype_kind must be one of 'none', 'masculine', 'feminine', got []",
+        "slots.0.stereotype_kind must be one of 'none', 'masculine', 'feminine', got []",
     ("suite", ("slots", 0, "stereotype_cue"), "delete"): None,
-    ("suite", ("slots", 0, "stereotype_cue"), "mistype"): "stereotype_cue must be a string, got []",
+    ("suite", ("slots", 0, "stereotype_cue"), "mistype"): "slots.0.stereotype_cue must be a string, got []",
     ("suite", ("pair_id",), "delete"): None,
     ("suite", ("pair_id",), "mistype"): "pair_id must be a string or null, got []",
     ("suite", ("bindings",), "delete"): None,
@@ -473,10 +494,10 @@ _EXACT_ERRORS = {
     ("manifest", ("descriptor_pairs",), "mistype"): "descriptor_pairs must be an array, got {}",
     ("manifest", ("descriptor_pairs", 0), "delete"): None,
     ("manifest", ("descriptor_pairs", 0), "mistype"): "each descriptor pair must be an object, got []",
-    ("manifest", ("descriptor_pairs", 0, "masculine"), "delete"): "missing field 'masculine'",
-    ("manifest", ("descriptor_pairs", 0, "masculine"), "mistype"): "masculine must be a string, got []",
-    ("manifest", ("descriptor_pairs", 0, "feminine"), "delete"): "missing field 'feminine'",
-    ("manifest", ("descriptor_pairs", 0, "feminine"), "mistype"): "feminine must be a string, got []",
+    ("manifest", ("descriptor_pairs", 0, "masculine"), "delete"): "missing field 'descriptor_pairs.0.masculine'",
+    ("manifest", ("descriptor_pairs", 0, "masculine"), "mistype"): "descriptor_pairs.0.masculine must be a string, got []",
+    ("manifest", ("descriptor_pairs", 0, "feminine"), "delete"): "missing field 'descriptor_pairs.0.feminine'",
+    ("manifest", ("descriptor_pairs", 0, "feminine"), "mistype"): "descriptor_pairs.0.feminine must be a string, got []",
     ("manifest", ("adverbs_masculine",), "delete"): None,
     ("manifest", ("adverbs_masculine",), "mistype"): "adverbs_masculine must be an array, got {}",
     ("manifest", ("adverbs_masculine", 0), "delete"): None,
