@@ -169,14 +169,15 @@ def classify_slot(
                 break
 
     if table.phrases and (best is None or best[0] > 1):
-        # a consumed position, or one past the end, reads None and matches no phrase token
-        folded_at = {position: token.casefold() for position, token in enumerate(tokens) if position not in consumed}
+        # a consumed position reads None and matches no phrase word; a slice cut
+        # short by the end of the tokens matches no phrase either
+        folded = tuple(None if position in consumed else token.casefold() for position, token in enumerate(tokens))
         for start in range(len(tokens)):
             for phrase_words, phrase in table.phrases:
-                positions = range(start, start + len(phrase_words))
-                if tuple(folded_at.get(p) for p in positions) == phrase_words:
-                    consumed.update(positions)
-                    matched = " ".join(tokens[start : positions.stop])
+                stop = start + len(phrase_words)
+                if folded[start:stop] == phrase_words:
+                    consumed.update(range(start, stop))
+                    matched = " ".join(tokens[start:stop])
                     return SlotScore(
                         instance_id, slot.slot_index, GenderLabel.N3_ALT_PART_OF_SPEECH, matched, f"phrase:{phrase}"
                     )

@@ -15,15 +15,14 @@ from .formats import (
     parse_scores,
     parse_suite,
     parse_translations,
-    split_orphans,
     write_metrics_doc,
     write_scores,
     write_suite,
     write_translations,
 )
-from .lexicon import Language, load_language_resources
+from .lexicon import Language
 from .metrics import DEFAULT_SIGNIFICANCE_THRESHOLD
-from .pipeline import build_metrics_doc, run_pipeline, score_suite
+from .pipeline import build_metrics_doc, group_translations, missing_translations, run_pipeline, score_group
 from .report import render_report
 from .suite import QUOTA_KEYS, generate_suite, validate_balance
 
@@ -93,21 +92,18 @@ def _cmd_translate(args) -> int:
 def _cmd_score(args) -> int:
     suite = parse_suite(args.suite)
     language = Language.parse(args.lang)
-    records = parse_translations(args.translations)
-    records = [r for r in records if r.language is language]
-    systems = sorted({r.system_id for r in records})
-    if args.system:
-        records = [r for r in records if r.system_id == args.system]
-    elif len(systems) > 1:
+    groups = group_translations(parse_translations(args.translations))
+    systems = [system for system, lang in groups if lang is language]
+    if not args.system and len(systems) > 1:
         raise GntError(f"translations carry several systems ({', '.join(systems)}); pass --system")
+    records = groups.get((args.system or (systems[0] if systems else None), language))
     if not records:
         raise GntError(f"no translations for language {language.value!r}" + (f" and system {args.system!r}" if args.system else ""))
-    resources = load_language_resources(_lexicon_dir(args.lexicon_dir), language)
-    valid, orphans = split_orphans(records, {instance.id for instance in suite})
-    scores, missing = score_suite(suite, valid, resources)
+    index = {instance.id: instance for instance in suite}
+    scores, orphans = score_group(suite, index, records, _lexicon_dir(args.lexicon_dir), language)
     write_scores(scores, args.out)
     print(f"wrote {len(scores)} slot scores to {args.out} "
-          f"({len(orphans)} orphan translations, {missing} instances without translation)")
+          f"({orphans} orphan translations, {missing_translations(index, scores)} instances without translation)")
     return 0
 
 
@@ -135,7 +131,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_run(args) -> int:
     manifest = parse_manifest(args.manifest)
-    documents = run_pipeline(
+    reports = run_pipeline(
         manifest,
         args.translations,
         _lexicon_dir(args.lexicon_dir),
@@ -143,9 +139,9 @@ def _cmd_run(args) -> int:
         threshold=args.threshold,
         seed=args.seed,
     )
-    for document in documents:
-        print(f"{document.system_id} ({document.language.value}): {document.report_path}")
-    print(f"{len(documents)} report(s) in {args.out_dir}")
+    for system, language, report_path in reports:
+        print(f"{system} ({language.value}): {report_path}")
+    print(f"{len(reports)} report(s) in {args.out_dir}")
     return 0
 
 

@@ -15,12 +15,12 @@ from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .classify import GenderLabel, SlotScore
 from .errors import DuplicateRecord, ParseError
 from .lexicon import Language
-from .metrics import ResponseReport, StrategyBreakdown
+from .metrics import ResponseReport, StereotypeReport, StrategyBreakdown
 from .suite import (
     AdjectiveSlot,
     AmbiguityKind,
@@ -346,7 +346,7 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
 
 
 def split_orphans(
-    records: Iterable[TranslationRecord], known_ids: set[str]
+    records: Iterable[TranslationRecord], known_ids: Container[str]
 ) -> tuple[list[TranslationRecord], list[TranslationRecord]]:
     """Separate records whose instance id is not part of the loaded suite."""
     valid, orphans = [], []
@@ -457,6 +457,11 @@ _RESPONSE = {
     "delta_ni": _strategy_shift,
     **dict.fromkeys(("significant_m", "significant_n"), (bool,)),
 }
+_STEREOTYPE = {
+    **dict.fromkeys(("neutral", "stereo_m", "stereo_f"), _BREAKDOWN),
+    **dict.fromkeys(("delta_g_avg", "delta_n_avg"), _NUMBER),
+    "significant_g": (bool,),
+}
 _METRICS_DOC = {
     "system": (str,),
     "lang": (str,),
@@ -464,11 +469,7 @@ _METRICS_DOC = {
     "baseline": _section(_by_family(_BREAKDOWN)),
     "omission_response": _section(_by_family(_RESPONSE)),
     "active_response": _section(_by_family(_RESPONSE)),
-    "stereotype": _section({
-        **dict.fromkeys(("neutral", "stereo_m", "stereo_f"), _BREAKDOWN),
-        **dict.fromkeys(("delta_g_avg", "delta_n_avg"), _NUMBER),
-        "significant_g": (bool,),
-    }),
+    "stereotype": _section(_STEREOTYPE),
     "coverage": {
         "subsets": _each({"classified": (int,), "unmatched": (int,), "unmatched_rate": _NUMBER}),
         "orphan_translations": (int,),
@@ -485,10 +486,10 @@ def parse_metrics_doc(path: str | Path) -> dict:
     return doc
 
 
-_ENTRY_SHAPES = {StrategyBreakdown: _BREAKDOWN, ResponseReport: _RESPONSE}
+_ENTRY_SHAPES = {StrategyBreakdown: _BREAKDOWN, ResponseReport: _RESPONSE, StereotypeReport: _STEREOTYPE}
 
 
-def metrics_entry(value: StrategyBreakdown | ResponseReport) -> dict:
+def metrics_entry(value: StrategyBreakdown | ResponseReport | StereotypeReport) -> dict:
     """The metrics-document object of `value`: each field of its shape read from the attribute of that name."""
     entry = {}
     for key, shape in _ENTRY_SHAPES[type(value)].items():

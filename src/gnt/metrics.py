@@ -197,22 +197,24 @@ class StereotypeReport:
     stereo_f: StrategyBreakdown
     delta_g_avg: Fraction
     delta_n_avg: Fraction
+    significant_g: bool
 
 
 def compute_stereotype_effect(
     neutral: StrategyBreakdown,
     stereo_m: StrategyBreakdown,
     stereo_f: StrategyBreakdown,
+    threshold: float = DEFAULT_SIGNIFICANCE_THRESHOLD,
 ) -> StereotypeReport:
     """Mean pull of each cue toward its own gender, and the drift of N.
 
     delta_g_avg averages the masculine gain under masculine cues with the
     feminine gain under feminine cues; delta_n_avg averages the change of the
-    neutral share under both cues.
+    neutral share under both cues. delta_g_avg is flagged against `threshold`.
     """
     for breakdown in (neutral, stereo_m, stereo_f):
         if breakdown.is_empty:
             raise EmptySelection("stereotype effect needs three non-empty breakdowns")
     delta_g = ((stereo_m.m - neutral.m) + (stereo_f.f - neutral.f)) / 2
     delta_n = ((stereo_m.n - neutral.n) + (stereo_f.n - neutral.n)) / 2
-    return StereotypeReport(neutral, stereo_m, stereo_f, delta_g, delta_n)
+    return StereotypeReport(neutral, stereo_m, stereo_f, delta_g, delta_n, flag_significance(delta_g, threshold))

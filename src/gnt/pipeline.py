@@ -1,7 +1,8 @@
-"""End-to-end composition: generate -> score -> metrics -> report.
+"""The evaluation steps, shared by `gnt score`, `gnt metrics` and `run_pipeline`.
 
-Systems and languages are discovered from the translations file, so scoring a
-new system is purely a data change.
+`run_pipeline` is generate, then score -> metrics -> report for each (system,
+language) found in the translations file, so scoring a new system is purely a
+data change.
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Container
 
 from .classify import GenderLabel, SlotScore, classify_instance
-from .errors import EmptySelection, InvalidThreshold
+from .errors import EmptySelection, GntError, InvalidThreshold
 from .formats import (
     TranslationRecord,
     by_family_entry,
@@ -30,7 +31,6 @@ from .metrics import (
     ResponseReport,
     StrategyBreakdown,
     compute_stereotype_effect,
-    flag_significance,
     label_cells,
     macro_average,
     macro_average_breakdowns,
@@ -41,21 +41,47 @@ from .suite import SuiteManifest, TestInstance, generate_suite
 
 
 def score_suite(
-    suite: list[TestInstance],
-    translations: list[TranslationRecord],
-    resources: LanguageResources,
-) -> tuple[list[SlotScore], int]:
-    """Classify every translated instance; returns (scores, missing count)."""
+    suite: list[TestInstance], translations: list[TranslationRecord], resources: LanguageResources
+) -> list[SlotScore]:
+    """Classify the slots of every suite instance that has a translation."""
     by_id = {record.instance_id: record for record in translations}
     scores: list[SlotScore] = []
-    missing = 0
     for instance in suite:
         record = by_id.get(instance.id)
-        if record is None:
-            missing += 1
-            continue
-        scores.extend(classify_instance(instance, record.target_text, resources))
-    return scores, missing
+        if record is not None:
+            scores.extend(classify_instance(instance, record.target_text, resources))
+    return scores
+
+
+def group_translations(records: list[TranslationRecord]) -> dict[tuple[str, Language], list[TranslationRecord]]:
+    """The records of each (system, language), ordered by system, then language code."""
+    groups: dict[tuple[str, Language], list[TranslationRecord]] = {}
+    for record in records:
+        groups.setdefault((record.system_id, record.language), []).append(record)
+    return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
+
+
+def score_group(
+    suite: list[TestInstance],
+    known_ids: Container[str],
+    records: list[TranslationRecord],
+    lexicon_dir: str | Path,
+    language: Language,
+) -> tuple[list[SlotScore], int]:
+    """Score one (system, language) group: (scores, number of orphans, the records `known_ids` lacks)."""
+    valid, orphans = split_orphans(records, known_ids)
+    resources = load_language_resources(lexicon_dir, language)
+    return score_suite(suite, valid, resources), len(orphans)
+
+
+def missing_translations(index: dict[str, TestInstance], scores: list[SlotScore]) -> int:
+    """How many instances of `index` (id -> instance) have slots but no score.
+
+    Pops the scored instances from `index`: a new set of score ids would raise a run's peak memory.
+    """
+    for score in scores:
+        index.pop(score.instance_id, None)
+    return sum(1 for instance in index.values() if instance.slots)
 
 
 def _cell(cells: dict[str, Counter], key: str) -> StrategyBreakdown:
@@ -107,15 +133,8 @@ def build_metrics_doc(
 
     stereotype = None
     try:
-        effect = compute_stereotype_effect(*(_cell(cells, f"T7-{key}") for key in ("None", "StereoM", "StereoF")))
-        stereotype = {
-            "neutral": metrics_entry(effect.neutral),
-            "stereo_m": metrics_entry(effect.stereo_m),
-            "stereo_f": metrics_entry(effect.stereo_f),
-            "delta_g_avg": float(effect.delta_g_avg),
-            "delta_n_avg": float(effect.delta_n_avg),
-            "significant_g": flag_significance(effect.delta_g_avg, threshold),
-        }
+        t7 = (_cell(cells, f"T7-{key}") for key in ("None", "StereoM", "StereoF"))
+        stereotype = metrics_entry(compute_stereotype_effect(*t7, threshold))
     except EmptySelection:
         pass
 
@@ -124,12 +143,6 @@ def build_metrics_doc(
         unmatched = labels[GenderLabel.UNMATCHED]
         total = labels.total()
         subsets[key] = {"classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total}
-
-    # the index becomes the unscored instances: a new set of score ids would
-    # raise the peak memory of the run
-    for score in scores:
-        index.pop(score.instance_id, None)
-    missing_translations = sum(1 for instance in index.values() if instance.slots)
 
     return {
         "system": system,
@@ -142,20 +155,9 @@ def build_metrics_doc(
         "coverage": {
             "subsets": subsets,
             "orphan_translations": orphan_translations,
-            "missing_translations": missing_translations,
+            "missing_translations": missing_translations(index, scores),
         },
     }
-
-
-@dataclass
-class ReportDocument:
-    system_id: str
-    language: Language
-    doc: dict
-    markdown: str
-    scores_path: Path | None = None
-    metrics_path: Path | None = None
-    report_path: Path | None = None
 
 
 def _slug(text: str) -> str:
@@ -169,10 +171,12 @@ def run_pipeline(
     out_dir: str | Path,
     threshold: float = DEFAULT_SIGNIFICANCE_THRESHOLD,
     seed: int | None = None,
-) -> list[ReportDocument]:
-    """Generate the suite, score every (system, language) found, and report.
+) -> list[tuple[str, Language, Path]]:
+    """Generate the suite, then score, aggregate and report every (system, language) found.
 
-    A bad threshold raises InvalidThreshold before anything is written.
+    Returns each group's (system, language, report path). A bad threshold
+    raises InvalidThreshold before anything is written, and two systems whose
+    names give one file stem raise GntError before any group is scored.
     """
     _check_threshold(threshold)
     out = Path(out_dir)
@@ -180,30 +184,24 @@ def run_pipeline(
 
     suite = generate_suite(manifest, seed)
     write_suite(suite, out / "suite.jsonl")
-    records = parse_translations(translations_path)
+    groups = group_translations(parse_translations(translations_path))
+    owners: dict[str, str] = {}
+    for system, _ in groups:
+        owner = owners.setdefault(_slug(system), system)
+        if owner != system:
+            raise GntError(f"systems {owner!r} and {system!r} share the file stem {_slug(system)!r}; rename one")
 
     known_ids = {instance.id for instance in suite}
-    groups: dict[tuple[str, Language], list[TranslationRecord]] = {}
-    for record in records:
-        groups.setdefault((record.system_id, record.language), []).append(record)
-
-    documents = []
-    for (system, language), group in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        valid, orphans = split_orphans(group, known_ids)
-        resources = load_language_resources(lexicon_dir, language)
-        scores, _ = score_suite(suite, valid, resources)
-        doc = build_metrics_doc(suite, scores, system, language, threshold, orphan_translations=len(orphans))
+    reports = []
+    for (system, language), records in groups.items():
+        scores, orphans = score_group(suite, known_ids, records, lexicon_dir, language)
+        doc = build_metrics_doc(suite, scores, system, language, threshold, orphan_translations=orphans)
         markdown = render_report(doc, "md")
 
         stem = f"{_slug(system)}_{language.value}"
-        scores_path = out / f"scores_{stem}.jsonl"
-        metrics_path = out / f"metrics_{stem}.json"
         report_path = out / f"report_{stem}.md"
-        write_scores(scores, scores_path)
-        write_metrics_doc(doc, metrics_path)
+        write_scores(scores, out / f"scores_{stem}.jsonl")
+        write_metrics_doc(doc, out / f"metrics_{stem}.json")
         report_path.write_text(markdown, encoding="utf-8")
-
-        documents.append(
-            ReportDocument(system, language, doc, markdown, scores_path, metrics_path, report_path)
-        )
-    return documents
+        reports.append((system, language, report_path))
+    return reports

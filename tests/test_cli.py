@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -116,31 +117,86 @@ def test_run_subcommand_full_pipeline(tmp_path, suite_path):
 
 
 def test_split_score_metrics_path_matches_run(tmp_path, suite_path):
+    """Two systems in two languages: each group's split-path files equal `gnt run`'s."""
+    lines = {}
+    for lang in ("es", "cs"):
+        out = tmp_path / f"sensitive_{lang}.jsonl"
+        lexicon = lexicon_dir() / lang / "lexicon.csv"
+        adapter = "cmd:" + backend_command("--mode", "sensitive", "--lexicon", str(lexicon))
+        assert main(["translate", "--suite", str(suite_path), "--adapter", adapter,
+                     "--lang", lang, "--system", "demo-sys", "--out", str(out)]) == 0
+        lines[lang] = out.read_text(encoding="utf-8").splitlines()
+    instances = [json.loads(line) for line in suite_path.read_text(encoding="utf-8").splitlines()]
+    # a second system that copies the English source, for a different share of the instances per language
+    echoed = [json.dumps({"system": "echo-sys", "lang": lang, "id": instance["id"], "text": instance["source_text"]})
+              for lang, step in (("es", 3), ("cs", 4)) for instance in instances[::step]]
+    kept = lines["es"][::2] + lines["cs"][1::2] + echoed
+    kept.append(json.dumps({"system": "demo-sys", "lang": "es", "id": "orphan-1", "text": "hola"}))
     translations = tmp_path / "translations.jsonl"
-    es_lexicon = lexicon_dir() / "es" / "lexicon.csv"
-    adapter = "cmd:" + backend_command("--mode", "sensitive", "--lexicon", str(es_lexicon))
-    assert main(["translate", "--suite", str(suite_path), "--adapter", adapter,
-                 "--lang", "es", "--system", "demo-sys", "--out", str(translations)]) == 0
-    lines = translations.read_text(encoding="utf-8").splitlines()
-    kept = lines[::2] + [json.dumps({"system": "demo-sys", "lang": "es", "id": "orphan-1", "text": "hola"})]
     translations.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
-    scores = tmp_path / "scores.jsonl"
-    metrics = tmp_path / "metrics.json"
-    assert main(["score", "--suite", str(suite_path), "--translations", str(translations),
-                 "--lexicon-dir", str(lexicon_dir()), "--lang", "es", "--out", str(scores)]) == 0
-    assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
-                 "--system", "demo-sys", "--lang", "es", "--out", str(metrics)]) == 0
     out_dir = tmp_path / "out"
     assert main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
                  "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(out_dir)]) == 0
+    groups = [(system, lang) for system in ("demo-sys", "echo-sys") for lang in ("cs", "es")]
+    for system, lang in groups:
+        stem = f"{system}_{lang}"
+        scores, metrics, report = (tmp_path / f"{name}_{stem}" for name in ("scores", "metrics", "report"))
+        assert main(["score", "--suite", str(suite_path), "--translations", str(translations), "--system", system,
+                     "--lexicon-dir", str(lexicon_dir()), "--lang", lang, "--out", str(scores)]) == 0
+        assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
+                     "--system", system, "--lang", lang, "--out", str(metrics)]) == 0
+        assert main(["report", "--metrics", str(metrics), "--format", "md", "--out", str(report)]) == 0
 
-    split = json.loads(metrics.read_text(encoding="utf-8"))
+        assert scores.read_bytes() == (out_dir / f"scores_{stem}.jsonl").read_bytes(), stem
+        split = json.loads(metrics.read_text(encoding="utf-8"))
+        run = json.loads((out_dir / f"metrics_{stem}.json").read_text(encoding="utf-8"))
+        # scores carry no orphan information, so only the run path can count orphans
+        orphans = int((system, lang) == ("demo-sys", "es"))
+        assert (split["coverage"].pop("orphan_translations"), run["coverage"].pop("orphan_translations")) == (0, orphans)
+        assert split == run, stem
+        expected = report.read_text(encoding="utf-8").replace("Orphan translations: 0\n", f"Orphan translations: {orphans}\n")
+        assert expected.encode("utf-8") == (out_dir / f"report_{stem}.md").read_bytes(), stem
     run = json.loads((out_dir / "metrics_demo-sys_es.json").read_text(encoding="utf-8"))
-    assert run["coverage"]["missing_translations"] == len(lines) - len(lines[::2])
-    # scores carry no orphan information, so only the run path can count orphans
-    assert (split["coverage"].pop("orphan_translations"), run["coverage"].pop("orphan_translations")) == (0, 1)
-    assert split == run
+    assert run["coverage"]["missing_translations"] == len(lines["es"]) - len(lines["es"][::2])
+    assert sorted(path.name for path in out_dir.glob("report_*.md")) == sorted(f"report_{s}_{l}.md" for s, l in groups)
+
+
+def test_score_and_metrics_count_one_missing_rule(tmp_path, suite_path, capsys):
+    """An instance without slots and without translation is missing for neither `gnt score` nor `gnt metrics`."""
+    lines = suite_path.read_text(encoding="utf-8").splitlines()
+    empty = dict(json.loads(lines[0]), id="no-slots-1", slots=[])
+    suite = tmp_path / "suite.jsonl"
+    suite.write_text("\n".join(lines + [json.dumps(empty)]) + "\n", encoding="utf-8")
+    translations = tmp_path / "translations.jsonl"
+    translations.write_text("".join(
+        json.dumps({"system": "s", "lang": "es", "id": json.loads(line)["id"], "text": "fuerte"}) + "\n"
+        for line in lines[::2]
+    ), encoding="utf-8")
+    scores, metrics = tmp_path / "scores.jsonl", tmp_path / "metrics.json"
+    assert main(["score", "--suite", str(suite), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), "--lang", "es", "--out", str(scores)]) == 0
+    printed = int(re.search(r"(\d+) instances without translation", capsys.readouterr().out).group(1))
+    assert main(["metrics", "--scores", str(scores), "--suite", str(suite),
+                 "--lang", "es", "--out", str(metrics)]) == 0
+    doc = json.loads(metrics.read_text(encoding="utf-8"))
+    assert printed == doc["coverage"]["missing_translations"] == len(lines) - len(lines[::2])
+
+
+def test_run_rejects_two_systems_with_one_file_stem(tmp_path, suite_path, capsys):
+    first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
+    translations = tmp_path / "translations.jsonl"
+    translations.write_text("".join(
+        json.dumps({"system": system, "lang": "es", "id": first["id"], "text": "fuerte"}) + "\n"
+        for system in ("my sys", "my_sys")
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: systems 'my sys' and 'my_sys' share the file stem 'my_sys'; rename one\n"
+    assert [path.name for path in out.iterdir()] == ["suite.jsonl"]
 
 
 @pytest.mark.parametrize("slot_index", [99, -1, True, "0"])

@@ -30,7 +30,7 @@ from gnt import (
 from gnt.errors import DuplicateRecord, GntError, InvalidEntry, ParseError
 from gnt.formats import metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
 from gnt.data import demo_manifest_path, lexicon_dir
-from gnt.pipeline import build_metrics_doc, score_suite
+from gnt.pipeline import build_metrics_doc, missing_translations, score_suite
 from gnt.suite import (
     AMBIGUOUS_ACTIVE,
     QUOTA_KEYS,
@@ -748,9 +748,9 @@ def test_label_cells_rejects_slot_index_past_the_instance(demo_manifest):
 def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)[:-3]
-    scores, missing = score_suite(suite, records, es_resources)
+    scores = score_suite(suite, records, es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
-    assert doc["coverage"]["missing_translations"] == missing == 3
+    assert doc["coverage"]["missing_translations"] == 3
 
 
 @pytest.mark.parametrize("hand_edited", [False, True])
@@ -788,8 +788,8 @@ def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
 def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)[:-3]
-    scores, missing = score_suite(suite, records, es_resources)
-    assert missing == 3
+    scores = score_suite(suite, records, es_resources)
+    assert missing_translations({instance.id: instance for instance in suite}, scores) == 3
     translated = {record.instance_id for record in records}
     assert len(scores) == sum(len(i.slots) for i in suite if i.id in translated)
 
@@ -797,9 +797,9 @@ def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
 def test_build_metrics_doc_engineered_active_response(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)
-    scores, missing = score_suite(suite, records, es_resources)
-    assert missing == 0
+    scores = score_suite(suite, records, es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    assert doc["coverage"]["missing_translations"] == 0
     active = doc["active_response"]["macro"]
     assert active["delta_n"] == 1.0
     assert active["delta_m"] == -1.0
@@ -817,14 +817,13 @@ def test_run_pipeline_end_to_end(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     translations = tmp_path / "translations.jsonl"
     write_translations(_fake_system_translations(suite, es_resources), translations)
-    documents = run_pipeline(demo_manifest, translations, lexicon_dir(), tmp_path / "out")
-    assert len(documents) == 1
-    document = documents[0]
-    assert document.system_id == "fake"
-    assert document.report_path.exists()
-    assert "**1.000**" in document.markdown
-    reparsed = parse_metrics_doc(document.metrics_path)
-    assert reparsed == document.doc
+    reports = run_pipeline(demo_manifest, translations, lexicon_dir(), tmp_path / "out")
+    assert len(reports) == 1
+    system, language, report_path = reports[0]
+    assert (system, language) == ("fake", Language.ES)
+    markdown = report_path.read_text(encoding="utf-8")
+    assert "**1.000**" in markdown
+    assert render_report(parse_metrics_doc(tmp_path / "out" / "metrics_fake_es.json"), "md") == markdown
 
 
 def test_orphan_translations_never_alter_metrics(tmp_path, demo_manifest, es_resources):
@@ -836,8 +835,10 @@ def test_orphan_translations_never_alter_metrics(tmp_path, demo_manifest, es_res
     write_translations(
         records + [TranslationRecord("fake", Language.ES, "ghost-id", "Soy fuerte.")], noisy
     )
-    clean_doc = run_pipeline(demo_manifest, clean, lexicon_dir(), tmp_path / "a")[0].doc
-    noisy_doc = run_pipeline(demo_manifest, noisy, lexicon_dir(), tmp_path / "b")[0].doc
+    run_pipeline(demo_manifest, clean, lexicon_dir(), tmp_path / "a")
+    run_pipeline(demo_manifest, noisy, lexicon_dir(), tmp_path / "b")
+    clean_doc = parse_metrics_doc(tmp_path / "a" / "metrics_fake_es.json")
+    noisy_doc = parse_metrics_doc(tmp_path / "b" / "metrics_fake_es.json")
     assert noisy_doc["coverage"]["orphan_translations"] == 1
     noisy_doc["coverage"]["orphan_translations"] = 0
     assert noisy_doc == clean_doc
@@ -848,8 +849,8 @@ def test_run_pipeline_accepts_unknown_systems(tmp_path, demo_manifest, es_resour
     records = _fake_system_translations(suite, es_resources, system="never-seen-before")
     translations = tmp_path / "translations.jsonl"
     write_translations(records, translations)
-    documents = run_pipeline(demo_manifest, translations, lexicon_dir(), tmp_path / "out")
-    assert [d.system_id for d in documents] == ["never-seen-before"]
+    reports = run_pipeline(demo_manifest, translations, lexicon_dir(), tmp_path / "out")
+    assert [system for system, _, _ in reports] == ["never-seen-before"]
 
 
 def test_run_pipeline_missing_lexicon_dir_fails_in_score_stage(tmp_path, demo_manifest, es_resources):
@@ -863,7 +864,7 @@ def test_run_pipeline_missing_lexicon_dir_fails_in_score_stage(tmp_path, demo_ma
 def test_metrics_doc_write_parse_write_is_byte_identical(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)
-    scores, _ = score_suite(suite, records, es_resources)
+    scores = score_suite(suite, records, es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     first = tmp_path / "metrics.json"
     second = tmp_path / "metrics2.json"

@@ -1,7 +1,8 @@
-"""The benchmark's trace points name functions that `gnt` still holds.
+"""The benchmark's trace points name functions that `gnt` still holds and calls.
 
 `bench/tracing.py` rebinds module globals by name, so a renamed or inlined
-function breaks a traced benchmark run; this catches it in the fast suite.
+function breaks a traced benchmark run, and a step no longer called through
+its traced name reads 0 s in one; this catches both in the fast suite.
 """
 
 from __future__ import annotations
@@ -9,17 +10,50 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+import gnt.pipeline
+from gnt import Language, TranslationRecord, generate_suite, parse_manifest, write_translations
+from gnt.cli import main
+from gnt.data import demo_manifest_path, lexicon_dir
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_trace_point_resolves(monkeypatch):
+def _trace_points(monkeypatch) -> tuple:
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.TRACE_POINTS
-    for module_name, attribute, _layer in tracing.TRACE_POINTS:
+    return tracing.TRACE_POINTS
+
+
+def test_every_trace_point_resolves(monkeypatch):
+    trace_points = _trace_points(monkeypatch)
+    assert trace_points
+    for module_name, attribute, _layer in trace_points:
         module = importlib.import_module(module_name)
         assert callable(vars(module).get(attribute)), f"{module_name}.{attribute} is no module-level function"
+
+
+def test_gnt_run_calls_every_pipeline_trace_point(tmp_path, monkeypatch):
+    suite = generate_suite(parse_manifest(demo_manifest_path()))
+    translations = tmp_path / "translations.jsonl"
+    write_translations([TranslationRecord("echo", Language.ES, i.id, i.source_text) for i in suite], translations)
+
+    calls: Counter = Counter()
+
+    def counted(attribute, func):
+        def wrapper(*args, **kwargs):
+            calls[attribute] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    # each name is restored when the test ends, unlike Tracer.install
+    names = [attribute for module_name, attribute, _ in _trace_points(monkeypatch) if module_name == "gnt.pipeline"]
+    for attribute in names:
+        monkeypatch.setattr(gnt.pipeline, attribute, counted(attribute, getattr(gnt.pipeline, attribute)))
+    assert main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(tmp_path / "out")]) == 0
+    assert names and [name for name in names if not calls[name]] == []
