@@ -33,6 +33,8 @@ from .suite import TestInstance
 
 
 class AdapterKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     EXTERNAL_COMMAND = "cmd"
     HTTP_ENDPOINT = "http"
 

@@ -32,6 +32,8 @@ from .suite import AdjectiveSlot, TestInstance
 
 
 class GenderLabel(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     MASCULINE = "M"
     FEMININE = "F"
     N1_COMMON_FORM = "N1"
@@ -50,7 +52,7 @@ _LABEL_BY_FORM_GENDER = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotScore:
     instance_id: str
     slot_index: int

@@ -119,7 +119,10 @@ def _decode(raw: bytes, path: str, line: int = 0) -> str:
 def _read_lines(path: str):
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, start=1):
-            line = _decode(raw, path, number).strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                _decode(raw, path, number)  # raises the ParseError that names the byte
             if not line:
                 continue
             try:
@@ -294,7 +297,7 @@ def parse_suite(path: str | Path) -> list[TestInstance]:
 # --- translations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationRecord:
     system_id: str
     language: Language
@@ -335,8 +338,10 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
     path = str(path)
     records = []
     seen: dict[tuple[str, str, str], int] = {}
+    systems: dict[str, str] = {}  # one string per system id, shared by its records
     for number, record in _read_lines(path):
         system, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
+        system = systems.setdefault(system, system)
         language = _LANGUAGES.get(lang.lower())
         if language is None:
             raise ParseError(f"unknown language {lang!r}", path, number)

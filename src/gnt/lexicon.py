@@ -20,6 +20,8 @@ from .errors import InvalidEntry, LexiconConflict
 
 
 class Language(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     IS = "is"
     CS = "cs"
     ES = "es"
@@ -35,6 +37,8 @@ class Language(Enum):
 
 
 class FormGender(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     MASCULINE_ONLY = "m"
     FEMININE_ONLY = "f"
     NEUTER_CASE = "neu"
@@ -42,6 +46,8 @@ class FormGender(Enum):
 
 
 class PatternKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     SLASH_SUFFIX = "slash"
     PAREN_SUFFIX = "paren"
     AT_SIGN = "at"

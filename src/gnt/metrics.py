@@ -7,7 +7,7 @@ delta-closure (sum of the ΔNi = ΔN) identities hold exactly.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -86,11 +86,13 @@ class StrategyBreakdown:
 def label_cells(scores: Iterable[SlotScore], index: Mapping[str, TestInstance]) -> dict[str, Counter]:
     """Count the labels of each quota-key subset (`quota_key_for_slot`) in one pass.
 
-    `index` maps each instance id to its instance. Raises GntError for a
-    score whose instance id is unknown or whose slot index is outside its
-    instance's slots.
+    `index` maps each instance id to its instance. A slot's quota key depends
+    only on its (family, gender kind, stereotype kind) condition, so it is
+    worked out once per condition. Raises GntError for a score whose instance
+    id is unknown or whose slot index is outside its instance's slots.
     """
-    cells: defaultdict[str, Counter] = defaultdict(Counter)
+    cells: dict[str, Counter] = {}
+    cell_of: dict[tuple, Counter] = {}  # condition -> the cell of its quota key
     for score in scores:
         instance = index.get(score.instance_id)
         if instance is None:
@@ -103,13 +105,22 @@ def label_cells(scores: Iterable[SlotScore], index: Mapping[str, TestInstance]) 
                 f"score for instance {score.instance_id!r} has slot_index {score.slot_index}, "
                 f"but the instance has {len(slots)} slot(s)"
             )
-        cells[quota_key_for_slot(instance.family, slots[score.slot_index])][score.label] += 1
-    return dict(cells)
+        slot = slots[score.slot_index]
+        condition = (instance.family, slot.gender.kind, slot.stereotype.kind)
+        cell = cell_of.get(condition)
+        if cell is None:
+            cell = cell_of[condition] = cells.setdefault(quota_key_for_slot(instance.family, slot), Counter())
+        cell[score.label] += 1
+    return cells
 
 
 def flag_significance(delta, threshold) -> bool:
-    """True iff |delta| reaches the threshold (boundary included)."""
-    return abs(delta) >= threshold
+    """True iff |delta|, as the metrics document prints it, reaches the threshold (boundary included).
+
+    An exact delta is compared as a float: the float 0.07 lies above 7/100, so
+    the Fraction 7/100 would miss a threshold that its printed 0.07 reaches.
+    """
+    return float(abs(delta)) >= threshold
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def score_group(
     lexicon_dir: str | Path,
     language: Language,
 ) -> tuple[list[SlotScore], int]:
-    """Score one (system, language) group: (scores, number of orphans, the records `known_ids` lacks)."""
+    """Score one (system, language) group: (scores, number of records whose id `known_ids` lacks)."""
     valid, orphans = split_orphans(records, known_ids)
     resources = load_language_resources(lexicon_dir, language)
     return score_suite(suite, valid, resources), len(orphans)
@@ -204,4 +204,6 @@ def run_pipeline(
         write_metrics_doc(doc, out / f"metrics_{stem}.json")
         report_path.write_text(markdown, encoding="utf-8")
         reports.append((system, language, report_path))
+        # release this group's outputs before the next group is scored
+        del scores, doc, markdown
     return reports

@@ -19,6 +19,8 @@ from .errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 
 
 class TemplateFamily(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     T1_ONE_PERSON_KNOWN = "T1"
     T2_TWO_PERSON_KNOWN = "T2"
     T3_ONE_PERSON_PARTIAL = "T3"
@@ -32,29 +34,37 @@ class TemplateFamily(Enum):
 
 
 class GenderKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     DETERMINED_MASCULINE = "determined_masculine"
     DETERMINED_FEMININE = "determined_feminine"
     AMBIGUOUS = "ambiguous"
 
 
 class AmbiguityKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     NONE = "none"
     OMISSION = "omission"
     ACTIVE = "active"
 
 
 class Referent(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     SPEAKER = "speaker"
     LISTENER = "listener"
 
 
 class StereotypeKind(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     NONE = "none"
     MASCULINE = "masculine"
     FEMININE = "feminine"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenderCondition:
     kind: GenderKind
     ambiguity: AmbiguityKind = AmbiguityKind.NONE
@@ -70,15 +80,16 @@ class GenderCondition:
 
     @staticmethod
     def determined(gender: str) -> "GenderCondition":
-        kind = GenderKind.DETERMINED_FEMININE if gender == "f" else GenderKind.DETERMINED_MASCULINE
-        return GenderCondition(kind)
+        return DETERMINED_FEMININE if gender == "f" else DETERMINED_MASCULINE
 
 
+DETERMINED_MASCULINE = GenderCondition(GenderKind.DETERMINED_MASCULINE)
+DETERMINED_FEMININE = GenderCondition(GenderKind.DETERMINED_FEMININE)
 AMBIGUOUS_OMISSION = GenderCondition(GenderKind.AMBIGUOUS, AmbiguityKind.OMISSION)
 AMBIGUOUS_ACTIVE = GenderCondition(GenderKind.AMBIGUOUS, AmbiguityKind.ACTIVE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StereotypeCondition:
     kind: StereotypeKind = StereotypeKind.NONE
     cue: str = ""
@@ -91,7 +102,7 @@ class StereotypeCondition:
 NO_STEREOTYPE = StereotypeCondition()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjectiveSlot:
     slot_index: int
     lemma: str
@@ -100,7 +111,7 @@ class AdjectiveSlot:
     stereotype: StereotypeCondition = NO_STEREOTYPE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestInstance:
     id: str
     family: TemplateFamily

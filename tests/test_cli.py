@@ -1,13 +1,31 @@
 from __future__ import annotations
 
+import gc
+import importlib
 import json
+import os
+import pkgutil
 import re
 import shutil
+import subprocess
+import sys
+from enum import Enum
+from pathlib import Path
 
 import pytest
 
+import gnt
 import gnt.cli
-from gnt import adapter
+import gnt.pipeline
+from gnt import (
+    Language,
+    SlotScore,
+    TranslationRecord,
+    adapter,
+    generate_suite,
+    parse_manifest,
+    write_translations,
+)
 from gnt.adapter import AdapterConfig
 from gnt.cli import build_parser, main
 from gnt.data import demo_manifest_path, lexicon_dir
@@ -160,6 +178,103 @@ def test_split_score_metrics_path_matches_run(tmp_path, suite_path):
     run = json.loads((out_dir / "metrics_demo-sys_es.json").read_text(encoding="utf-8"))
     assert run["coverage"]["missing_translations"] == len(lines["es"]) - len(lines["es"][::2])
     assert sorted(path.name for path in out_dir.glob("report_*.md")) == sorted(f"report_{s}_{l}.md" for s, l in groups)
+
+
+def _echo_translations(tmp_path, langs: tuple[str, ...]) -> Path:
+    """A translations file that copies the demo suite's English source for each of `langs`."""
+    suite = generate_suite(parse_manifest(demo_manifest_path()))
+    path = tmp_path / "translations.jsonl"
+    write_translations(
+        [TranslationRecord("echo", Language(lang), instance.id, instance.source_text) for lang in langs for instance in suite],
+        path,
+    )
+    return path
+
+
+def _run_argv(translations: Path, out_dir: Path) -> list[str]:
+    return ["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
+            "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(out_dir)]
+
+
+def test_run_holds_one_groups_scores_at_a_time(tmp_path, monkeypatch):
+    """When a group is scored, no score of an earlier group is alive."""
+    alive: list[int] = []
+    score_group = gnt.pipeline.score_group
+
+    def counted(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(1 for obj in gc.get_objects() if type(obj) is SlotScore))
+        return score_group(*args, **kwargs)
+
+    monkeypatch.setattr(gnt.pipeline, "score_group", counted)
+    assert main(_run_argv(_echo_translations(tmp_path, ("es", "cs")), tmp_path / "out")) == 0
+    # the scores alive at the first group's entry belong to no group of this run
+    assert len(alive) == 2 and alive[1] == alive[0]
+
+
+def _gnt_enums() -> list[type[Enum]]:
+    """Every Enum class that a gnt module defines."""
+    enums = []
+    for info in pkgutil.walk_packages(gnt.__path__, "gnt."):
+        module = importlib.import_module(info.name)
+        enums += [value for value in vars(module).values()
+                  if isinstance(value, type) and issubclass(value, Enum) and value.__module__ == info.name]
+    return enums
+
+
+def test_every_gnt_enum_hashes_by_identity():
+    enums = _gnt_enums()
+    assert {"GenderLabel", "Language", "TemplateFamily", "GenderKind"} <= {cls.__name__ for cls in enums}
+    for cls in enums:
+        assert cls.__hash__ is object.__hash__, cls
+        assert all(hash(member) == object.__hash__(member) for member in cls), cls
+
+
+# Allocates some objects before gnt is imported, so the Enum members, and with
+# them their identity hashes and the order a set of them iterates in, move;
+# prints that order for every gnt Enum to stderr, then runs `gnt` on argv[2:].
+_RUN_WITH_BALLAST = """
+import importlib, json, pkgutil, sys
+from enum import Enum
+
+class Ballast:
+    pass
+
+ballast = [Ballast() for _ in range(int(sys.argv[1]))]
+import gnt
+from gnt.cli import main
+
+orders = []
+for info in pkgutil.walk_packages(gnt.__path__, "gnt."):
+    for value in vars(importlib.import_module(info.name)).values():
+        if isinstance(value, type) and issubclass(value, Enum) and value.__module__ == info.name:
+            orders.append([member.name for member in frozenset(value)])
+print(json.dumps(orders), file=sys.stderr)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_no_output_depends_on_the_order_of_a_set_of_members(tmp_path):
+    """Runs in processes whose sets of members iterate in different orders write the same bytes."""
+    translations = _echo_translations(tmp_path, ("es", "cs"))
+    source = str(Path(gnt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
+    orders: list[str] = []
+    outputs: list[dict[str, bytes]] = []
+    for ballast in range(8):  # until two runs iterate some set of members in different orders
+        out_dir = tmp_path / f"out{ballast}"
+        run = subprocess.run(
+            [sys.executable, "-c", _RUN_WITH_BALLAST, str(ballast), *_run_argv(translations, out_dir)],
+            env={**env, "PYTHONHASHSEED": str(ballast)}, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        orders.append(run.stderr)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out_dir.iterdir())})
+        if len(set(orders)) > 1:
+            break
+    assert len(set(orders)) > 1, "no run moved the Enum members far enough to reorder a set of them"
+    assert len(outputs[0]) == 7  # the suite, and a scores file, metrics document and report per language
+    assert all(output == outputs[0] for output in outputs)
 
 
 def test_score_and_metrics_count_one_missing_rule(tmp_path, suite_path, capsys):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gnt.metrics
 from gnt import (
     GenderLabel,
     Language,
@@ -20,7 +22,20 @@ from gnt import (
     paired_response,
 )
 from gnt.errors import EmptySelection, InvalidThreshold
-from gnt.suite import TemplateFamily
+from gnt.suite import (
+    AMBIGUOUS_ACTIVE,
+    AMBIGUOUS_OMISSION,
+    DETERMINED_FEMININE,
+    DETERMINED_MASCULINE,
+    NO_STEREOTYPE,
+    AdjectiveSlot,
+    Referent,
+    StereotypeCondition,
+    StereotypeKind,
+    TemplateFamily,
+    quota_key_for_slot,
+)
+from gnt.suite import TestInstance as SuiteInstance  # a name pytest does not collect
 from helpers import reference_breakdown
 
 _LABELS = [
@@ -278,6 +293,56 @@ def test_binary_swap_leaves_neutral_share_untouched():
         assert report.delta_n_avg == 0
 
 
+# --- label cells against a per-score reference ------------------------------------------
+
+_GENDERS = (DETERMINED_MASCULINE, DETERMINED_FEMININE, AMBIGUOUS_OMISSION, AMBIGUOUS_ACTIVE)
+_STEREOTYPES = (
+    NO_STEREOTYPE,
+    StereotypeCondition(StereotypeKind.MASCULINE, "cue"),
+    StereotypeCondition(StereotypeKind.FEMININE, "cue"),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_label_cells_match_a_per_score_quota_key_count(data):
+    """`label_cells` counts each score under its slot's quota key, worked out once per slot condition."""
+    instances = []
+    for number in range(data.draw(st.integers(1, 12))):
+        slots = tuple(
+            AdjectiveSlot(index, "fit", Referent.SPEAKER, data.draw(st.sampled_from(_GENDERS)),
+                          data.draw(st.sampled_from(_STEREOTYPES)))
+            for index in range(data.draw(st.integers(1, 4)))
+        )
+        instances.append(SuiteInstance(f"i{number}", data.draw(st.sampled_from(list(TemplateFamily))), "fit", slots))
+    scores = [
+        SlotScore(instance.id, slot.slot_index, data.draw(st.sampled_from(list(GenderLabel))))
+        for instance in instances for slot in instance.slots if data.draw(st.booleans())
+    ]
+    index = {instance.id: instance for instance in instances}
+
+    expected: defaultdict[str, Counter] = defaultdict(Counter)
+    conditions = set()
+    for score in scores:
+        instance = index[score.instance_id]
+        slot = instance.slots[score.slot_index]
+        expected[quota_key_for_slot(instance.family, slot)][score.label] += 1
+        conditions.add((instance.family, slot.gender.kind, slot.stereotype.kind))
+
+    calls: Counter = Counter()
+
+    def counted(family, slot):
+        calls[family, slot.gender.kind, slot.stereotype.kind] += 1
+        return quota_key_for_slot(family, slot)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gnt.metrics, "quota_key_for_slot", counted)
+        cells = label_cells(scores, index)
+    assert cells == dict(expected)
+    assert set(calls) == conditions
+    assert max(calls.values(), default=0) <= 1
+
+
 # --- significance flag ------------------------------------------------------------------
 
 
@@ -288,10 +353,27 @@ def test_binary_swap_leaves_neutral_share_untouched():
         (0.066, 0.07, False),
         (-0.07, 0.07, True),
         (0.0, 0.0, True),
+        # exact deltas count as the document prints them: 7/100 prints as 0.07
+        (Fraction(7, 100), 0.07, True),
+        (Fraction(-7, 100), 0.07, True),
+        (Fraction(69, 1000), 0.07, False),
+        (Fraction(1, 3), 1 / 3, True),
     ],
 )
 def test_flag_significance(delta, threshold, expected):
     assert flag_significance(delta, threshold) is expected
+
+
+def test_paired_response_flags_a_delta_at_the_threshold():
+    # 100-slot cells, Det M50/F50 and Amb M43/F50/N1 7: both deltas are exactly 7/100
+    det = StrategyBreakdown.from_label_counts({GenderLabel.MASCULINE: 50, GenderLabel.FEMININE: 50})
+    amb = StrategyBreakdown.from_label_counts(
+        {GenderLabel.MASCULINE: 43, GenderLabel.FEMININE: 50, GenderLabel.N1_COMMON_FORM: 7}
+    )
+    report = paired_response(det, amb, threshold=0.07)
+    assert (report.delta_m, report.delta_n) == (Fraction(-7, 100), Fraction(7, 100))
+    assert float(report.delta_n) == 0.07
+    assert report.significant_m and report.significant_n
 
 
 def test_negative_threshold_rejected():
