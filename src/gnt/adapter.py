@@ -189,80 +189,108 @@ def translate_suite(
 ) -> list[TranslationRecord]:
     """Collect one TranslationRecord per instance from the configured backend.
 
-    Up to `config.max_concurrent_batches` batches are in flight at once: the
-    calling thread and that many less one helper threads each take the next
-    batch in turn. After the first failure no new batch starts; batches in
-    flight finish, and the error of the lowest-numbered failed batch is
-    raised. When `resume_path` is given, completed records are appended there
-    after every batch, in completion order, and a rerun only requests the ids
-    still missing. Raises IncompleteBatch when a reply skips ids,
-    ProtocolViolation on malformed or foreign reply lines, and
-    BackendUnavailable once retries are exhausted. The records are sorted by
-    id, whatever the window.
+    The suite is read as batches are needed: up to
+    `config.max_concurrent_batches` batches are in flight at once, the calling
+    thread and that many less one helper threads each reading the next batch
+    in turn and sending it, so reading a lazy suite overlaps the batches
+    already sent. Each batch is checked before it is sent: an instance that
+    cannot be framed on the line protocol raises ProtocolViolation, and an
+    error the suite raises while a batch is read counts as that batch's
+    failure. After the first failure no new batch starts; batches in flight
+    finish, and the error of the lowest-numbered failed batch is raised. When
+    `resume_path` is given, completed records are appended there after every
+    batch, in completion order, and a rerun only requests the ids still
+    missing. Raises IncompleteBatch when a reply skips ids, ProtocolViolation
+    on malformed or foreign reply lines, and BackendUnavailable once retries
+    are exhausted. The records are sorted by id, whatever the window. The
+    suite's iterator is closed on every exit, so a suite read from a file
+    leaves no file open.
     """
-    instances = list(suite)
-    done: dict[str, TranslationRecord] = {}
-    resume = Path(resume_path) if resume_path else None
-    if resume and resume.exists():
-        _drop_torn_line(resume)
-        for record in parse_translations(resume):
-            if record.system_id == config.system_id and record.language is config.language:
-                done[record.instance_id] = record
-
-    pending = [instance for instance in instances if instance.id not in done]
-    for instance in pending:  # checked before the first batch, so no backend starts on a suite it cannot frame
-        if "\n" in instance.source_text or "\t" in instance.id or "\n" in instance.id:
-            raise ProtocolViolation(f"instance {instance.id!r} cannot be framed on the line protocol")
-    batches = [pending[i : i + config.batch_size] for i in range(0, len(pending), config.batch_size)]
-    todo = iter(enumerate(batches))
-    rng = random.Random()
+    instances = iter(suite)
     lock = threading.Lock()
-    missing: list[str] = []
-    errors: dict[int, BaseException] = {}
+    try:
+        done: dict[str, TranslationRecord] = {}
+        resume = Path(resume_path) if resume_path else None
+        if resume and resume.exists():
+            _drop_torn_line(resume)
+            for record in parse_translations(resume):
+                if record.system_id == config.system_id and record.language is config.language:
+                    done[record.instance_id] = record
+        resumed = set(done)
 
-    def handle_batch(batch: list[TestInstance]) -> None:
-        payload = _encode_batch(batch)
-        reply = _with_retries(config, payload, sleep, rng)
-        translations = _decode_reply(reply, {instance.id for instance in batch})
-        records = [
-            TranslationRecord(config.system_id, config.language, instance.id, translations[instance.id])
-            for instance in batch
-            if instance.id in translations
-        ]
-        with lock:
-            # persist before any later batch gets the chance to fail the run
-            if resume and records:
-                _append_records(resume, records)
-            done.update((record.instance_id, record) for record in records)
-            missing.extend(instance.id for instance in batch if instance.id not in translations)
+        def batches():
+            batch: list[TestInstance] = []
+            for instance in instances:
+                if instance.id in resumed:
+                    continue
+                if "\n" in instance.source_text or "\t" in instance.id or "\n" in instance.id:
+                    error = ProtocolViolation(f"instance {instance.id!r} cannot be framed on the line protocol")
+                    if hasattr(instances, "throw"):  # a reader such as iter_suite names the instance's line
+                        instances.throw(error)
+                    raise error
+                batch.append(instance)
+                if len(batch) == config.batch_size:
+                    yield batch
+                    batch = []
+            if batch:
+                yield batch
 
-    def work() -> None:
-        index = -1
-        try:
-            while True:
-                with lock:
-                    if errors:
-                        return
-                    index, batch = next(todo, (index, None))
-                if batch is None:
-                    return
-                handle_batch(batch)
-        except BaseException as exc:  # an interrupt too; the calling thread re-raises it
+        todo = batches()
+        started = 0  # batches handed out; a read or framing error fails the next one
+        rng = random.Random()
+        missing: list[str] = []
+        errors: dict[int, BaseException] = {}
+
+        def handle_batch(batch: list[TestInstance]) -> None:
+            payload = _encode_batch(batch)
+            reply = _with_retries(config, payload, sleep, rng)
+            translations = _decode_reply(reply, {instance.id for instance in batch})
+            records = [
+                TranslationRecord(config.system_id, config.language, instance.id, translations[instance.id])
+                for instance in batch
+                if instance.id in translations
+            ]
             with lock:
-                errors[index] = exc
+                # persist before any later batch gets the chance to fail the run
+                if resume and records:
+                    _append_records(resume, records)
+                done.update((record.instance_id, record) for record in records)
+                missing.extend(instance.id for instance in batch if instance.id not in translations)
 
-    # the calling thread is one of the workers, so a window of 1 starts no thread
-    helpers = [threading.Thread(target=work) for _ in range(min(config.max_concurrent_batches, len(batches)) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[min(errors)]
-    if missing:
-        raise IncompleteBatch(sorted(missing))
-    return sorted(done.values(), key=lambda record: record.instance_id)
+        def work() -> None:
+            nonlocal started
+            index = -1
+            try:
+                while True:
+                    with lock:
+                        if errors:
+                            return
+                        index = started
+                        batch = next(todo, None)
+                        if batch is None:
+                            return
+                        started += 1
+                    handle_batch(batch)
+            except BaseException as exc:  # an interrupt too; the calling thread re-raises it
+                with lock:
+                    errors[index] = exc
+
+        # the calling thread is one of the workers, so a window of 1 starts no thread
+        helpers = [threading.Thread(target=work) for _ in range(config.max_concurrent_batches - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[min(errors)]
+        if missing:
+            raise IncompleteBatch(sorted(missing))
+        return sorted(done.values(), key=lambda record: record.instance_id)
+    finally:
+        if hasattr(instances, "close"):
+            with lock:  # a helper that outlived an interrupt may be reading
+                instances.close()
 
 
 def _append_records(path: Path, records: list[TranslationRecord]) -> None:

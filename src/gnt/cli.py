@@ -10,6 +10,7 @@ from pathlib import Path
 from .adapter import AdapterConfig, translate_suite
 from .errors import GntError
 from .formats import (
+    iter_suite,
     parse_manifest,
     parse_metrics_doc,
     parse_scores,
@@ -80,9 +81,9 @@ def _cmd_translate(args) -> int:
         max_retries=args.max_retries,
         max_concurrent_batches=args.max_concurrent_batches,
     )
-    suite = parse_suite(args.suite)  # after the settings, so a bad flag fails before a full read
     resume = Path(str(args.out) + ".partial")
-    records = translate_suite(suite, config, resume_path=resume)
+    # read lazily, so the first batches are in flight while the rest of the suite is read
+    records = translate_suite(iter_suite(args.suite), config, resume_path=resume)
     write_translations(records, args.out)
     resume.unlink(missing_ok=True)
     print(f"wrote {len(records)} translations to {args.out}")

@@ -7,7 +7,7 @@ parse -> write round trip reproduces a valid file byte for byte.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from copy import copy
 from dataclasses import dataclass
 from enum import EnumMeta
@@ -15,10 +15,10 @@ from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .classify import GenderLabel, SlotScore
-from .errors import DuplicateRecord, ParseError
+from .errors import DuplicateRecord, ParseError, ProtocolViolation
 from .lexicon import Language
 from .metrics import ResponseReport, StereotypeReport, StrategyBreakdown
 from .suite import (
@@ -279,9 +279,15 @@ def write_suite(instances: Iterable[TestInstance], path: str | Path) -> None:
         fh.writelines(map(_suite_line, instances))
 
 
-def parse_suite(path: str | Path) -> list[TestInstance]:
+def iter_suite(path: str | Path) -> Iterator[TestInstance]:
+    """Read a suite file one instance at a time, checking each line as it is read.
+
+    The file is opened at the first instance asked for. A malformed line raises
+    ParseError and a repeated id DuplicateRecord, each naming the file and line,
+    once the reader gets there. A ProtocolViolation thrown into the reader at an
+    instance (`generator.throw`) is raised again naming that instance's line.
+    """
     path = str(path)
-    instances = []
     seen: set[str] = set()
     # one slot cache for the whole file
     table = {**_INSTANCE, "slots": partial(_slots, {})}
@@ -290,8 +296,14 @@ def parse_suite(path: str | Path) -> list[TestInstance]:
         if instance_id in seen:
             raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance_id!r}")
         seen.add(instance_id)
-        instances.append(TestInstance(instance_id, family, source_text, slots, pair_id, bindings))
-    return instances
+        try:
+            yield TestInstance(instance_id, family, source_text, slots, pair_id, bindings)
+        except ProtocolViolation as exc:
+            raise ProtocolViolation(f"{path}:{number}: {exc}") from None
+
+
+def parse_suite(path: str | Path) -> list[TestInstance]:
+    return list(iter_suite(path))
 
 
 # --- translations --------------------------------------------------------------
@@ -321,11 +333,8 @@ def write_translations(records: Iterable[TranslationRecord], path: str | Path) -
 _TRANSLATION = {"system": (str,), "lang": (str,), "id": (str,), "text": (str,)}
 
 
-def _first_seen(seen: dict, key: tuple, path: str, number: int) -> None:
-    """Note that `key` is read on line `number`; a key read on an earlier line is a DuplicateRecord."""
-    first = seen.setdefault(key, number)
-    if first != number:
-        raise DuplicateRecord(f"{path}:{number}: duplicate record for {key} (first seen on line {first})")
+def _duplicate(key: tuple, path: str, number: int, first: int) -> DuplicateRecord:
+    return DuplicateRecord(f"{path}:{number}: duplicate record for {key} (first seen on line {first})")
 
 
 def parse_translations(path: str | Path) -> list[TranslationRecord]:
@@ -337,7 +346,8 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
     """
     path = str(path)
     records = []
-    seen: dict[tuple[str, str, str], int] = {}
+    # the line each id was first read on, per system and language: no key tuple is kept per record
+    seen: defaultdict[str, defaultdict[Language, dict[str, int]]] = defaultdict(partial(defaultdict, dict))
     systems: dict[str, str] = {}  # one string per system id, shared by its records
     for number, record in _read_lines(path):
         system, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
@@ -345,7 +355,9 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
         language = _LANGUAGES.get(lang.lower())
         if language is None:
             raise ParseError(f"unknown language {lang!r}", path, number)
-        _first_seen(seen, (system, language.value, instance_id), path, number)
+        first = seen[system][language].setdefault(instance_id, number)
+        if first != number:
+            raise _duplicate((system, language.value, instance_id), path, number, first)
         records.append(TranslationRecord(system, language, instance_id, text))
     return records
 
@@ -395,7 +407,9 @@ def parse_scores(path: str | Path) -> list[SlotScore]:
     seen: dict[tuple[str, int], int] = {}
     for number, record in _read_lines(path):
         slot_index, instance_id, label, matched_text, rule = _check(record, _SCORE, "", path, number)
-        _first_seen(seen, (instance_id, slot_index), path, number)
+        first = seen.setdefault((instance_id, slot_index), number)
+        if first != number:
+            raise _duplicate((instance_id, slot_index), path, number, first)
         scores.append(SlotScore(instance_id, slot_index, label, matched_text, rule))
     return scores
 

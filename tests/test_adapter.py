@@ -4,14 +4,16 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+import gnt.formats
 from gnt import AdapterConfig, AdapterKind, Language, expand_template, translate_suite
 from gnt.errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
 from gnt.cli import main
-from gnt.formats import TranslationRecord, parse_translations, translation_line, write_suite
+from gnt.formats import TranslationRecord, iter_suite, parse_translations, translation_line, write_suite
 from gnt.suite import TemplateFamily
 from conftest import backend_command
 
@@ -166,6 +168,59 @@ def test_error_of_the_lowest_failed_batch_is_raised():
     config = _cmd_config(f"sh -c '{script}'", batch_size=1, max_retries=0, max_concurrent_batches=2)
     with pytest.raises(ProtocolViolation, match="bogus"):
         translate_suite(_suite(2), config, sleep=_no_sleep)
+
+
+def test_a_read_error_fails_the_batch_being_read_not_an_earlier_one(tmp_path):
+    # batch 0 fails late at the backend while batch 1, read meanwhile, holds a malformed line
+    suite_path = tmp_path / "suite.jsonl"
+    write_suite(_suite(1), suite_path)
+    with open(suite_path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    config = _cmd_config("sh -c 'sleep 0.3; exit 1'", batch_size=1, max_retries=0, max_concurrent_batches=2)
+    with pytest.raises(BackendUnavailable):
+        translate_suite(iter_suite(suite_path), config, sleep=_no_sleep)
+
+
+def test_an_unframeable_instance_stops_the_run_before_its_batch(tmp_path):
+    suite = _suite(6)
+    suite[5] = replace(suite[5], source_text="two\nlines")
+    resume = tmp_path / "partial.jsonl"
+    config = _cmd_config(backend_command(), max_concurrent_batches=1)
+    with pytest.raises(ProtocolViolation) as excinfo:
+        translate_suite(suite, config, resume_path=resume, sleep=_no_sleep)
+    assert str(excinfo.value) == "instance 'T7-000005a' cannot be framed on the line protocol"
+    assert [r.instance_id for r in parse_translations(resume)] == [i.id for i in suite[:4]]
+
+
+@pytest.mark.parametrize("stop", ["backend-fails", "bad-resume-file", "interrupt"])
+def test_the_suite_reader_is_closed_when_the_run_stops_early(tmp_path, monkeypatch, stop):
+    suite_path = tmp_path / "suite.jsonl"
+    write_suite(_suite(20), suite_path)
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(gnt.formats, "open", tracked_open, raising=False)
+    resume = tmp_path / "partial.jsonl"
+    command, sleep, error = backend_command(), _no_sleep, GntError
+    if stop == "backend-fails":
+        command = "sh -c 'exit 1'"
+    elif stop == "bad-resume-file":
+        resume.write_text("not json\n", encoding="utf-8")
+    else:
+        command, error = "sh -c 'exit 1'", KeyboardInterrupt
+
+        def sleep(_seconds: float) -> None:
+            raise KeyboardInterrupt
+
+    reader = iter_suite(suite_path)  # held here, so only translate_suite can close it
+    with pytest.raises(error):
+        translate_suite(reader, _cmd_config(command, max_concurrent_batches=2), resume_path=resume, sleep=sleep)
+    assert reader.gi_frame is None
+    assert all(fh.closed for fh in opened)
+    assert [fh.name for fh in opened].count(str(suite_path)) == (0 if stop == "bad-resume-file" else 1)
 
 
 def test_window_does_not_change_records_or_output(tmp_path):

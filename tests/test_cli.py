@@ -24,6 +24,7 @@ from gnt import (
     adapter,
     generate_suite,
     parse_manifest,
+    parse_translations,
     write_translations,
 )
 from gnt.adapter import AdapterConfig
@@ -401,21 +402,23 @@ def test_translate_rejects_an_empty_command_spec(tmp_path, suite_path, capsys, m
     assert not (tmp_path / "tr.jsonl.partial").exists()
 
 
-@pytest.mark.parametrize("flags", [["--adapter", "ftp:x"], ["--adapter", "cmd:"], ["--batch-size", "0"]],
-                         ids=["unknown-adapter", "empty-command", "batch-size"])
-def test_translate_checks_its_settings_before_reading_the_suite(tmp_path, suite_path, monkeypatch, flags):
+@pytest.mark.parametrize("flags, code", [
+    (["--adapter", "ftp:x"], 2), (["--adapter", "cmd:"], 2), (["--batch-size", "0"], 2),
+    ([], 0),  # the control: the patched reader is the one translate reads through
+], ids=["unknown-adapter", "empty-command", "batch-size", "valid"])
+def test_translate_checks_its_settings_before_reading_the_suite(tmp_path, suite_path, monkeypatch, flags, code):
     reads = []
-    read = gnt.cli.parse_suite
+    read = gnt.cli.iter_suite
 
-    def parse_suite(path):
+    def iter_suite(path):
         reads.append(path)
         return read(path)
 
-    monkeypatch.setattr(gnt.cli, "parse_suite", parse_suite)
+    monkeypatch.setattr(gnt.cli, "iter_suite", iter_suite)
     argv = ["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es",
             "--system", "s", "--out", str(tmp_path / "tr.jsonl")]
-    assert main(argv + flags) == 2
-    assert reads == []
+    assert main(argv + flags) == code
+    assert reads == ([str(suite_path)] if code == 0 else [])
 
 
 def test_translate_rejects_a_newline_in_an_id_before_any_batch(tmp_path, suite_path, capsys):
@@ -431,6 +434,104 @@ def test_translate_rejects_a_newline_in_an_id_before_any_batch(tmp_path, suite_p
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr("T1-bad\nid") in err and "Traceback" not in err
     assert not spawns.exists()
+
+
+def _logging_backend(log_dir: Path) -> str:
+    """A cmd: adapter that echoes each batch and keeps a copy of it, one file per spawn, in `log_dir`."""
+    log_dir.mkdir()
+    return f"cmd:sh -c 'f=$(mktemp {log_dir}/batch.XXXXXX); tee \"$f\"'"
+
+
+def _received_ids(log_dir: Path) -> list[str]:
+    return sorted(line.split("\t", 1)[0] for batch in log_dir.iterdir()
+                  for line in batch.read_text(encoding="utf-8").splitlines())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda line, first: line[:-20], "invalid JSON"),
+    (lambda line, first: json.dumps({**json.loads(line), "id": json.loads(first)["id"]}), "duplicate instance id"),
+    (lambda line, first: json.dumps({**json.loads(line), "id": "T1-bad\nid"}), "cannot be framed"),
+], ids=["malformed-json", "duplicate-id", "newline-in-id"])
+def test_a_bad_line_fails_its_batch_after_the_batches_before_it_are_sent(tmp_path, suite_path, capsys, edit, message):
+    lines = suite_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    ids = [json.loads(line)["id"] for line in lines]
+    argv = ["translate", "--suite", str(suite_path), "--lang", "es", "--system", "s", "--batch-size", "8"]
+    clean = tmp_path / "clean.jsonl"
+    assert main(argv + ["--adapter", "cmd:cat", "--out", str(clean)]) == 0
+
+    bad = 19  # line 20, in batch 2 of 8 ids each
+    good = lines[bad]
+    lines[bad] = edit(good.rstrip("\n"), lines[0]) + "\n"
+    suite_path.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "tr.jsonl"
+    partial = tmp_path / "tr.jsonl.partial"
+    first_run = tmp_path / "first"
+    capsys.readouterr()
+    assert main(argv + ["--adapter", _logging_backend(first_run), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {suite_path}:20: ") and message in err and "Traceback" not in err
+    # batches 0 and 1 were sent and persisted; no id of batch 2 or after reached the backend
+    assert sorted(record.instance_id for record in parse_translations(partial)) == sorted(ids[:16])
+    assert _received_ids(first_run) == sorted(ids[:16])
+    assert not out.exists()
+
+    lines[bad] = good
+    suite_path.write_text("".join(lines), encoding="utf-8")
+    rerun = tmp_path / "rerun"
+    assert main(argv + ["--adapter", _logging_backend(rerun), "--out", str(out)]) == 0
+    assert _received_ids(rerun) == sorted(ids[16:])
+    assert out.read_bytes() == clean.read_bytes()
+    assert not partial.exists()
+
+
+def test_translate_reports_a_missing_suite_and_starts_no_backend(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    log = tmp_path / "batches"
+    assert main(["translate", "--suite", missing, "--adapter", _logging_backend(log), "--lang", "es",
+                 "--system", "s", "--out", str(tmp_path / "tr.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert list(log.iterdir()) == []
+    assert not (tmp_path / "tr.jsonl.partial").exists()
+
+
+def _reads_and_sends(monkeypatch, tmp_path, suite_path, window: int) -> list[str]:
+    """The order in which `gnt translate` reads suite instances and calls the backend, one event each."""
+    events = []
+    read, call_backend = gnt.cli.iter_suite, adapter._call_backend
+
+    def iter_suite(path):
+        for instance in read(path):
+            events.append("read")
+            yield instance
+
+    def counted_call(config, payload):
+        events.append("send")
+        return call_backend(config, payload)
+
+    monkeypatch.setattr(gnt.cli, "iter_suite", iter_suite)
+    monkeypatch.setattr(adapter, "_call_backend", counted_call)
+    assert main(["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es", "--system", "s",
+                 "--out", str(tmp_path / "tr.jsonl"), "--batch-size", "8",
+                 "--max-concurrent-batches", str(window)]) == 0
+    return events
+
+
+def test_translate_sends_the_first_batches_before_it_has_read_the_suite(tmp_path, suite_path, monkeypatch):
+    events = _reads_and_sends(monkeypatch, tmp_path, suite_path, window=2)
+    instances = len(suite_path.read_text(encoding="utf-8").splitlines())
+    reads_before_send = [events[:i].count("read") for i, event in enumerate(events) if event == "send"]
+    assert events.count("read") == instances > 16
+    assert len(reads_before_send) == -(-instances // 8)
+    # at most the window's two batches are read ahead of the backend
+    assert reads_before_send[0] <= 16
+    assert all(reads <= 8 * (i + 2) for i, reads in enumerate(reads_before_send))
+
+
+def test_a_window_of_one_alternates_reading_and_sending_batch_by_batch(tmp_path, suite_path, monkeypatch):
+    events = _reads_and_sends(monkeypatch, tmp_path, suite_path, window=1)
+    instances = len(suite_path.read_text(encoding="utf-8").splitlines())
+    sizes = [min(8, instances - start) for start in range(0, instances, 8)]
+    assert events == [event for size in sizes for event in ["read"] * size + ["send"]]
 
 
 def _score_with_extra_row(tmp_path, suite_path, command: str, file: str, row: bytes) -> tuple[int, int]:

@@ -85,6 +85,16 @@ def test_parse_translations_rejects_duplicates(tmp_path):
         parse_translations(path)
 
 
+def test_parse_translations_keys_a_duplicate_by_system_language_and_id(tmp_path):
+    records = [{"system": system, "lang": lang, "id": "x", "text": "t"}
+               for system, lang in (("s", "es"), ("t", "es"), ("s", "cs"), ("s", "ES"))]
+    path = _write_lines(tmp_path / "tr.jsonl", records)
+    with pytest.raises(DuplicateRecord) as excinfo:
+        parse_translations(path)
+    assert str(excinfo.value) == f"{path}:4: duplicate record for ('s', 'es', 'x') (first seen on line 1)"
+    assert len(parse_translations(_write_lines(tmp_path / "distinct.jsonl", records[:3]))) == 3
+
+
 def test_parse_translations_reports_malformed_line_number(tmp_path):
     path = tmp_path / "tr.jsonl"
     good = b'{"system": "s", "lang": "es", "id": "x", "text": "t"}\n'
