@@ -24,7 +24,7 @@ import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
 from .formats import TranslationRecord, parse_translations, translation_line
@@ -39,20 +39,30 @@ class AdapterKind(Enum):
     HTTP_ENDPOINT = "http"
 
 
+# A batch amortises the fixed cost of one backend call. A process spawn costs about 100 ms, and seconds for a
+# command that loads a model; a loopback POST costs about 1 ms, and larger http: batches were slower.
+_DEFAULT_BATCH_SIZE = {AdapterKind.EXTERNAL_COMMAND: 1024, AdapterKind.HTTP_ENDPOINT: 256}
+
+
 @dataclass(frozen=True)
 class AdapterConfig:
     kind: AdapterKind
     target: str
     language: Language
     system_id: str
-    batch_size: int = 256
-    timeout: float = 60.0
+    batch_size: int | None = None  # None: _DEFAULT_BATCH_SIZE[kind]
+    timeout: float | None = None  # None: 60 s per 256 ids, and never less than 60 s
     max_retries: int = 2
     max_concurrent_batches: int = 2
 
     def __post_init__(self):
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size", _DEFAULT_BATCH_SIZE[self.kind])
         if self.batch_size < 1:
             raise GntError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.timeout is None:
+            # the same pace per id at every default batch size, and time for a slow start on a small batch
+            object.__setattr__(self, "timeout", max(60.0, self.batch_size * 60 / 256))
         if self.timeout <= 0:
             raise GntError(f"timeout must be positive, got {self.timeout}")
         if self.max_retries < 0:
@@ -78,10 +88,6 @@ class AdapterConfig:
         if not valid:
             raise GntError(f"adapter spec {spec!r} must be http:<url> with an http or https URL and a host")
         return cls(AdapterKind.HTTP_ENDPOINT, url, language, system_id, **kwargs)
-
-
-def _encode_batch(batch: Sequence[TestInstance]) -> str:
-    return "".join(f"{instance.id}\t{instance.source_text}\n" for instance in batch)
 
 
 def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
@@ -193,21 +199,26 @@ def translate_suite(
     `config.max_concurrent_batches` batches are in flight at once, the calling
     thread and that many less one helper threads each reading the next batch
     in turn and sending it, so reading a lazy suite overlaps the batches
-    already sent. Each batch is checked before it is sent: an instance that
-    cannot be framed on the line protocol raises ProtocolViolation, and an
-    error the suite raises while a batch is read counts as that batch's
-    failure. After the first failure no new batch starts; batches in flight
-    finish, and the error of the lowest-numbered failed batch is raised. When
-    `resume_path` is given, completed records are appended there after every
-    batch, in completion order, and a rerun only requests the ids still
-    missing. Raises IncompleteBatch when a reply skips ids, ProtocolViolation
-    on malformed or foreign reply lines, and BackendUnavailable once retries
-    are exhausted. The records are sorted by id, whatever the window. The
-    suite's iterator is closed on every exit, so a suite read from a file
-    leaves no file open.
+    already sent. A batch in flight holds only its ids and its encoded lines,
+    so each instance is released once it is encoded. Each batch is checked
+    before it is sent: an instance that cannot be framed on the line protocol
+    raises ProtocolViolation, and an error the suite raises while a batch is
+    read counts as that batch's failure. After the first failure no new batch
+    starts, not even one that was being read when it occurred; batches in
+    flight finish, and the error of the lowest-numbered failed batch is
+    raised. When `resume_path` is given, completed records are appended there
+    after every batch, in completion order, and a rerun only requests the ids
+    still missing. Raises IncompleteBatch when a reply skips ids,
+    ProtocolViolation on malformed or foreign reply lines, and
+    BackendUnavailable once retries are exhausted. The records are sorted by
+    id, whatever the window. The suite's iterator is closed on every exit, so
+    a suite read from a file leaves no file open.
     """
     instances = iter(suite)
-    lock = threading.Lock()
+    # one lock for pulling from the suite, one for the results, so a batch whose reply has arrived
+    # persists its records while another thread reads the next batch
+    read_lock = threading.Lock()
+    done_lock = threading.Lock()
     try:
         done: dict[str, TranslationRecord] = {}
         resume = Path(resume_path) if resume_path else None
@@ -219,7 +230,9 @@ def translate_suite(
         resumed = set(done)
 
         def batches():
-            batch: list[TestInstance] = []
+            # a batch in flight holds its ids and its payload, not its instances
+            ids: list[str] = []
+            lines: list[str] = []
             for instance in instances:
                 if instance.id in resumed:
                     continue
@@ -228,51 +241,50 @@ def translate_suite(
                     if hasattr(instances, "throw"):  # a reader such as iter_suite names the instance's line
                         instances.throw(error)
                     raise error
-                batch.append(instance)
-                if len(batch) == config.batch_size:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
+                ids.append(instance.id)
+                lines.append(f"{instance.id}\t{instance.source_text}\n")
+                if len(ids) == config.batch_size:
+                    yield ids, "".join(lines)
+                    ids, lines = [], []
+            if ids:
+                yield ids, "".join(lines)
 
         todo = batches()
         started = 0  # batches handed out; a read or framing error fails the next one
         rng = random.Random()
         missing: list[str] = []
-        errors: dict[int, BaseException] = {}
-
-        def handle_batch(batch: list[TestInstance]) -> None:
-            payload = _encode_batch(batch)
-            reply = _with_retries(config, payload, sleep, rng)
-            translations = _decode_reply(reply, {instance.id for instance in batch})
-            records = [
-                TranslationRecord(config.system_id, config.language, instance.id, translations[instance.id])
-                for instance in batch
-                if instance.id in translations
-            ]
-            with lock:
-                # persist before any later batch gets the chance to fail the run
-                if resume and records:
-                    _append_records(resume, records)
-                done.update((record.instance_id, record) for record in records)
-                missing.extend(instance.id for instance in batch if instance.id not in translations)
+        errors: dict[int, BaseException] = {}  # written under done_lock
 
         def work() -> None:
             nonlocal started
             index = -1
             try:
                 while True:
-                    with lock:
+                    with read_lock:
                         if errors:
                             return
                         index = started
-                        batch = next(todo, None)
-                        if batch is None:
+                        ids, payload = next(todo, (None, None))
+                        if ids is None or errors:  # a batch failed while this one was read
                             return
                         started += 1
-                    handle_batch(batch)
+                    reply = _with_retries(config, payload, sleep, rng)
+                    del payload  # drop the payload and the reply once each is used
+                    translations = _decode_reply(reply, set(ids))
+                    del reply
+                    records = [
+                        TranslationRecord(config.system_id, config.language, instance_id, translations[instance_id])
+                        for instance_id in ids
+                        if instance_id in translations
+                    ]
+                    with done_lock:
+                        # persist before any later batch gets the chance to fail the run
+                        if resume and records:
+                            _append_records(resume, records)
+                        done.update((record.instance_id, record) for record in records)
+                        missing.extend(instance_id for instance_id in ids if instance_id not in translations)
             except BaseException as exc:  # an interrupt too; the calling thread re-raises it
-                with lock:
+                with done_lock:
                     errors[index] = exc
 
         # the calling thread is one of the workers, so a window of 1 starts no thread
@@ -289,7 +301,7 @@ def translate_suite(
         return sorted(done.values(), key=lambda record: record.instance_id)
     finally:
         if hasattr(instances, "close"):
-            with lock:  # a helper that outlived an interrupt may be reading
+            with read_lock:  # a helper that outlived an interrupt may be reading
                 instances.close()
 
 

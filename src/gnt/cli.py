@@ -170,8 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", required=True, choices=[l.value for l in Language])
     p.add_argument("--system", required=True, help="Label recorded in the output file.")
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=AdapterConfig.batch_size)
-    p.add_argument("--timeout", type=float, default=AdapterConfig.timeout)
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="Ids per backend call (default 1024 for cmd:, one spawn each, and 256 for http:).")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="Seconds one batch may take (default 60 per 256 ids, at least 60).")
     p.add_argument("--max-retries", type=int, default=AdapterConfig.max_retries)
     p.add_argument("--max-concurrent-batches", type=int, default=AdapterConfig.max_concurrent_batches,
                    help="Batches in flight at once; 1 for a backend that cannot run twice at once.")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -10,7 +11,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 import gnt.formats
-from gnt import AdapterConfig, AdapterKind, Language, expand_template, translate_suite
+import gnt.suite
+from gnt import AdapterConfig, AdapterKind, Language, adapter, expand_template, translate_suite
 from gnt.errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
 from gnt.cli import main
 from gnt.formats import TranslationRecord, iter_suite, parse_translations, translation_line, write_suite
@@ -267,15 +269,84 @@ def test_window_keeps_every_record_under_thread_switching(tmp_path, threaded_ech
     assert persisted == [i.id for i in suite]
 
 
-def test_default_batch_sends_256_ids_per_spawn(tmp_path):
+def test_default_cmd_batch_sends_1024_ids_per_spawn(tmp_path):
     counter = tmp_path / "spawns"
     config = AdapterConfig(AdapterKind.EXTERNAL_COMMAND, f"sh -c 'echo x >> {counter}; cat'", Language.ES, "s")
-    suite = _suite(600)
+    suite = _suite(2100)
     records = translate_suite(suite, config)
-    assert config.batch_size == 256
-    assert len(counter.read_text().splitlines()) == 3  # ceil(600 / 256)
+    assert config.batch_size == 1024
+    assert len(counter.read_text().splitlines()) == 3  # ceil(2100 / 1024)
     assert [r.instance_id for r in records] == [i.id for i in suite]
     assert all(r.target_text == i.source_text for r, i in zip(records, suite))
+
+
+def test_default_http_batch_posts_256_ids_per_request():
+    lines_per_request = []
+
+    class CountingEcho(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            lines_per_request.append(body.count(b"\n"))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)  # the request's lines are a valid echo reply
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), CountingEcho)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        config = AdapterConfig(AdapterKind.HTTP_ENDPOINT, f"http://127.0.0.1:{server.server_address[1]}/t",
+                               Language.ES, "s")
+        suite = _suite(600)
+        records = translate_suite(suite, config)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert config.batch_size == 256
+    assert sorted(lines_per_request) == [88, 256, 256]  # ceil(600 / 256) requests
+    assert [r.instance_id for r in records] == [i.id for i in suite]
+
+
+@pytest.mark.parametrize("kind, settings, batch_size, timeout", [
+    (AdapterKind.EXTERNAL_COMMAND, {}, 1024, 240.0),
+    (AdapterKind.HTTP_ENDPOINT, {}, 256, 60.0),
+    (AdapterKind.EXTERNAL_COMMAND, {"batch_size": 8}, 8, 60.0),
+    (AdapterKind.EXTERNAL_COMMAND, {"timeout": 30.0}, 1024, 30.0),
+], ids=["cmd", "http", "small-batch", "explicit-timeout"])
+def test_default_timeout_allows_60_s_per_256_ids_and_never_less_than_60_s(kind, settings, batch_size, timeout):
+    config = AdapterConfig(kind, "cat", Language.ES, "s", **settings)
+    assert (config.batch_size, config.timeout) == (batch_size, timeout)
+
+
+def test_a_batch_in_flight_holds_no_instances(monkeypatch):
+    def live_instances() -> int:
+        return sum(isinstance(obj, gnt.suite.TestInstance) for obj in gc.get_objects())
+
+    in_flight = []
+    counting = threading.Lock()  # one count at a time: the object list of a count keeps every object alive
+
+    def call_backend(config, payload):
+        with counting:
+            in_flight.append(live_instances())
+        return payload  # the request's lines are a valid echo reply
+
+    monkeypatch.setattr(adapter, "_call_backend", call_backend)
+    gc.collect()
+    before = live_instances()
+    suite = (
+        expand_template(TemplateFamily.T7_ADVERB_STEREOTYPE, {"A": "fit"}, f"T7-{i:06d}a") for i in range(300)
+    )
+    config = _cmd_config("cat", batch_size=64, max_concurrent_batches=2)
+    records = translate_suite(suite, config, sleep=_no_sleep)
+    assert len(records) == 300 and len(in_flight) == 5
+    # at most the instance the suite's reader holds and the one it is building; never a batch's worth
+    assert max(in_flight) - before <= 2
 
 
 @pytest.mark.parametrize("dropped, synced", [(None, 3), ("T7-000008a", 2)], ids=["every-batch", "empty-batch"])

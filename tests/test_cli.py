@@ -27,7 +27,6 @@ from gnt import (
     parse_translations,
     write_translations,
 )
-from gnt.adapter import AdapterConfig
 from gnt.cli import build_parser, main
 from gnt.data import demo_manifest_path, lexicon_dir
 from conftest import GOLDEN, backend_command
@@ -371,10 +370,20 @@ def test_translate_rejects_bad_settings(tmp_path, suite_path, capsys, flags, set
     assert err.startswith("error:") and setting in err and "Traceback" not in err
 
 
-def test_translate_batch_size_defaults_to_the_adapter_default():
-    args = build_parser().parse_args(["translate", "--suite", "s", "--adapter", "cmd:cat", "--lang", "es",
-                                      "--system", "s", "--out", "o"])
-    assert args.batch_size == AdapterConfig.batch_size == 256
+@pytest.mark.parametrize("flags, batch_size, timeout", [
+    ([], 1024, 240.0),
+    (["--batch-size", "32"], 32, 60.0),
+], ids=["default", "batch-size-32"])
+def test_translate_batch_size_defaults_to_the_adapter_default(tmp_path, suite_path, monkeypatch,
+                                                              flags, batch_size, timeout):
+    argv = ["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es",
+            "--system", "s", "--out", str(tmp_path / "tr.jsonl")]
+    args = build_parser().parse_args(argv)
+    assert args.batch_size is None and args.timeout is None
+    configs = []
+    monkeypatch.setattr(gnt.cli, "translate_suite", lambda suite, config, resume_path: configs.append(config) or [])
+    assert main(argv + flags) == 0
+    assert (configs[0].batch_size, configs[0].timeout) == (batch_size, timeout)
 
 
 @pytest.mark.parametrize("spec", ["http:", "http://[::1", "http:localhost:9/x"],
