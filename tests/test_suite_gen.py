@@ -86,6 +86,76 @@ def test_missing_binding_is_reported_by_name():
         expand_template(T1, {"char_gender": "f", "dialogue": "self", "bracket": True, "A1": "fit"})
 
 
+# Valid bindings per family, their required keys in check order: T7's
+# 'adverb' is optional and 'adverb_stereotype' is required only with it.
+_BINDINGS = {
+    T1: ({"char_gender": "f", "dialogue": "self", "bracket": True, "A1": "stubborn", "A2": "fit"},
+         ("char_gender", "dialogue", "bracket", "A1", "A2")),
+    T2: ({"char_gender": "m", "A1": "stubborn", "A2": "fit", "A3": "calm", "A4": "wise"},
+         ("char_gender", "A1", "A2", "A3", "A4")),
+    T3: ({"named_gender": "f", "first_person": 1, "dialogue": "self", "bracket": True, "A1": "stubborn", "A2": "fit"},
+         ("named_gender", "first_person", "dialogue", "bracket", "A1", "A2")),
+    T4: ({"named_gender": "m", "first_person": 2, "A1": "stubborn", "A2": "fit", "A3": "calm", "A4": "wise"},
+         ("named_gender", "first_person", "A1", "A2", "A3", "A4")),
+    T5: ({"C_g": "pretty nurse", "C_gbar": "strong doctor", "C_g_stereotype": "f", "pronoun": "they", "A": "fit"},
+         ("C_g", "C_gbar", "C_g_stereotype", "pronoun", "A")),
+    T7: ({"A": "fit", "adverb": "gently", "adverb_stereotype": "f"}, ("A", "adverb_stereotype")),
+}
+_REQUIRED = [(family, key) for family, (_, keys) in _BINDINGS.items() for key in keys]
+
+
+@pytest.mark.parametrize("family,key", _REQUIRED, ids=[f"{f.tag}-{k}" for f, k in _REQUIRED])
+@pytest.mark.parametrize("absent", ["deleted", "null"])
+def test_each_required_binding_is_reported_by_name(family, key, absent):
+    bindings = dict(_BINDINGS[family][0])
+    if absent == "deleted":
+        del bindings[key]
+    else:
+        bindings[key] = None
+    with pytest.raises(MissingBinding) as excinfo:
+        expand_template(family, bindings)
+    assert str(excinfo.value) == f"{family.tag} expansion requires binding {key!r}"
+
+
+@pytest.mark.parametrize("family", list(_BINDINGS), ids=lambda f: f.tag)
+def test_bindings_are_checked_in_a_fixed_order(family):
+    bindings, keys = _BINDINGS[family]
+    expand_template(family, bindings)
+    # with the i-th required key and every later one gone, the i-th is named
+    for i, key in enumerate(keys):
+        kept = {k: v for k, v in bindings.items() if k not in keys[i:]}
+        with pytest.raises(MissingBinding) as excinfo:
+            expand_template(family, kept)
+        assert str(excinfo.value) == f"{family.tag} expansion requires binding {key!r}"
+    with pytest.raises(MissingBinding) as excinfo:
+        expand_template(family, {})
+    assert str(excinfo.value) == f"{family.tag} expansion requires binding {keys[0]!r}"
+
+
+_INCONSISTENT = [
+    (T1, "char_gender", "x", "T1 binding 'char_gender' must be 'f' or 'm', got 'x'"),
+    (T2, "char_gender", "I", "T2 binding 'char_gender' must be 'f' or 'm', got 'I'"),
+    (T3, "named_gender", "x", "T3 binding 'named_gender' must be 'f' or 'm', got 'x'"),
+    (T4, "named_gender", 1, "T4 binding 'named_gender' must be 'f' or 'm', got 1"),
+    (T1, "dialogue", "both", "T1 binding 'dialogue' must be 'self' or 'listener', got 'both'"),
+    (T3, "dialogue", "both", "T3 binding 'dialogue' must be 'self' or 'listener', got 'both'"),
+    (T3, "first_person", 3, "T3/T4 binding 'first_person' must be 1 or 2, got 3"),
+    (T4, "first_person", 3, "T3/T4 binding 'first_person' must be 1 or 2, got 3"),
+    (T4, "first_person", "1", "T3/T4 binding 'first_person' must be 1 or 2, got '1'"),
+    (T5, "C_g_stereotype", "x", "T5 binding 'C_g_stereotype' must be 'f' or 'm', got 'x'"),
+    (T5, "pronoun", "it", "T5 binding 'pronoun' must be one of he/she/they, got 'it'"),
+    (T7, "adverb_stereotype", "x", "T7 binding 'adverb_stereotype' must be 'f' or 'm', got 'x'"),
+]
+
+
+@pytest.mark.parametrize("family,key,value,message", _INCONSISTENT,
+                         ids=[f"{f.tag}-{k}-{v}" for f, k, v, _ in _INCONSISTENT])
+def test_inconsistent_binding_texts_are_pinned(family, key, value, message):
+    with pytest.raises(InconsistentBinding) as excinfo:
+        expand_template(family, {**_BINDINGS[family][0], key: value})
+    assert str(excinfo.value) == message
+
+
 def test_t1_self_dialogue_with_bracket():
     instance = expand_template(
         T1, {"char_gender": "f", "dialogue": "self", "bracket": True, "A1": "stubborn", "A2": "fit"}
