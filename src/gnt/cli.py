@@ -110,7 +110,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_metrics(args) -> int:
     suite = parse_suite(args.suite)
-    scores = parse_scores(args.scores)
+    scores = parse_scores(args.scores, {instance.id: instance for instance in suite})
     doc = build_metrics_doc(
         suite, scores, args.system, Language.parse(args.lang), threshold=args.threshold
     )

@@ -208,15 +208,13 @@ _SLOT = {
 }
 
 
-def _slots(known_slots: dict | None, value, name: str, path: str, line: int) -> tuple[AdjectiveSlot, ...]:
+def _slots(known_slots: dict, value, name: str, path: str, line: int) -> tuple[AdjectiveSlot, ...]:
     """An instance's slots, sorted by index.
 
     `known_slots` maps each slot record already checked to its slot, which every
-    instance that repeats the record shares (None: share within this instance).
-    The index's type is part of the key: 1, 1.0 and true are equal, but only 1
-    is a valid index.
+    instance that repeats the record shares. The index's type is part of the
+    key: 1, 1.0 and true are equal, but only 1 is a valid index.
     """
-    known_slots = {} if known_slots is None else known_slots
     slots = []
     for i, raw in enumerate(_check(value, (list,), name, path, line)):
         if type(raw) is not dict:
@@ -254,8 +252,9 @@ def _bindings(value, name: str, path: str, line: int) -> dict:
     return value
 
 
+# the fields after "slots", whose shape iter_suite binds to one slot cache per file
 _INSTANCE = {
-    "slots": partial(_slots, None), "bindings": _Default(_bindings, {}), "id": (str,), "family": TemplateFamily,
+    "bindings": _Default(_bindings, {}), "id": (str,), "family": TemplateFamily,
     "source_text": (str,), "pair_id": _Default((str, _NULL), None),
 }
 
@@ -290,7 +289,7 @@ def iter_suite(path: str | Path) -> Iterator[TestInstance]:
     path = str(path)
     seen: set[str] = set()
     # one slot cache for the whole file
-    table = {**_INSTANCE, "slots": partial(_slots, {})}
+    table = {"slots": partial(_slots, {}), **_INSTANCE}
     for number, record in _read_lines(path):
         slots, bindings, instance_id, family, source_text, pair_id = _check(record, table, "", path, number)
         if instance_id in seen:
@@ -400,13 +399,26 @@ _SCORE = {
 }
 
 
-def parse_scores(path: str | Path) -> list[SlotScore]:
-    """Parse and validate a scores file; one (instance_id, slot_index) read twice is a DuplicateRecord."""
+def parse_scores(path: str | Path, index: Mapping[str, TestInstance] | None = None) -> list[SlotScore]:
+    """Parse and validate a scores file; one (instance_id, slot_index) read twice is a DuplicateRecord.
+
+    With `index` (instance id -> instance), a score for an unknown instance or
+    past its instance's slots is a ParseError naming the file and line.
+    """
     path = str(path)
     scores = []
     seen: dict[tuple[str, int], int] = {}
     for number, record in _read_lines(path):
         slot_index, instance_id, label, matched_text, rule = _check(record, _SCORE, "", path, number)
+        if index is not None:
+            instance = index.get(instance_id)
+            if instance is None:
+                raise ParseError(f"score references unknown instance {instance_id!r}", path, number)
+            if slot_index >= len(instance.slots):
+                raise ParseError(
+                    f"score for instance {instance_id!r} has slot_index {slot_index}, "
+                    f"but the instance has {len(instance.slots)} slot(s)", path, number
+                )
         first = seen.setdefault((instance_id, slot_index), number)
         if first != number:
             raise _duplicate((instance_id, slot_index), path, number, first)

@@ -5,12 +5,15 @@ source instances whose adjective positions ("slots") are annotated with the
 gender condition of their referent. Families T3/T4/T5 come in matched
 determined/ambiguous pairs so that downstream metrics can measure how a
 translation system reacts when the referent's gender stops being resolvable.
+T3/T4 are expanded through T1/T2's dialogue with "I" in place of one named
+character: English marks no gender on the first person.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
@@ -183,6 +186,7 @@ def quota_key_for_slot(family: TemplateFamily, slot: AdjectiveSlot) -> str:
 _PRONOUN = {"f": "she", "m": "he"}
 _NOUN = {"f": "woman", "m": "man"}
 _OPPOSITE = {"f": "m", "m": "f"}
+_STEREOTYPE = {"f": StereotypeKind.FEMININE, "m": StereotypeKind.MASCULINE}
 
 
 def _require(bindings: Mapping, key: str, family: TemplateFamily):
@@ -198,132 +202,74 @@ def _require_gender(bindings: Mapping, key: str, family: TemplateFamily) -> str:
     return value
 
 
-def _two_turn_text(
-    opener_subject: str,
-    first_pronoun: str,
-    second_subject: str,
-    second_pronoun: str,
-    dialogue: str,
-    bracket: bool,
-    a1: str,
-    a2: str,
-) -> str:
-    """Render the shared two-turn shape of the one-referent templates."""
+def _characters(bindings: Mapping, family: TemplateFamily) -> tuple[str, str]:
+    """The opener and the replier of a T1-T4 dialogue, each "f", "m" or "I" (first person)."""
+    if family in (TemplateFamily.T1_ONE_PERSON_KNOWN, TemplateFamily.T2_TWO_PERSON_KNOWN):
+        gender = _require_gender(bindings, "char_gender", family)
+        return gender, _OPPOSITE[gender]
+    named = _require_gender(bindings, "named_gender", family)
+    first_person = _require(bindings, "first_person", family)
+    if first_person not in (1, 2):
+        raise InconsistentBinding(f"T3/T4 binding 'first_person' must be 1 or 2, got {first_person!r}")
+    return ("I", named) if first_person == 1 else (named, "I")
+
+
+def _names(character: str, opener: bool) -> tuple[str, str]:
+    """A character's subject in its turn and its speech-tag pronoun."""
+    if character == "I":
+        return "I", "I"
+    pronoun = _PRONOUN[character]
+    return (f"The {_NOUN[character]}" if opener else pronoun.capitalize()), pronoun
+
+
+def _condition(character: str) -> GenderCondition:
+    return AMBIGUOUS_OMISSION if character == "I" else GenderCondition.determined(character)
+
+
+def _expand_one_person(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
+    """T1/T3: both adjectives describe the opener ('self') or the replier ('listener')."""
+    opener, replier = _characters(bindings, family)
+    dialogue = _require(bindings, "dialogue", family)
+    if dialogue not in ("self", "listener"):
+        raise InconsistentBinding(f"{family.tag} binding 'dialogue' must be 'self' or 'listener', got {dialogue!r}")
+    bracket = bool(_require(bindings, "bracket", family))
+    a1 = _require(bindings, "A1", family)
+    a2 = _require(bindings, "A2", family)
     if dialogue == "self":
         first_line = f'"I think I\'m {a1},"'
         reply = f'"No, you\'re not {a1}, but you are {a2},"' if bracket else f'"No, you are {a2},"'
+        condition, roles = _condition(opener), (Referent.SPEAKER, Referent.LISTENER)
     else:
         first_line = f'"I think you\'re {a1},"'
         reply = f'"No, I\'m not {a1}, but I am {a2},"' if bracket else f'"No, I am {a2},"'
-    return (
-        f"{opener_subject} smiled. {first_line} {first_pronoun} said. "
-        f"{second_subject} laughed back. {reply} {second_pronoun} replied."
+        condition, roles = _condition(replier), (Referent.LISTENER, Referent.SPEAKER)
+    (s1, p1), (s2, p2) = _names(opener, True), _names(replier, False)
+    text = f"{s1} smiled. {first_line} {p1} said. {s2} laughed back. {reply} {p2} replied."
+    return text, (AdjectiveSlot(0, a1, roles[0], condition), AdjectiveSlot(1, a2, roles[1], condition))
+
+
+def _expand_two_person(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
+    """T2/T4: A1/A3 describe the opener, A2/A4 the replier."""
+    opener, replier = _characters(bindings, family)
+    a1, a2, a3, a4 = (_require(bindings, key, family) for key in ("A1", "A2", "A3", "A4"))
+    (s1, p1), (s2, p2) = _names(opener, True), _names(replier, False)
+    text = (
+        f"{s1} smiled. \"I think I'm {a1} and you're {a2},\" {p1} said. "
+        f"{s2} laughed back. \"No, you're {a3}, but I'm {a4},\" {p2} replied."
     )
-
-
-def _one_referent_slots(dialogue: str, a1: str, a2: str, condition: GenderCondition) -> tuple[AdjectiveSlot, ...]:
-    # Both adjectives describe the same person: the opener's speaker when the
-    # dialogue is self-referential, otherwise the opener's listener.
-    if dialogue == "self":
-        roles = (Referent.SPEAKER, Referent.LISTENER)
-    else:
-        roles = (Referent.LISTENER, Referent.SPEAKER)
-    return (
-        AdjectiveSlot(0, a1, roles[0], condition),
-        AdjectiveSlot(1, a2, roles[1], condition),
+    c1, c2 = _condition(opener), _condition(replier)
+    return text, (
+        AdjectiveSlot(0, a1, Referent.SPEAKER, c1),
+        AdjectiveSlot(1, a2, Referent.LISTENER, c2),
+        AdjectiveSlot(2, a3, Referent.LISTENER, c1),
+        AdjectiveSlot(3, a4, Referent.SPEAKER, c2),
     )
-
-
-def _check_dialogue(value, family: TemplateFamily) -> str:
-    if value not in ("self", "listener"):
-        raise InconsistentBinding(f"{family.tag} binding 'dialogue' must be 'self' or 'listener', got {value!r}")
-    return value
-
-
-def _check_first_person(value) -> int:
-    if value not in (1, 2):
-        raise InconsistentBinding(f"T3/T4 binding 'first_person' must be 1 or 2, got {value!r}")
-    return value
-
-
-def _expand_t1(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
-    g1 = _require_gender(bindings, "char_gender", family)
-    dialogue = _check_dialogue(_require(bindings, "dialogue", family), family)
-    bracket = bool(_require(bindings, "bracket", family))
-    a1 = _require(bindings, "A1", family)
-    a2 = _require(bindings, "A2", family)
-    g2 = _OPPOSITE[g1]
-    text = _two_turn_text(
-        f"The {_NOUN[g1]}", _PRONOUN[g1], _PRONOUN[g2].capitalize(), _PRONOUN[g2],
-        dialogue, bracket, a1, a2,
-    )
-    referent_gender = g1 if dialogue == "self" else g2
-    return text, _one_referent_slots(dialogue, a1, a2, GenderCondition.determined(referent_gender))
-
-
-def _expand_t3(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
-    named = _require_gender(bindings, "named_gender", family)
-    first_person = _check_first_person(_require(bindings, "first_person", family))
-    dialogue = _check_dialogue(_require(bindings, "dialogue", family), family)
-    bracket = bool(_require(bindings, "bracket", family))
-    a1 = _require(bindings, "A1", family)
-    a2 = _require(bindings, "A2", family)
-    if first_person == 1:
-        text = _two_turn_text("I", "I", _PRONOUN[named].capitalize(), _PRONOUN[named], dialogue, bracket, a1, a2)
-    else:
-        text = _two_turn_text(f"The {_NOUN[named]}", _PRONOUN[named], "I", "I", dialogue, bracket, a1, a2)
-    referent_char = 1 if dialogue == "self" else 2
-    if referent_char == first_person:
-        condition = AMBIGUOUS_OMISSION
-    else:
-        condition = GenderCondition.determined(named)
-    return text, _one_referent_slots(dialogue, a1, a2, condition)
-
-
-def _four_slot_text(opener_subject: str, p1: str, second_subject: str, p2: str, a: tuple[str, str, str, str]) -> str:
-    return (
-        f"{opener_subject} smiled. \"I think I'm {a[0]} and you're {a[1]},\" {p1} said. "
-        f"{second_subject} laughed back. \"No, you're {a[2]}, but I'm {a[3]},\" {p2} replied."
-    )
-
-
-def _four_slots(a: tuple[str, str, str, str], char1: GenderCondition, char2: GenderCondition) -> tuple[AdjectiveSlot, ...]:
-    # A1/A3 describe the opener's speaker, A2/A4 the replying character.
-    return (
-        AdjectiveSlot(0, a[0], Referent.SPEAKER, char1),
-        AdjectiveSlot(1, a[1], Referent.LISTENER, char2),
-        AdjectiveSlot(2, a[2], Referent.LISTENER, char1),
-        AdjectiveSlot(3, a[3], Referent.SPEAKER, char2),
-    )
-
-
-def _expand_t2(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
-    g1 = _require_gender(bindings, "char_gender", family)
-    a = tuple(_require(bindings, key, family) for key in ("A1", "A2", "A3", "A4"))
-    g2 = _OPPOSITE[g1]
-    text = _four_slot_text(f"The {_NOUN[g1]}", _PRONOUN[g1], _PRONOUN[g2].capitalize(), _PRONOUN[g2], a)
-    return text, _four_slots(a, GenderCondition.determined(g1), GenderCondition.determined(g2))
-
-
-def _expand_t4(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
-    named = _require_gender(bindings, "named_gender", family)
-    first_person = _check_first_person(_require(bindings, "first_person", family))
-    a = tuple(_require(bindings, key, family) for key in ("A1", "A2", "A3", "A4"))
-    if first_person == 1:
-        text = _four_slot_text("I", "I", _PRONOUN[named].capitalize(), _PRONOUN[named], a)
-        char1, char2 = AMBIGUOUS_OMISSION, GenderCondition.determined(named)
-    else:
-        text = _four_slot_text(f"The {_NOUN[named]}", _PRONOUN[named], "I", "I", a)
-        char1, char2 = GenderCondition.determined(named), AMBIGUOUS_OMISSION
-    return text, _four_slots(a, char1, char2)
 
 
 def _expand_t5(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
     c_g = _require(bindings, "C_g", family)
     c_gbar = _require(bindings, "C_gbar", family)
-    cue_gender = _require(bindings, "C_g_stereotype", family)
-    if cue_gender not in ("f", "m"):
-        raise InconsistentBinding(f"T5 binding 'C_g_stereotype' must be 'f' or 'm', got {cue_gender!r}")
+    cue_gender = _require_gender(bindings, "C_g_stereotype", family)
     pronoun = _require(bindings, "pronoun", family)
     if pronoun not in ("he", "she", "they"):
         raise InconsistentBinding(f"T5 binding 'pronoun' must be one of he/she/they, got {pronoun!r}")
@@ -333,9 +279,7 @@ def _expand_t5(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[Ad
         condition = AMBIGUOUS_ACTIVE
     else:
         condition = GenderCondition.determined("f" if pronoun == "she" else "m")
-    stereotype = StereotypeCondition(
-        StereotypeKind.FEMININE if cue_gender == "f" else StereotypeKind.MASCULINE, c_g
-    )
+    stereotype = StereotypeCondition(_STEREOTYPE[cue_gender], c_g)
     return text, (AdjectiveSlot(0, adjective, Referent.SPEAKER, condition, stereotype),)
 
 
@@ -343,13 +287,9 @@ def _expand_t7(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[Ad
     adjective = _require(bindings, "A", family)
     adverb = bindings.get("adverb")
     if adverb:
-        coded = _require(bindings, "adverb_stereotype", family)
-        if coded not in ("f", "m"):
-            raise InconsistentBinding(f"T7 binding 'adverb_stereotype' must be 'f' or 'm', got {coded!r}")
+        coded = _require_gender(bindings, "adverb_stereotype", family)
         text = f"\"I think I'm {adjective},\" I said {adverb}."
-        stereotype = StereotypeCondition(
-            StereotypeKind.FEMININE if coded == "f" else StereotypeKind.MASCULINE, adverb
-        )
+        stereotype = StereotypeCondition(_STEREOTYPE[coded], adverb)
     else:
         text = f"\"I think I'm {adjective},\" I said."
         stereotype = NO_STEREOTYPE
@@ -357,10 +297,10 @@ def _expand_t7(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[Ad
 
 
 _EXPANDERS = {
-    TemplateFamily.T1_ONE_PERSON_KNOWN: _expand_t1,
-    TemplateFamily.T2_TWO_PERSON_KNOWN: _expand_t2,
-    TemplateFamily.T3_ONE_PERSON_PARTIAL: _expand_t3,
-    TemplateFamily.T4_TWO_PERSON_PARTIAL: _expand_t4,
+    TemplateFamily.T1_ONE_PERSON_KNOWN: _expand_one_person,
+    TemplateFamily.T2_TWO_PERSON_KNOWN: _expand_two_person,
+    TemplateFamily.T3_ONE_PERSON_PARTIAL: _expand_one_person,
+    TemplateFamily.T4_TWO_PERSON_PARTIAL: _expand_two_person,
     TemplateFamily.T5_CHAR_STEREOTYPE: _expand_t5,
     TemplateFamily.T7_ADVERB_STEREOTYPE: _expand_t7,
 }
@@ -416,6 +356,13 @@ def _adjective_stream(adjectives: list[str], width: int, family: str) -> Iterato
         raise QuotaInfeasible(
             f"{family} instances need {width} distinct adjectives per instance; "
             f"manifest list 'adjectives' has only {len(adjectives)}"
+        )
+    # a repeat would put one lemma in two slots of an instance; a single slot only re-weights it
+    repeated = [adjective for adjective, count in Counter(adjectives).items() if count > 1]
+    if width > 1 and repeated:
+        raise QuotaInfeasible(
+            f"{family} instances need {width} distinct adjectives per instance; "
+            f"manifest list 'adjectives' repeats {repeated[0]!r}"
         )
     n = len(adjectives)
     i = 0

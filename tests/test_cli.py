@@ -326,6 +326,21 @@ def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index
     err = capsys.readouterr().err
     assert err.startswith("error:") and "slot_index" in err
     assert "Traceback" not in err
+    if slot_index == 99:
+        n = len(first["slots"])
+        assert err == (f"error: {scores}:1: score for instance {first['id']!r} has slot_index 99, "
+                       f"but the instance has {n} slot(s)\n")
+
+
+def test_metrics_names_the_scores_line_of_an_unknown_instance(tmp_path, suite_path, capsys):
+    first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(json.dumps({"instance_id": instance_id, "slot_index": 0, "label": "M"}) + "\n"
+                              for instance_id in (first["id"], "nope")), encoding="utf-8")
+    assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path),
+                 "--lang", "es", "--out", str(tmp_path / "metrics.json")]) == 2
+    assert capsys.readouterr().err == f"error: {scores}:2: score references unknown instance 'nope'\n"
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_metrics_rejects_a_second_score_for_one_slot(tmp_path, suite_path, capsys):

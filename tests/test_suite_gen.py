@@ -366,6 +366,30 @@ def test_infeasible_quota_names_the_limiting_list():
         generate_suite(manifest)
 
 
+@pytest.mark.parametrize("key", ["T1-Det", "T2-Det", "T3-Det", "T4-Det"])
+def test_a_repeated_adjective_is_rejected_where_an_instance_takes_several(key):
+    quotas = {key: 8, key.replace("Det", "Amb"): 8} if key[:2] in ("T3", "T4") else {key: 8}
+    manifest = SuiteManifest(adjectives=["fit", "calm", "wise", "kind", "calm"], quotas=quotas)
+    with pytest.raises(QuotaInfeasible) as excinfo:
+        generate_suite(manifest)
+    width = 2 if key[:2] in ("T1", "T3") else 4
+    assert str(excinfo.value) == (
+        f"{key[:2]} instances need {width} distinct adjectives per instance; manifest list 'adjectives' repeats 'calm'"
+    )
+
+
+def test_a_repeated_adjective_only_reweights_single_slot_families():
+    manifest = SuiteManifest(
+        adjectives=["fit", "fit", "calm"],
+        descriptor_pairs=[DescriptorPair("strong doctor", "pretty nurse")],
+        quotas={"T5-Det": 4, "T5-Amb": 2, "T7-None": 3},
+    )
+    suite = generate_suite(manifest)
+    # T5 takes fit, fit for its two triplets; T7 fit, fit, calm
+    assert sorted(i.slots[0].lemma for i in suite) == ["calm"] + ["fit"] * 8
+    assert validate_balance(suite, manifest.quotas).ok
+
+
 def test_mismatched_pair_quotas_are_rejected():
     manifest = SuiteManifest(adjectives=["a", "b", "c", "d"], quotas={"T3-Det": 4, "T3-Amb": 2}, seed=0)
     with pytest.raises(QuotaInfeasible, match="T3"):
