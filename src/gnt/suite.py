@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 
@@ -187,31 +187,54 @@ _PRONOUN = {"f": "she", "m": "he"}
 _NOUN = {"f": "woman", "m": "man"}
 _OPPOSITE = {"f": "m", "m": "f"}
 _STEREOTYPE = {"f": StereotypeKind.FEMININE, "m": StereotypeKind.MASCULINE}
+_SPEECH = {"he": DETERMINED_MASCULINE, "she": DETERMINED_FEMININE, "they": AMBIGUOUS_ACTIVE}  # T5's pronouns
 
 
-def _require(bindings: Mapping, key: str, family: TemplateFamily):
-    if key not in bindings or bindings[key] is None:
-        raise MissingBinding(f"{family.tag} expansion requires binding {key!r}")
-    return bindings[key]
+class _Var(NamedTuple):
+    """A template variable: its exact type, the values it may take (empty: any) and the phrase its error uses."""
+
+    kind: type
+    allowed: tuple = ()
+    phrase: str = "a string"
+    required: bool | str = True  # a key: required when that key's value is set
+    who: str = ""  # names the variable in its error in place of the family tag
 
 
-def _require_gender(bindings: Mapping, key: str, family: TemplateFamily) -> str:
-    value = _require(bindings, key, family)
-    if value not in ("f", "m"):
-        raise InconsistentBinding(f"{family.tag} binding {key!r} must be 'f' or 'm', got {value!r}")
-    return value
+_STRING = _Var(str)
+_GENDER = _Var(str, ("f", "m"), "'f' or 'm'")
+# T3/T4 lead with these where T1/T2 lead with 'char_gender'; _characters reads either
+_PARTIAL = {"named_gender": _GENDER, "first_person": _Var(int, (1, 2), "1 or 2", who="T3/T4")}
+_ONE_PERSON = {"dialogue": _Var(str, ("self", "listener"), "'self' or 'listener'"),
+               "bracket": _Var(bool, phrase="a boolean"), "A1": _STRING, "A2": _STRING}
+_TWO_PERSON = {"A1": _STRING, "A2": _STRING, "A3": _STRING, "A4": _STRING}
+_T5_VARS = {"C_g": _STRING, "C_gbar": _STRING, "C_g_stereotype": _GENDER,
+            "pronoun": _Var(str, tuple(_SPEECH), "one of he/she/they"), "A": _STRING}
+# an absent, null or empty adverb means none, and then no cue gender is needed
+_T7_VARS = {"A": _STRING, "adverb": _Var(str, required=False), "adverb_stereotype": _GENDER._replace(required="adverb")}
 
 
-def _characters(bindings: Mapping, family: TemplateFamily) -> tuple[str, str]:
-    """The opener and the replier of a T1-T4 dialogue, each "f", "m" or "I" (first person)."""
-    if family in (TemplateFamily.T1_ONE_PERSON_KNOWN, TemplateFamily.T2_TWO_PERSON_KNOWN):
-        gender = _require_gender(bindings, "char_gender", family)
+def _read(bindings: Mapping, family: TemplateFamily) -> list:
+    """The family's variables in table order, each checked in turn (None: an unset optional one)."""
+    values = []
+    for key, (kind, allowed, phrase, required, who) in _SHAPES[family].variables.items():
+        value = bindings.get(key)
+        if value is None:
+            if required is True or (required and bindings.get(required)):
+                raise MissingBinding(f"{family.tag} expansion requires binding {key!r}")
+        elif type(value) is not kind or (allowed and value not in allowed):
+            raise InconsistentBinding(f"{who or family.tag} binding {key!r} must be {phrase}, got {value!r}")
+        values.append(value)
+    return values
+
+
+def _characters(gender: str, first_person: int | None = None) -> tuple[str, str]:
+    """The opener and the replier of a T1-T4 dialogue, each "f", "m" or "I" (first person).
+
+    `gender` is the opener's (T1/T2) or the named character's (T3/T4, with the position of "I").
+    """
+    if first_person is None:
         return gender, _OPPOSITE[gender]
-    named = _require_gender(bindings, "named_gender", family)
-    first_person = _require(bindings, "first_person", family)
-    if first_person not in (1, 2):
-        raise InconsistentBinding(f"T3/T4 binding 'first_person' must be 1 or 2, got {first_person!r}")
-    return ("I", named) if first_person == 1 else (named, "I")
+    return ("I", gender) if first_person == 1 else (gender, "I")
 
 
 def _names(character: str, opener: bool) -> tuple[str, str]:
@@ -226,15 +249,10 @@ def _condition(character: str) -> GenderCondition:
     return AMBIGUOUS_OMISSION if character == "I" else GenderCondition.determined(character)
 
 
-def _expand_one_person(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
+def _expand_one_person(values: list) -> tuple[str, tuple[AdjectiveSlot, ...]]:
     """T1/T3: both adjectives describe the opener ('self') or the replier ('listener')."""
-    opener, replier = _characters(bindings, family)
-    dialogue = _require(bindings, "dialogue", family)
-    if dialogue not in ("self", "listener"):
-        raise InconsistentBinding(f"{family.tag} binding 'dialogue' must be 'self' or 'listener', got {dialogue!r}")
-    bracket = bool(_require(bindings, "bracket", family))
-    a1 = _require(bindings, "A1", family)
-    a2 = _require(bindings, "A2", family)
+    *characters, dialogue, bracket, a1, a2 = values
+    opener, replier = _characters(*characters)
     if dialogue == "self":
         first_line = f'"I think I\'m {a1},"'
         reply = f'"No, you\'re not {a1}, but you are {a2},"' if bracket else f'"No, you are {a2},"'
@@ -248,10 +266,10 @@ def _expand_one_person(bindings: Mapping, family: TemplateFamily) -> tuple[str, 
     return text, (AdjectiveSlot(0, a1, roles[0], condition), AdjectiveSlot(1, a2, roles[1], condition))
 
 
-def _expand_two_person(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
+def _expand_two_person(values: list) -> tuple[str, tuple[AdjectiveSlot, ...]]:
     """T2/T4: A1/A3 describe the opener, A2/A4 the replier."""
-    opener, replier = _characters(bindings, family)
-    a1, a2, a3, a4 = (_require(bindings, key, family) for key in ("A1", "A2", "A3", "A4"))
+    *characters, a1, a2, a3, a4 = values
+    opener, replier = _characters(*characters)
     (s1, p1), (s2, p2) = _names(opener, True), _names(replier, False)
     text = (
         f"{s1} smiled. \"I think I'm {a1} and you're {a2},\" {p1} said. "
@@ -266,28 +284,16 @@ def _expand_two_person(bindings: Mapping, family: TemplateFamily) -> tuple[str, 
     )
 
 
-def _expand_t5(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
-    c_g = _require(bindings, "C_g", family)
-    c_gbar = _require(bindings, "C_gbar", family)
-    cue_gender = _require_gender(bindings, "C_g_stereotype", family)
-    pronoun = _require(bindings, "pronoun", family)
-    if pronoun not in ("he", "she", "they"):
-        raise InconsistentBinding(f"T5 binding 'pronoun' must be one of he/she/they, got {pronoun!r}")
-    adjective = _require(bindings, "A", family)
+def _expand_t5(values: list) -> tuple[str, tuple[AdjectiveSlot, ...]]:
+    c_g, c_gbar, cue_gender, pronoun, adjective = values
     text = f"The {c_g} smiled. \"I think I'm {adjective},\" {pronoun} said to the {c_gbar}."
-    if pronoun == "they":
-        condition = AMBIGUOUS_ACTIVE
-    else:
-        condition = GenderCondition.determined("f" if pronoun == "she" else "m")
     stereotype = StereotypeCondition(_STEREOTYPE[cue_gender], c_g)
-    return text, (AdjectiveSlot(0, adjective, Referent.SPEAKER, condition, stereotype),)
+    return text, (AdjectiveSlot(0, adjective, Referent.SPEAKER, _SPEECH[pronoun], stereotype),)
 
 
-def _expand_t7(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[AdjectiveSlot, ...]]:
-    adjective = _require(bindings, "A", family)
-    adverb = bindings.get("adverb")
+def _expand_t7(values: list) -> tuple[str, tuple[AdjectiveSlot, ...]]:
+    adjective, adverb, coded = values
     if adverb:
-        coded = _require_gender(bindings, "adverb_stereotype", family)
         text = f"\"I think I'm {adjective},\" I said {adverb}."
         stereotype = StereotypeCondition(_STEREOTYPE[coded], adverb)
     else:
@@ -296,30 +302,22 @@ def _expand_t7(bindings: Mapping, family: TemplateFamily) -> tuple[str, tuple[Ad
     return text, (AdjectiveSlot(0, adjective, Referent.SPEAKER, AMBIGUOUS_OMISSION, stereotype),)
 
 
-_EXPANDERS = {
-    TemplateFamily.T1_ONE_PERSON_KNOWN: _expand_one_person,
-    TemplateFamily.T2_TWO_PERSON_KNOWN: _expand_two_person,
-    TemplateFamily.T3_ONE_PERSON_PARTIAL: _expand_one_person,
-    TemplateFamily.T4_TWO_PERSON_PARTIAL: _expand_two_person,
-    TemplateFamily.T5_CHAR_STEREOTYPE: _expand_t5,
-    TemplateFamily.T7_ADVERB_STEREOTYPE: _expand_t7,
-}
-
-
 def expand_template(
     family: TemplateFamily,
     bindings: Mapping,
     instance_id: str = "",
     pair_id: str | None = None,
 ) -> TestInstance:
-    """Expand one template family over a variable map.
+    """Expand one template family over a variable map, checking its variables in table order.
 
-    Raises MissingBinding when a required variable is absent and
-    InconsistentBinding when a variable value contradicts the family
-    (e.g. a T5 speech-tag pronoun outside he/she/they).
+    Raises MissingBinding when a required variable is absent or null and
+    InconsistentBinding when one has another exact type than its table gives
+    (`T1 binding 'A1' must be a string, got 5`, `... 'bracket' must be a
+    boolean, got 'no'`, `T3/T4 binding 'first_person' must be 1 or 2, got
+    True`) or a value outside its allowed ones (a T5 pronoun outside he/she/they).
     """
-    text, slots = _EXPANDERS[family](bindings, family)
-    instance = TestInstance(
+    text, slots = _SHAPES[family].expand(_read(bindings, family))
+    return TestInstance(
         id=instance_id,
         family=family,
         source_text=text,
@@ -327,10 +325,6 @@ def expand_template(
         pair_id=pair_id,
         bindings=dict(bindings),
     )
-    for slot in slots:
-        if slot.lemma not in text:
-            raise InconsistentBinding(f"adjective {slot.lemma!r} did not surface in the expanded text")
-    return instance
 
 
 # --- suite generation -------------------------------------------------------
@@ -423,8 +417,10 @@ def _t5_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) ->
 
 @dataclass(frozen=True)
 class _FamilyShape:
-    """How the generator builds one group of a family, read back by validation."""
+    """How a family is expanded, how the generator builds one group of it, and what validation reads back."""
 
+    variables: Mapping[str, _Var]  # the bindings, in the order they are checked
+    expand: Callable[[list], tuple[str, tuple[AdjectiveSlot, ...]]]  # the text and slots of the values read
     suffixes: tuple[str, ...]  # id suffix of each member of one group
     slots: int  # slots per instance
     det: int  # Det slots per group
@@ -438,19 +434,22 @@ class _FamilyShape:
 
 
 _DET = frozenset({AmbiguityKind.NONE})
-# Columns: suffixes, slots, det, amb, ambiguity, gender_unit, position_unit,
-# members. T7 is keyed by stereotype rather than Det/Amb and has its own generator.
+_OMISSION = _DET | {AmbiguityKind.OMISSION}
+# One row per family, its columns in field order. T7 is keyed by stereotype
+# rather than Det/Amb and has its own generator.
 _SHAPES = {
-    TemplateFamily.T1_ONE_PERSON_KNOWN: _FamilyShape(("d",), 2, 2, 0, _DET, 2, None, _t1_members),
-    TemplateFamily.T2_TWO_PERSON_KNOWN: _FamilyShape(("d",), 4, 4, 0, _DET, 0, None, _t2_members),
+    TemplateFamily.T1_ONE_PERSON_KNOWN: _FamilyShape(
+        {"char_gender": _GENDER, **_ONE_PERSON}, _expand_one_person, ("d",), 2, 2, 0, _DET, 2, None, _t1_members),
+    TemplateFamily.T2_TWO_PERSON_KNOWN: _FamilyShape(
+        {"char_gender": _GENDER, **_TWO_PERSON}, _expand_two_person, ("d",), 4, 4, 0, _DET, 0, None, _t2_members),
     TemplateFamily.T3_ONE_PERSON_PARTIAL: _FamilyShape(
-        ("d", "a"), 2, 2, 2, _DET | {AmbiguityKind.OMISSION}, 2, 2, _t3_members),
+        {**_PARTIAL, **_ONE_PERSON}, _expand_one_person, ("d", "a"), 2, 2, 2, _OMISSION, 2, 2, _t3_members),
     TemplateFamily.T4_TWO_PERSON_PARTIAL: _FamilyShape(
-        ("d", "a"), 4, 4, 4, _DET | {AmbiguityKind.OMISSION}, 4, 0, _t4_members),
+        {**_PARTIAL, **_TWO_PERSON}, _expand_two_person, ("d", "a"), 4, 4, 4, _OMISSION, 4, 0, _t4_members),
     TemplateFamily.T5_CHAR_STEREOTYPE: _FamilyShape(
-        ("d1", "d2", "a"), 1, 2, 1, _DET | {AmbiguityKind.ACTIVE}, 0, None, _t5_members),
+        _T5_VARS, _expand_t5, ("d1", "d2", "a"), 1, 2, 1, _DET | {AmbiguityKind.ACTIVE}, 0, None, _t5_members),
     TemplateFamily.T7_ADVERB_STEREOTYPE: _FamilyShape(
-        ("a",), 1, 0, 0, frozenset({AmbiguityKind.OMISSION}), 1, None, None),
+        _T7_VARS, _expand_t7, ("a",), 1, 0, 0, frozenset({AmbiguityKind.OMISSION}), 1, None, None),
 }
 
 
@@ -529,6 +528,7 @@ def generate_suite(manifest: SuiteManifest, seed: int | None = None) -> list[Tes
 
 _GENDERED_PRONOUNS = frozenset({"he", "she", "him", "her", "his", "hers"})
 _WORD_RE = re.compile(r"[a-zA-Z']+")
+_SPEECH_PRONOUN = {condition.kind: pronoun for pronoun, condition in _SPEECH.items()}
 
 
 @dataclass
@@ -576,11 +576,10 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
     warnings: list[str] = []
 
     slot_counts: dict[str, int] = {}
-    det_f: dict[str, int] = {}
-    det_m: dict[str, int] = {}
-    fp_counts: dict[str, dict[int, int]] = {}
+    genders: Counter = Counter()  # (family, gender kind) -> slots
+    positions: Counter = Counter()  # (family, first-person position) -> instances
     pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
-    cue_by_pronoun: dict[str, dict[str, int]] = {p: {"m": 0, "f": 0} for p in ("he", "she", "they")}
+    cues: Counter = Counter()  # (T5 pronoun, stereotype kind) -> instances
     pair_groups: dict[str, TemplateFamily] = {}
 
     for inst in instances:
@@ -591,10 +590,7 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
         for slot in inst.slots:
             key = quota_key_for_slot(inst.family, slot)
             slot_counts[key] = slot_counts.get(key, 0) + 1
-            if slot.gender.kind is GenderKind.DETERMINED_FEMININE:
-                det_f[family] = det_f.get(family, 0) + 1
-            elif slot.gender.kind is GenderKind.DETERMINED_MASCULINE:
-                det_m[family] = det_m.get(family, 0) + 1
+            genders[family, slot.gender.kind] += 1
             if slot.lemma not in inst.source_text:
                 violations.append(f"text: {inst.id} slot {slot.slot_index} lemma {slot.lemma!r} absent from source")
             if slot.gender.ambiguity not in shape.ambiguity:
@@ -603,20 +599,18 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                     f"/{slot.gender.ambiguity.value}, which {family} never produces"
                 )
 
-        if shape.position_unit is not None:
-            fp = inst.bindings.get("first_person")
-            if fp in (1, 2):
-                fp_counts.setdefault(family, {1: 0, 2: 0})[fp] += 1
+        # position, pronoun and cue are read from slot 0, as the metrics score it, not from the bindings
+        first = inst.slots[0] if inst.slots else None
+        if shape.position_unit is not None and first:
+            # position 1 ("I" opens): slot 0 is ambiguous exactly when its referent is the speaker
+            positions[family, 1 if (first.referent is Referent.SPEAKER) == first.gender.is_ambiguous else 2] += 1
 
         if family == "T5":
-            pronoun = inst.bindings.get("pronoun", "")
-            cue = inst.bindings.get("C_g_stereotype", "")
-            if pronoun in pronoun_counts:
+            if first:
+                pronoun = _SPEECH_PRONOUN[first.gender.kind]
                 pronoun_counts[pronoun] += 1
-                if cue in ("m", "f"):
-                    cue_by_pronoun[pronoun][cue] += 1
-            ambiguous = any(slot.gender.is_ambiguous for slot in inst.slots)
-            if ambiguous:
+                cues[pronoun, first.stereotype.kind] += 1
+            if any(slot.gender.is_ambiguous for slot in inst.slots):
                 words = {w.lower() for w in _WORD_RE.findall(inst.source_text)}
                 leaked = sorted(words & _GENDERED_PRONOUNS)
                 if leaked:
@@ -656,8 +650,9 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                 violations.append(f"count-mismatch: {family.tag}-Det ({det}) != {times}{family.tag}-Amb ({amb})")
 
     det_gender_split = {}
-    for family in sorted(set(det_f) | set(det_m)):
-        f_count, m_count = det_f.get(family, 0), det_m.get(family, 0)
+    for family in sorted({family for family, kind in genders if kind is not GenderKind.AMBIGUOUS}):
+        f_count = genders[family, GenderKind.DETERMINED_FEMININE]
+        m_count = genders[family, GenderKind.DETERMINED_MASCULINE]
         det_gender_split[family] = (f_count, m_count)
         _split_check(
             f"{family} determined gender", f_count, m_count, violations, warnings,
@@ -665,15 +660,16 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
         )
 
     speaker_position_split = {}
-    for family, counts in sorted(fp_counts.items()):
-        speaker_position_split[family] = (counts[1], counts[2])
+    for family in sorted({family for family, _ in positions}):
+        one, two = positions[family, 1], positions[family, 2]
+        speaker_position_split[family] = (one, two)
         _split_check(
-            f"{family} first-person position", counts[1], counts[2], violations, warnings,
+            f"{family} first-person position", one, two, violations, warnings,
             unit=_SHAPES[TemplateFamily(family)].position_unit,
         )
 
-    active = {p: c for p, c in pronoun_counts.items() if c}
-    if active:
+    cue_split = {p: (cues[p, StereotypeKind.MASCULINE], cues[p, StereotypeKind.FEMININE]) for p in pronoun_counts}
+    if any(pronoun_counts.values()):
         # every generated triplet carries all three pronouns, so any spread
         # means the suite was edited by hand
         if max(pronoun_counts.values()) - min(pronoun_counts.values()) > 0:
@@ -681,16 +677,16 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                 "imbalance: T5 pronouns he/she/they split "
                 f"{pronoun_counts['he']}/{pronoun_counts['she']}/{pronoun_counts['they']}"
             )
-        for pronoun, cues in cue_by_pronoun.items():
-            if cues["m"] or cues["f"]:
-                _split_check(f"T5 {pronoun!r} stereotype cues", cues["m"], cues["f"], violations, warnings)
+        for pronoun, (m_count, f_count) in cue_split.items():
+            if m_count or f_count:
+                _split_check(f"T5 {pronoun!r} stereotype cues", m_count, f_count, violations, warnings)
 
     return BalanceDiagnostics(
         slot_counts=slot_counts,
         det_gender_split=det_gender_split,
         speaker_position_split=speaker_position_split,
         pronoun_counts=pronoun_counts,
-        cue_split_by_pronoun={p: (c["m"], c["f"]) for p, c in cue_by_pronoun.items()},
+        cue_split_by_pronoun=cue_split,
         violations=violations,
         warnings=warnings,
     )

@@ -56,6 +56,47 @@ def test_validate_flags_corrupted_suite(tmp_path, suite_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def _rewrite_suite(suite_path, out, edit):
+    """Copy a suite file to `out`, passing each record through `edit`."""
+    records = [json.loads(line) for line in suite_path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        edit(record)
+    out.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records), encoding="utf-8")
+    return out
+
+
+def test_validate_ignores_bindings_that_disagree_with_the_slots(tmp_path, suite_path, capsys):
+    def edit(record):
+        bindings = record["bindings"]
+        for key, value in (("first_person", True), ("pronoun", "he")):
+            if key in bindings:
+                bindings[key] = value
+
+    assert main(["validate", "--suite", str(suite_path)]) == 0
+    expected = capsys.readouterr()
+    edited = _rewrite_suite(suite_path, tmp_path / "edited.jsonl", edit)
+    assert main(["validate", "--suite", str(edited)]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_validate_counts_t5_pronouns_from_the_slots(tmp_path, suite_path, capsys):
+    edited = []
+
+    def edit(record):
+        slot = record["slots"][0]
+        if record["family"] == "T5" and slot["gender_kind"] == "determined_masculine" and not edited:
+            slot["gender_kind"] = "determined_feminine"  # its bindings still say "he"
+            edited.append(record["id"])
+
+    assert main(["validate", "--suite", str(suite_path)]) == 0
+    assert "T5 pronouns he/she/they: 20/20/20" in capsys.readouterr().out
+    path = _rewrite_suite(suite_path, tmp_path / "edited.jsonl", edit)
+    assert main(["validate", "--suite", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "T5 pronouns he/she/they: 19/21/20" in out
+    assert "violation: imbalance: T5 pronouns he/she/they split 19/21/20" in err.splitlines()
+
+
 def test_validate_rejects_malformed_slot_record(tmp_path, suite_path, capsys):
     lines = suite_path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[0])

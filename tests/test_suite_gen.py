@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gnt import (
     DescriptorPair,
@@ -17,7 +18,7 @@ from gnt import (
     validate_balance,
 )
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
-from gnt.formats import write_suite
+from gnt.formats import parse_suite, write_suite
 from gnt.suite import AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind
 from helpers import instance_to_dict, random_manifest
 
@@ -154,6 +155,63 @@ def test_inconsistent_binding_texts_are_pinned(family, key, value, message):
     with pytest.raises(InconsistentBinding) as excinfo:
         expand_template(family, {**_BINDINGS[family][0], key: value})
     assert str(excinfo.value) == message
+
+
+# Each binding has one exact type: a boolean is no integer, and a string is no boolean.
+_MISTYPED = [
+    (T3, "first_person", True, "T3/T4 binding 'first_person' must be 1 or 2, got True"),
+    (T1, "bracket", "no", "T1 binding 'bracket' must be a boolean, got 'no'"),
+    (T1, "A1", 5, "T1 binding 'A1' must be a string, got 5"),
+    (T5, "C_g", 7, "T5 binding 'C_g' must be a string, got 7"),
+    (T7, "adverb", 5, "T7 binding 'adverb' must be a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("family,key,value,message", _MISTYPED,
+                         ids=[f"{f.tag}-{k}-{v}" for f, k, v, _ in _MISTYPED])
+def test_mistyped_binding_texts_are_pinned(family, key, value, message):
+    with pytest.raises(InconsistentBinding) as excinfo:
+        expand_template(family, {**_BINDINGS[family][0], key: value})
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("adverb", ["deleted", None, ""])
+def test_an_unset_adverb_means_no_adverb(adverb):
+    bindings = dict(_BINDINGS[T7][0])
+    if adverb == "deleted":
+        del bindings["adverb"]
+    else:
+        bindings["adverb"] = adverb
+    instance = expand_template(T7, bindings)
+    assert instance.source_text == '"I think I\'m fit," I said.'
+    assert instance.slots[0].stereotype.kind is StereotypeKind.NONE
+    assert instance.bindings == bindings
+
+
+# arbitrary JSON-like values, and the ones some binding allows, so that edited bindings often still expand
+_VALUES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+           | st.sampled_from(["f", "m", "self", "listener", "he", "she", "they", 1, 2, ""]))
+_DELETE = object()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_bindings_expand_to_a_round_tripping_instance_or_raise_a_binding_error(tmp_path_factory, data):
+    family = data.draw(st.sampled_from(list(_BINDINGS)))
+    bindings = dict(_BINDINGS[family][0])
+    for key, value in data.draw(st.dictionaries(st.sampled_from(list(bindings)), st.just(_DELETE) | _VALUES)).items():
+        if value is _DELETE:
+            del bindings[key]
+        else:
+            bindings[key] = value
+    try:
+        instance = expand_template(family, bindings, "X-000000a")
+    except (MissingBinding, InconsistentBinding):
+        return
+    base = tmp_path_factory.getbasetemp()
+    write_suite([instance], base / "expanded.jsonl")
+    write_suite(parse_suite(base / "expanded.jsonl"), base / "again.jsonl")
+    assert (base / "again.jsonl").read_bytes() == (base / "expanded.jsonl").read_bytes()
 
 
 def test_t1_self_dialogue_with_bracket():
@@ -461,6 +519,16 @@ def test_instance_with_a_foreign_slot_count_is_flagged(demo_manifest, keep):
     suite[index] = replace(suite[index], slots=suite[index].slots[:keep])
     violations = [v for v in validate_balance(suite).violations if v.startswith("slots:")]
     assert violations == [f"slots: {suite[index].id} has {keep} slots, T1 instances have 2"]
+
+
+@pytest.mark.parametrize("family,slots", [(T3, 2), (T4, 4), (T5, 1)], ids=["T3", "T4", "T5"])
+def test_validate_skips_slot_zero_reads_of_an_instance_without_slots(demo_manifest, family, slots):
+    """Position, pronoun and cue are read from slot 0; an instance without one is only counted as malformed."""
+    suite = generate_suite(demo_manifest)
+    index = next(i for i, inst in enumerate(suite) if inst.family is family)
+    suite[index] = replace(suite[index], slots=())
+    violations = [v for v in validate_balance(suite).violations if v.startswith("slots:")]
+    assert violations == [f"slots: {suite[index].id} has 0 slots, {family.tag} instances have {slots}"]
 
 
 def test_hand_built_pronoun_imbalance_is_flagged():
