@@ -40,7 +40,9 @@ class AdapterKind(Enum):
 
 
 # A batch amortises the fixed cost of one backend call. A process spawn costs about 100 ms, and seconds for a
-# command that loads a model; a loopback POST costs about 1 ms, and larger http: batches were slower.
+# command that loads a model; a loopback POST costs about 1 ms, and larger http: batches were slower. `gnt translate`
+# sizes a default cmd: batch from the suite's line count, one batch per window slot; the 1,024 here serves library
+# callers of translate_suite, whose suite may have no known length.
 _DEFAULT_BATCH_SIZE = {AdapterKind.EXTERNAL_COMMAND: 1024, AdapterKind.HTTP_ENDPOINT: 256}
 
 
@@ -90,10 +92,18 @@ class AdapterConfig:
         return cls(AdapterKind.HTTP_ENDPOINT, url, language, system_id, **kwargs)
 
 
-def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
-    translations: dict[str, str] = {}
-    # lines end at "\n" only: a translation may hold any other line break
-    for line in reply.split("\n"):
+def _decode_reply(reply: str, ids: list[str]) -> dict[str, str | None]:
+    """Map each id of the batch, in batch order, to its translation, or to None where the reply skips it."""
+    translations: dict[str, str | None] = dict.fromkeys(ids)
+    start = 0
+    while start < len(reply):
+        # lines end at "\n" only: a translation may hold any other line break; one line at a time, so no list of
+        # every line is held beside the reply
+        end = reply.find("\n", start)
+        if end < 0:
+            end = len(reply)
+        line = reply[start:end]
+        start = end + 1
         if line.endswith("\r"):
             line = line[:-1]
         if not line.strip():
@@ -101,15 +111,15 @@ def _decode_reply(reply: str, batch_ids: set[str]) -> dict[str, str]:
         if "\t" not in line:
             raise ProtocolViolation(f"reply line without tab separator: {line[:80]!r}")
         instance_id, text = line.split("\t", 1)
-        if instance_id not in batch_ids:
+        if instance_id not in translations:
             raise ProtocolViolation(f"reply id {instance_id!r} was not part of the batch")
-        if instance_id in translations:
+        if translations[instance_id] is not None:
             raise ProtocolViolation(f"reply id {instance_id!r} appears more than once")
         translations[instance_id] = text
     return translations
 
 
-def _run_command(command: str, payload: str, timeout: float) -> str:
+def _run_command(command: str, payload: bytes, timeout: float) -> str:
     # a session of its own, so that a timeout stops every process of the command and not only its shell
     with subprocess.Popen(
         command,
@@ -120,7 +130,7 @@ def _run_command(command: str, payload: str, timeout: float) -> str:
         start_new_session=True,
     ) as process:
         try:
-            stdout, stderr = process.communicate(payload.encode("utf-8"), timeout=timeout)
+            stdout, stderr = process.communicate(payload, timeout=timeout)
         except BaseException as exc:  # an interrupt too
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(process.pid, signal.SIGKILL)
@@ -133,12 +143,12 @@ def _run_command(command: str, payload: str, timeout: float) -> str:
     return _decode_text(stdout)
 
 
-def _run_http(url: str, payload: str, timeout: float) -> str:
+def _run_http(url: str, payload: bytes, timeout: float) -> str:
     headers = {"Content-Type": "text/plain; charset=utf-8"}
     token = os.environ.get("GNT_HTTP_TOKEN")
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(url, data=payload.encode("utf-8"), headers=headers, method="POST")
+    request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             body = response.read()
@@ -153,8 +163,8 @@ def _run_http(url: str, payload: str, timeout: float) -> str:
     return _decode_text(body)
 
 
-def _timed_out(what: str, payload: str, timeout: float) -> BackendUnavailable:
-    ids = payload.count("\n")  # one line per id
+def _timed_out(what: str, payload: bytes, timeout: float) -> BackendUnavailable:
+    ids = payload.count(b"\n")  # one line per id
     return BackendUnavailable(
         f"{what} timed out after {timeout}s on a batch of {ids} id(s); raise --timeout or lower --batch-size"
     )
@@ -167,13 +177,13 @@ def _decode_text(reply: bytes) -> str:
         raise ProtocolViolation(f"reply is not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _call_backend(config: AdapterConfig, payload: str) -> str:
+def _call_backend(config: AdapterConfig, payload: bytes) -> str:
     if config.kind is AdapterKind.EXTERNAL_COMMAND:
         return _run_command(config.target, payload, config.timeout)
     return _run_http(config.target, payload, config.timeout)
 
 
-def _with_retries(config: AdapterConfig, payload: str, sleep: Callable[[float], None], rng: random.Random) -> str:
+def _with_retries(config: AdapterConfig, payload: bytes, sleep: Callable[[float], None], rng: random.Random) -> str:
     # exponential backoff with jitter, capped by max_retries
     last: Exception | None = None
     for attempt in range(config.max_retries + 1):
@@ -199,7 +209,7 @@ def translate_suite(
     `config.max_concurrent_batches` batches are in flight at once, the calling
     thread and that many less one helper threads each reading the next batch
     in turn and sending it, so reading a lazy suite overlaps the batches
-    already sent. A batch in flight holds only its ids and its encoded lines,
+    already sent. A batch in flight holds only its ids and its UTF-8 payload,
     so each instance is released once it is encoded. Each batch is checked
     before it is sent: an instance that cannot be framed on the line protocol
     raises ProtocolViolation, and an error the suite raises while a batch is
@@ -230,9 +240,10 @@ def translate_suite(
         resumed = set(done)
 
         def batches():
-            # a batch in flight holds its ids and its payload, not its instances
+            # a batch in flight holds its ids and its payload, not its instances; the payload is built as the
+            # UTF-8 bytes that are sent, once, and handed out without a copy
             ids: list[str] = []
-            lines: list[str] = []
+            payload = bytearray()
             for instance in instances:
                 if instance.id in resumed:
                     continue
@@ -242,12 +253,12 @@ def translate_suite(
                         instances.throw(error)
                     raise error
                 ids.append(instance.id)
-                lines.append(f"{instance.id}\t{instance.source_text}\n")
+                payload += f"{instance.id}\t{instance.source_text}\n".encode("utf-8")
                 if len(ids) == config.batch_size:
-                    yield ids, "".join(lines)
-                    ids, lines = [], []
+                    yield ids, payload
+                    ids, payload = [], bytearray()
             if ids:
-                yield ids, "".join(lines)
+                yield ids, payload
 
         todo = batches()
         started = 0  # batches handed out; a read or framing error fails the next one
@@ -270,19 +281,20 @@ def translate_suite(
                         started += 1
                     reply = _with_retries(config, payload, sleep, rng)
                     del payload  # drop the payload and the reply once each is used
-                    translations = _decode_reply(reply, set(ids))
-                    del reply
+                    # the batch's own id strings stay the keys, so the reply's copies of them are released
+                    translations = _decode_reply(reply, ids)
+                    del reply, ids
                     records = [
-                        TranslationRecord(config.system_id, config.language, instance_id, translations[instance_id])
-                        for instance_id in ids
-                        if instance_id in translations
+                        TranslationRecord(config.system_id, config.language, instance_id, text)
+                        for instance_id, text in translations.items()
+                        if text is not None
                     ]
                     with done_lock:
                         # persist before any later batch gets the chance to fail the run
                         if resume and records:
                             _append_records(resume, records)
                         done.update((record.instance_id, record) for record in records)
-                        missing.extend(instance_id for instance_id in ids if instance_id not in translations)
+                        missing.extend(instance_id for instance_id, text in translations.items() if text is None)
             except BaseException as exc:  # an interrupt too; the calling thread re-raises it
                 with done_lock:
                     errors[index] = exc

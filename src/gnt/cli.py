@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .adapter import AdapterConfig, translate_suite
+from .adapter import AdapterConfig, AdapterKind, translate_suite
 from .errors import GntError
 from .formats import (
     iter_suite,
@@ -71,6 +72,12 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _count_lines(path: str) -> int:
+    """The number of non-blank lines in a file, one per instance of a suite file."""
+    with open(path, "rb") as fh:
+        return sum(1 for line in fh if not line.isspace())
+
+
 def _cmd_translate(args) -> int:
     config = AdapterConfig.parse_target(
         args.adapter,
@@ -81,6 +88,10 @@ def _cmd_translate(args) -> int:
         max_retries=args.max_retries,
         max_concurrent_batches=args.max_concurrent_batches,
     )
+    if args.batch_size is None and config.kind is AdapterKind.EXTERNAL_COMMAND:
+        # every spawn pays a start-up, perhaps a model load: one batch per window slot
+        batch_size = -(-_count_lines(args.suite) // config.max_concurrent_batches)
+        config = replace(config, batch_size=max(1, batch_size), timeout=args.timeout)
     resume = Path(str(args.out) + ".partial")
     # read lazily, so the first batches are in flight while the rest of the suite is read
     records = translate_suite(iter_suite(args.suite), config, resume_path=resume)
@@ -171,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="Label recorded in the output file.")
     p.add_argument("--out", required=True)
     p.add_argument("--batch-size", type=int, default=None,
-                   help="Ids per backend call (default 1024 for cmd:, one spawn each, and 256 for http:).")
+                   help="Ids per backend call (default for cmd: the suite's share of one window slot, so one "
+                        "spawn per slot; 256 for http:).")
     p.add_argument("--timeout", type=float, default=None,
                    help="Seconds one batch may take (default 60 per 256 ids, at least 60).")
     p.add_argument("--max-retries", type=int, default=AdapterConfig.max_retries)

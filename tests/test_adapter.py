@@ -334,7 +334,7 @@ def test_a_batch_in_flight_holds_no_instances(monkeypatch):
     def call_backend(config, payload):
         with counting:
             in_flight.append(live_instances())
-        return payload  # the request's lines are a valid echo reply
+        return payload.decode("utf-8")  # the request's lines are a valid echo reply
 
     monkeypatch.setattr(adapter, "_call_backend", call_backend)
     gc.collect()

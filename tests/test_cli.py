@@ -20,11 +20,14 @@ import gnt.pipeline
 from gnt import (
     Language,
     SlotScore,
+    TemplateFamily,
     TranslationRecord,
     adapter,
+    expand_template,
     generate_suite,
     parse_manifest,
     parse_translations,
+    write_suite,
     write_translations,
 )
 from gnt.cli import build_parser, main
@@ -45,6 +48,20 @@ def test_generate_and_validate(suite_path, capsys):
     out = capsys.readouterr().out
     assert "balance: ok" in out
     assert "T5-Det: 40 slots" in out
+
+
+@pytest.mark.parametrize("field, words", [
+    ("adjectives", ["fit", ""]), ("adverbs_masculine", [" "]), ("adverbs_feminine", ["\t"]),
+])
+def test_generate_rejects_a_blank_word_in_the_manifest(tmp_path, capsys, field, words):
+    manifest = tmp_path / "manifest.json"
+    doc = {"adjectives": ["fit", "tall"], "quotas": {"T1-Det": 2, "T7-None": 1}}
+    manifest.write_text(json.dumps({**doc, field: words}), encoding="utf-8")
+    out = tmp_path / "suite.jsonl"
+    assert main(["generate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    index = len(words) - 1
+    assert capsys.readouterr().err == f"error: {manifest}: {field}.{index} must be a non-blank string, got {words[index]!r}\n"
+    assert not out.exists()
 
 
 def test_validate_flags_corrupted_suite(tmp_path, suite_path, capsys):
@@ -427,7 +444,7 @@ def test_translate_rejects_bad_settings(tmp_path, suite_path, capsys, flags, set
 
 
 @pytest.mark.parametrize("flags, batch_size, timeout", [
-    ([], 1024, 240.0),
+    ([], 83, 60.0),  # the demo suite's 166 instances over a window of 2
     (["--batch-size", "32"], 32, 60.0),
 ], ids=["default", "batch-size-32"])
 def test_translate_batch_size_defaults_to_the_adapter_default(tmp_path, suite_path, monkeypatch,
@@ -597,6 +614,78 @@ def test_a_window_of_one_alternates_reading_and_sending_batch_by_batch(tmp_path,
     instances = len(suite_path.read_text(encoding="utf-8").splitlines())
     sizes = [min(8, instances - start) for start in range(0, instances, 8)]
     assert events == [event for size in sizes for event in ["read"] * size + ["send"]]
+
+
+def _t7_suite(path: Path, size: int) -> list[str]:
+    """Write a suite file of `size` T7 instances and return their ids."""
+    suite = [expand_template(TemplateFamily.T7_ADVERB_STEREOTYPE, {"A": "fit"}, f"T7-{i:06d}a") for i in range(size)]
+    write_suite(suite, path)
+    return [instance.id for instance in suite]
+
+
+def _batch_sizes(log_dir: Path) -> list[int]:
+    """The number of ids each spawn of a `_logging_backend` received, largest first."""
+    return sorted((len(batch.read_text(encoding="utf-8").splitlines()) for batch in log_dir.iterdir()), reverse=True)
+
+
+@pytest.mark.parametrize("flags, sizes", [
+    ([], [1050, 1050]),
+    (["--max-concurrent-batches", "1"], [2100]),
+    (["--max-concurrent-batches", "3"], [700, 700, 700]),
+    (["--batch-size", "500"], [500, 500, 500, 500, 100]),
+], ids=["default", "window-1", "window-3", "batch-size-500"])
+def test_a_default_cmd_batch_is_one_window_slot_of_the_suite(tmp_path, flags, sizes):
+    suite = tmp_path / "suite.jsonl"
+    ids = _t7_suite(suite, 2100)
+    log = tmp_path / "batches"
+    out = tmp_path / "tr.jsonl"
+    assert main(["translate", "--suite", str(suite), "--adapter", _logging_backend(log), "--lang", "es",
+                 "--system", "s", "--out", str(out)] + flags) == 0
+    assert _batch_sizes(log) == sizes
+    assert _received_ids(log) == ids
+    assert [record.instance_id for record in parse_translations(out)] == ids
+
+
+def test_a_resumed_run_spawns_at_most_once_per_window_slot(tmp_path):
+    suite = tmp_path / "suite.jsonl"
+    ids = _t7_suite(suite, 2100)
+    argv = ["translate", "--suite", str(suite), "--lang", "es", "--system", "s"]
+    clean = tmp_path / "clean.jsonl"
+    assert main(argv + ["--adapter", "cmd:cat", "--out", str(clean)]) == 0
+    out = tmp_path / "tr.jsonl"
+    partial = tmp_path / "tr.jsonl.partial"
+    done = parse_translations(clean)[300:1300]
+    write_translations(done, partial)
+    log = tmp_path / "batches"
+    assert main(argv + ["--adapter", _logging_backend(log), "--out", str(out)]) == 0
+    # the batch is sized from the whole suite: the 1,100 ids left fit in the window's 2 spawns
+    assert _batch_sizes(log) == [1050, 50]
+    assert _received_ids(log) == ids[:300] + ids[1300:]
+    assert out.read_bytes() == clean.read_bytes()
+    assert not partial.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--adapter", "cmd:sh -c 'echo x >> {spawns}; cat'", "--max-concurrent-batches", "0"],
+     "max_concurrent_batches must be >= 1, got 0"),
+    (["--adapter", "cmd:"], "adapter spec 'cmd:' must be cmd:<command> with a non-empty command"),
+], ids=["window-0", "empty-command"])
+@pytest.mark.parametrize("exists", [True, False], ids=["suite", "missing-suite"])
+def test_a_default_cmd_batch_is_sized_after_the_settings_are_checked(tmp_path, capsys, monkeypatch,
+                                                                     flags, message, exists):
+    suite = tmp_path / "suite.jsonl"
+    if exists:
+        _t7_suite(suite, 10)
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *args, **kwargs: opened.append(str(file))
+                        or real_open(file, *args, **kwargs))
+    spawns = tmp_path / "spawns"
+    argv = ["translate", "--suite", str(suite), "--lang", "es", "--system", "s", "--out", str(tmp_path / "tr.jsonl")]
+    assert main(argv + [flag.format(spawns=spawns) for flag in flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert str(suite) not in opened
+    assert not spawns.exists()
 
 
 def _score_with_extra_row(tmp_path, suite_path, command: str, file: str, row: bytes) -> tuple[int, int]:

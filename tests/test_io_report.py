@@ -554,7 +554,7 @@ def test_a_deleted_or_mistyped_field_gives_the_same_parse_error_text(tmp_path, r
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_manifest_reads_back_as_it_was_written(tmp_path_factory, data):
-    words = st.lists(_TEXTS, max_size=3)
+    words = st.lists(_TEXTS.filter(str.strip), max_size=3)  # a blank word is an error (see test_cli)
     manifest = SuiteManifest(
         adjectives=data.draw(words),
         descriptor_pairs=[DescriptorPair(*pair) for pair in data.draw(st.lists(st.tuples(_TEXTS, _TEXTS), max_size=2))],
