@@ -88,6 +88,9 @@ def _cmd_translate(args) -> int:
         max_retries=args.max_retries,
         max_concurrent_batches=args.max_concurrent_batches,
     )
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():  # found only when the first batch is persisted, after its backend work
+        raise GntError(f"--out directory {str(out_dir)!r} is not an existing directory")
     if args.batch_size is None and config.kind is AdapterKind.EXTERNAL_COMMAND:
         # every spawn pays a start-up, perhaps a model load: one batch per window slot
         batch_size = -(-_count_lines(args.suite) // config.max_concurrent_batches)

@@ -164,10 +164,13 @@ class SuiteManifest:
                 raise ValueError(f"unknown quota key {key!r}; expected one of {', '.join(QUOTA_KEYS)}")
             if type(value) is not int or value < 0:
                 raise ValueError(f"quota {key} must be a non-negative integer, got {value!r}")
-        for name in ("adjectives", "adverbs_masculine", "adverbs_feminine"):
-            for i, word in enumerate(getattr(self, name)):
-                if isinstance(word, str) and not word.strip():  # "" is found in every text, so no check sees the hole
-                    raise ValueError(f"{name}.{i} must be a non-blank string, got {word!r}")
+        words = [(f"{name}.{i}", word) for name in ("adjectives", "adverbs_masculine", "adverbs_feminine")
+                 for i, word in enumerate(getattr(self, name))]
+        words += [(f"descriptor_pairs.{i}.{side}", getattr(pair, side))
+                  for i, pair in enumerate(self.descriptor_pairs) for side in ("masculine", "feminine")]
+        for name, word in words:
+            if isinstance(word, str) and not word.strip():  # "" is found in every text, so no check sees the hole
+                raise ValueError(f"{name} must be a non-blank string, got {word!r}")
 
     def quota(self, key: str) -> int:
         return self.quotas.get(key, 0)

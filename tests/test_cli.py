@@ -64,6 +64,19 @@ def test_generate_rejects_a_blank_word_in_the_manifest(tmp_path, capsys, field, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side, word", [("masculine", ""), ("feminine", " ")])
+def test_generate_rejects_a_blank_word_in_a_descriptor_pair(tmp_path, capsys, side, word):
+    manifest = tmp_path / "manifest.json"
+    pairs = [{"masculine": "strong doctor", "feminine": "pretty nurse"}, {"masculine": "tall judge", "feminine": "kind nun"}]
+    pairs[1][side] = word
+    doc = {"adjectives": ["fit", "tall"], "descriptor_pairs": pairs, "quotas": {"T5-Det": 2, "T5-Amb": 1}}
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "suite.jsonl"
+    assert main(["generate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: descriptor_pairs.1.{side} must be a non-blank string, got {word!r}\n"
+    assert not out.exists()
+
+
 def test_validate_flags_corrupted_suite(tmp_path, suite_path, capsys):
     lines = suite_path.read_text(encoding="utf-8").splitlines()
     kept = [line for line in lines if json.loads(line)["id"] != "T3-000000d"]
@@ -574,6 +587,17 @@ def test_translate_reports_a_missing_suite_and_starts_no_backend(tmp_path, capsy
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
     assert list(log.iterdir()) == []
     assert not (tmp_path / "tr.jsonl.partial").exists()
+
+
+def test_translate_reports_a_missing_out_directory_and_starts_no_backend(tmp_path, suite_path, capsys):
+    log = tmp_path / "batches"
+    out = tmp_path / "nodir" / "tr.jsonl"
+    assert main(["translate", "--suite", str(suite_path), "--adapter", _logging_backend(log), "--lang", "es",
+                 "--system", "s", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out directory {str(tmp_path / 'nodir')!r} is not an existing directory\n"
+    assert list(log.iterdir()) == []
+    assert not out.exists() and not Path(f"{out}.partial").exists()
+    assert not out.parent.exists()
 
 
 def _reads_and_sends(monkeypatch, tmp_path, suite_path, window: int) -> list[str]:

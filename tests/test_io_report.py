@@ -554,10 +554,11 @@ def test_a_deleted_or_mistyped_field_gives_the_same_parse_error_text(tmp_path, r
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_manifest_reads_back_as_it_was_written(tmp_path_factory, data):
-    words = st.lists(_TEXTS.filter(str.strip), max_size=3)  # a blank word is an error (see test_cli)
+    word = _TEXTS.filter(str.strip)  # a blank word is an error (see test_cli)
+    words = st.lists(word, max_size=3)
     manifest = SuiteManifest(
         adjectives=data.draw(words),
-        descriptor_pairs=[DescriptorPair(*pair) for pair in data.draw(st.lists(st.tuples(_TEXTS, _TEXTS), max_size=2))],
+        descriptor_pairs=[DescriptorPair(*pair) for pair in data.draw(st.lists(st.tuples(word, word), max_size=2))],
         adverbs_masculine=data.draw(words),
         adverbs_feminine=data.draw(words),
         quotas=data.draw(st.dictionaries(st.sampled_from(QUOTA_KEYS), st.integers(0, 10**6), max_size=4)),
