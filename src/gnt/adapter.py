@@ -12,6 +12,7 @@ persisted so an interrupted run resumes with only the missing ids.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
 import signal
@@ -19,10 +20,9 @@ import subprocess
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
 from .formats import TranslationRecord, parse_translations, translation_line
@@ -44,8 +44,7 @@ class AdapterKind(Enum):
 _DEFAULT_BATCH_SIZE = {AdapterKind.EXTERNAL_COMMAND: 1024, AdapterKind.HTTP_ENDPOINT: 256}
 
 
-@dataclass(frozen=True)
-class AdapterConfig:
+class _AdapterConfigFields(NamedTuple):
     kind: AdapterKind
     target: str
     language: Language
@@ -55,20 +54,28 @@ class AdapterConfig:
     max_retries: int = 2
     max_concurrent_batches: int = 2
 
-    def __post_init__(self):
+
+class AdapterConfig(_AdapterConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.batch_size is None:
-            object.__setattr__(self, "batch_size", _DEFAULT_BATCH_SIZE[self.kind])
+            self = self._replace(batch_size=_DEFAULT_BATCH_SIZE[self.kind])
         if self.batch_size < 1:
             raise GntError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.timeout is None:
             # the same pace per id at every default batch size, and time for a slow start on a small batch
-            object.__setattr__(self, "timeout", max(60.0, self.batch_size * 60 / 256))
+            self = self._replace(timeout=max(60.0, self.batch_size * 60 / 256))
         if self.timeout <= 0:
             raise GntError(f"timeout must be positive, got {self.timeout}")
+        if not self.timeout < math.inf:  # nan too: a wait on it raises deep in selectors or socket
+            raise GntError(f"timeout must be finite, got {self.timeout}")
         if self.max_retries < 0:
             raise GntError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_concurrent_batches < 1:
             raise GntError(f"max_concurrent_batches must be >= 1, got {self.max_concurrent_batches}")
+        return self
 
     @classmethod
     def parse_target(cls, spec: str, language: Language, system_id: str, **kwargs) -> "AdapterConfig":

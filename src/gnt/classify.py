@@ -23,9 +23,8 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lexicon import LanguageResources, LemmaTable, MorphPattern, PatternKind, nfc
 from .suite import AdjectiveSlot, TestInstance
@@ -52,8 +51,7 @@ _LABEL_BY_FORM_GENDER = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SlotScore:
+class SlotScore(NamedTuple):
     instance_id: str
     slot_index: int
     label: GenderLabel

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .adapter import AdapterConfig, AdapterKind, translate_suite
@@ -88,13 +87,17 @@ def _cmd_translate(args) -> int:
         max_retries=args.max_retries,
         max_concurrent_batches=args.max_concurrent_batches,
     )
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():  # found only when the first batch is persisted, after its backend work
-        raise GntError(f"--out directory {str(out_dir)!r} is not an existing directory")
+    out = Path(args.out)
+    # either is found only when the first batch is persisted or the translations written, after the backend work
+    if not out.parent.is_dir():
+        raise GntError(f"--out directory {str(out.parent)!r} is not an existing directory")
+    if out.is_dir():
+        raise GntError(f"--out {args.out!r} is a directory, not a file")
     if args.batch_size is None and config.kind is AdapterKind.EXTERNAL_COMMAND:
         # every spawn pays a start-up, perhaps a model load: one batch per window slot
         batch_size = -(-_count_lines(args.suite) // config.max_concurrent_batches)
-        config = replace(config, batch_size=max(1, batch_size), timeout=args.timeout)
+        # through the constructor, so that a default timeout follows the new batch size
+        config = AdapterConfig(*config._replace(batch_size=max(1, batch_size), timeout=args.timeout))
     resume = Path(str(args.out) + ".partial")
     # read lazily, so the first batches are in flight while the rest of the suite is read
     records = translate_suite(iter_suite(args.suite), config, resume_path=resume)
@@ -189,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "spawn per slot; 256 for http:).")
     p.add_argument("--timeout", type=float, default=None,
                    help="Seconds one batch may take (default 60 per 256 ids, at least 60).")
-    p.add_argument("--max-retries", type=int, default=AdapterConfig.max_retries)
-    p.add_argument("--max-concurrent-batches", type=int, default=AdapterConfig.max_concurrent_batches,
+    defaults = AdapterConfig._field_defaults
+    p.add_argument("--max-retries", type=int, default=defaults["max_retries"])
+    p.add_argument("--max-concurrent-batches", type=int, default=defaults["max_concurrent_batches"],
                    help="Batches in flight at once; 1 for a backend that cannot run twice at once.")
     p.set_defaults(func=_cmd_translate)
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 import json
 from collections import defaultdict, namedtuple
 from copy import copy
-from dataclasses import dataclass
 from enum import EnumMeta
 from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .classify import GenderLabel, SlotScore
 from .errors import DuplicateRecord, ParseError, ProtocolViolation
@@ -308,8 +307,7 @@ def parse_suite(path: str | Path) -> list[TestInstance]:
 # --- translations --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TranslationRecord:
+class TranslationRecord(NamedTuple):
     system_id: str
     language: Language
     instance_id: str

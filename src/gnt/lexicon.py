@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import InvalidEntry, LexiconConflict
 
@@ -62,21 +61,23 @@ def lookup_key(text: str) -> str:
     return nfc(text).casefold()
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     lemma: str
     surface_form: str
     form_gender: FormGender
 
 
-@dataclass(frozen=True)
-class AltPhraseEntry:
+class AltPhraseEntry(NamedTuple):
     lemma: str
     phrase: str
 
 
-@dataclass(frozen=True)
-class MorphPattern:
+class _MorphPatternFields(NamedTuple):
+    kind: PatternKind
+    template: str
+
+
+class MorphPattern(_MorphPatternFields):
     """One annotated-morphology shape, e.g. stem+"o/a" or stem+"(ur)".
 
     The template names the suffix alternation: slash patterns match both the
@@ -85,10 +86,10 @@ class MorphPattern:
     trailing "@" standing in for the alternation.
     """
 
-    kind: PatternKind
-    template: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.template:
             raise InvalidEntry("pattern template must be non-empty")
         if self.kind in (PatternKind.SLASH_SUFFIX, PatternKind.AT_SIGN):
@@ -98,6 +99,7 @@ class MorphPattern:
                 )
         elif "/" in self.template or any(c in self.template for c in "()@"):
             raise InvalidEntry(f"paren pattern template must be a plain suffix, got {self.template!r}")
+        return self
 
 
 class Lexicon:
@@ -208,8 +210,43 @@ def load_patterns(path: str | Path) -> tuple[MorphPattern, ...]:
     return tuple(_csv_rows(Path(path), ["kind", "template"], pattern))
 
 
-@dataclass(frozen=True)
-class LemmaTable:
+class _Record:
+    """A frozen, slotted record whose slots after the first `_compared` are caches.
+
+    Equality, hash and repr read the first `_compared` slots only.
+    """
+
+    __slots__ = ()
+    _compared = 0
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:self._compared])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # a copy or an unpickled record starts with empty caches
+        return type(self), self._key()
+
+
+class LemmaTable(_Record):
     """What the classifier knows about one lemma key, worked out once per language.
 
     `forms` and `phrases` are the lemma's lexicon forms and registered phrases;
@@ -217,14 +254,20 @@ class LemmaTable:
     for this lemma (or None), and is filled by the classifier.
     """
 
+    __slots__ = ("key", "forms", "phrases", "token_rules")
+    _compared = 3
+
     key: str
     forms: Mapping[str, LexiconEntry]
     phrases: list[tuple[tuple[str, ...], str]]
-    token_rules: dict[str, tuple | None] = field(default_factory=dict, repr=False, compare=False)
+    token_rules: dict[str, tuple | None]
+
+    def __init__(self, key: str, forms: Mapping[str, LexiconEntry], phrases: list[tuple[tuple[str, ...], str]],
+                 token_rules: dict[str, tuple | None] | None = None):
+        self._fill(key, forms, phrases, {} if token_rules is None else token_rules)
 
 
-@dataclass(frozen=True)
-class LanguageResources:
+class LanguageResources(_Record):
     """Everything the classifier needs for one target language.
 
     `phrases_by_lemma` is derived from `alt_phrases`: per lemma key, each
@@ -235,23 +278,26 @@ class LanguageResources:
     edge-stripped form.
     """
 
+    __slots__ = ("language", "lexicon", "patterns", "alt_phrases",
+                 "phrases_by_lemma", "lemma_tables", "_table_of", "stripped_tokens")
+    _compared = 4
+
     language: Language
     lexicon: Lexicon
-    patterns: tuple[MorphPattern, ...] = ()
-    alt_phrases: tuple[AltPhraseEntry, ...] = ()
-    phrases_by_lemma: Mapping[str, list[tuple[tuple[str, ...], str]]] = field(init=False, repr=False, compare=False)
-    lemma_tables: dict[str, LemmaTable] = field(init=False, repr=False, compare=False)
-    _table_of: dict[str, LemmaTable] = field(init=False, repr=False, compare=False)
-    stripped_tokens: dict[str, str] = field(init=False, repr=False, compare=False)
+    patterns: tuple[MorphPattern, ...]
+    alt_phrases: tuple[AltPhraseEntry, ...]
+    phrases_by_lemma: Mapping[str, list[tuple[tuple[str, ...], str]]]
+    lemma_tables: dict[str, LemmaTable]
+    _table_of: dict[str, LemmaTable]
+    stripped_tokens: dict[str, str]
 
-    def __post_init__(self):
+    def __init__(self, language: Language, lexicon: Lexicon, patterns: tuple[MorphPattern, ...] = (),
+                 alt_phrases: tuple[AltPhraseEntry, ...] = ()):
         by_lemma: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for entry in self.alt_phrases:
+        for entry in alt_phrases:
             folded = tuple(lookup_key(token) for token in entry.phrase.split())
             by_lemma.setdefault(lookup_key(entry.lemma), []).append((folded, entry.phrase))
-        object.__setattr__(self, "phrases_by_lemma", by_lemma)
-        for name in ("lemma_tables", "_table_of", "stripped_tokens"):
-            object.__setattr__(self, name, {})
+        self._fill(language, lexicon, patterns, alt_phrases, by_lemma, {}, {}, {})
 
     def lemma_table(self, lemma: str) -> LemmaTable:
         """The table of `lemma`'s key, built on the key's first use."""

@@ -8,9 +8,8 @@ delta-closure (sum of the ΔNi = ΔN) identities hold exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import GenderLabel, SlotScore
 from .errors import EmptySelection, GntError
@@ -27,8 +26,7 @@ _STRATEGY_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class StrategyBreakdown:
+class StrategyBreakdown(NamedTuple):
     """Masculine/feminine/neutral proportions over classified slots.
 
     `count` is the denominator (non-Unmatched slots); `u_count` slots were
@@ -123,8 +121,7 @@ def flag_significance(delta, threshold) -> bool:
     return float(abs(delta)) >= threshold
 
 
-@dataclass(frozen=True)
-class ResponseReport:
+class ResponseReport(NamedTuple):
     """Paired determined/ambiguous comparison with its deltas."""
 
     det: StrategyBreakdown
@@ -199,8 +196,7 @@ def macro_average(reports: Mapping[str, ResponseReport]) -> ResponseReport:
     return paired_response(det, amb, threshold=thresholds.pop())
 
 
-@dataclass(frozen=True)
-class StereotypeReport:
+class StereotypeReport(NamedTuple):
     """Average shift of binary gender (and neutrality) under stereotype cues."""
 
     neutral: StrategyBreakdown

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -67,15 +66,20 @@ class StereotypeKind(Enum):
     FEMININE = "feminine"
 
 
-@dataclass(frozen=True, slots=True)
-class GenderCondition:
+class _GenderConditionFields(NamedTuple):
     kind: GenderKind
     ambiguity: AmbiguityKind = AmbiguityKind.NONE
 
-    def __post_init__(self):
+
+class GenderCondition(_GenderConditionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         determined = self.kind is not GenderKind.AMBIGUOUS
         if determined != (self.ambiguity is AmbiguityKind.NONE):
             raise ValueError("ambiguity kind must be set iff the condition is ambiguous")
+        return self
 
     @property
     def is_ambiguous(self) -> bool:
@@ -92,21 +96,25 @@ AMBIGUOUS_OMISSION = GenderCondition(GenderKind.AMBIGUOUS, AmbiguityKind.OMISSIO
 AMBIGUOUS_ACTIVE = GenderCondition(GenderKind.AMBIGUOUS, AmbiguityKind.ACTIVE)
 
 
-@dataclass(frozen=True, slots=True)
-class StereotypeCondition:
+class _StereotypeConditionFields(NamedTuple):
     kind: StereotypeKind = StereotypeKind.NONE
     cue: str = ""
 
-    def __post_init__(self):
+
+class StereotypeCondition(_StereotypeConditionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is StereotypeKind.NONE and self.cue:
             raise ValueError("a cue requires a stereotype kind")
+        return self
 
 
 NO_STEREOTYPE = StereotypeCondition()
 
 
-@dataclass(frozen=True, slots=True)
-class AdjectiveSlot:
+class AdjectiveSlot(NamedTuple):
     slot_index: int
     lemma: str
     referent: Referent
@@ -114,18 +122,25 @@ class AdjectiveSlot:
     stereotype: StereotypeCondition = NO_STEREOTYPE
 
 
-@dataclass(frozen=True, slots=True)
-class TestInstance:
+class _TestInstanceFields(NamedTuple):
     id: str
     family: TemplateFamily
     source_text: str
     slots: tuple[AdjectiveSlot, ...]
-    pair_id: str | None = None
-    bindings: dict = field(default_factory=dict)
+    pair_id: str | None
+    bindings: dict
 
 
-@dataclass(frozen=True)
-class DescriptorPair:
+class TestInstance(_TestInstanceFields):
+    __slots__ = ()
+
+    # a field default is one object shared by every instance, so the empty bindings are made per call
+    def __new__(cls, id: str, family: TemplateFamily, source_text: str, slots: tuple[AdjectiveSlot, ...],
+                pair_id: str | None = None, bindings: dict | None = None):
+        return tuple.__new__(cls, (id, family, source_text, slots, pair_id, {} if bindings is None else bindings))
+
+
+class DescriptorPair(NamedTuple):
     """Stereotype-matched character descriptors, one per coded gender."""
 
     masculine: str
@@ -149,16 +164,26 @@ QUOTA_KEYS = (
 )
 
 
-@dataclass
-class SuiteManifest:
+class _SuiteManifestFields(NamedTuple):
     adjectives: list[str]
-    descriptor_pairs: list[DescriptorPair] = field(default_factory=list)
-    adverbs_masculine: list[str] = field(default_factory=list)
-    adverbs_feminine: list[str] = field(default_factory=list)
-    quotas: dict[str, int] = field(default_factory=dict)
-    seed: int = 0
+    descriptor_pairs: list[DescriptorPair]
+    adverbs_masculine: list[str]
+    adverbs_feminine: list[str]
+    quotas: dict[str, int]
+    seed: int
 
-    def __post_init__(self):
+
+class SuiteManifest(_SuiteManifestFields):
+    __slots__ = ()
+
+    # as for TestInstance, the empty lists and quotas are made per call
+    def __new__(cls, adjectives: list[str], descriptor_pairs: list[DescriptorPair] | None = None,
+                adverbs_masculine: list[str] | None = None, adverbs_feminine: list[str] | None = None,
+                quotas: dict[str, int] | None = None, seed: int = 0):
+        self = tuple.__new__(cls, (adjectives, [] if descriptor_pairs is None else descriptor_pairs,
+                                   [] if adverbs_masculine is None else adverbs_masculine,
+                                   [] if adverbs_feminine is None else adverbs_feminine,
+                                   {} if quotas is None else quotas, seed))
         for key, value in self.quotas.items():
             if key not in QUOTA_KEYS:
                 raise ValueError(f"unknown quota key {key!r}; expected one of {', '.join(QUOTA_KEYS)}")
@@ -171,6 +196,7 @@ class SuiteManifest:
         for name, word in words:
             if isinstance(word, str) and not word.strip():  # "" is found in every text, so no check sees the hole
                 raise ValueError(f"{name} must be a non-blank string, got {word!r}")
+        return self
 
     def quota(self, key: str) -> int:
         return self.quotas.get(key, 0)
@@ -422,8 +448,7 @@ def _t5_members(manifest: SuiteManifest, i: int, adjectives: tuple[str, ...]) ->
     return tuple({**base, "pronoun": pronoun} for pronoun in ("he", "she", "they"))
 
 
-@dataclass(frozen=True)
-class _FamilyShape:
+class _FamilyShape(NamedTuple):
     """How a family is expanded, how the generator builds one group of it, and what validation reads back."""
 
     variables: Mapping[str, _Var]  # the bindings, in the order they are checked
@@ -538,8 +563,7 @@ _WORD_RE = re.compile(r"[a-zA-Z']+")
 _SPEECH_PRONOUN = {condition.kind: pronoun for pronoun, condition in _SPEECH.items()}
 
 
-@dataclass
-class BalanceDiagnostics:
+class BalanceDiagnostics(NamedTuple):
     slot_counts: dict[str, int]
     det_gender_split: dict[str, tuple[int, int]]
     speaker_position_split: dict[str, tuple[int, int]]

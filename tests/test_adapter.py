@@ -5,7 +5,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -185,7 +184,7 @@ def test_a_read_error_fails_the_batch_being_read_not_an_earlier_one(tmp_path):
 
 def test_an_unframeable_instance_stops_the_run_before_its_batch(tmp_path):
     suite = _suite(6)
-    suite[5] = replace(suite[5], source_text="two\nlines")
+    suite[5] = suite[5]._replace(source_text="two\nlines")
     resume = tmp_path / "partial.jsonl"
     config = _cmd_config(backend_command(), max_concurrent_batches=1)
     with pytest.raises(ProtocolViolation) as excinfo:

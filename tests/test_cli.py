@@ -600,6 +600,38 @@ def test_translate_reports_a_missing_out_directory_and_starts_no_backend(tmp_pat
     assert not out.parent.exists()
 
 
+def test_translate_reports_an_out_directory_and_starts_no_backend(tmp_path, suite_path, capsys):
+    log = tmp_path / "batches"
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert main(["translate", "--suite", str(suite_path), "--adapter", _logging_backend(log), "--lang", "es",
+                 "--system", "s", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {str(out)!r} is a directory, not a file\n"
+    assert list(log.iterdir()) == []
+    assert list(out.iterdir()) == [] and not Path(f"{out}.partial").exists()
+
+
+@pytest.mark.parametrize("timeout, message", [
+    ("nan", "timeout must be finite, got nan"),
+    ("inf", "timeout must be finite, got inf"),
+    ("-inf", "timeout must be positive, got -inf"),
+])
+@pytest.mark.parametrize("kind", ["cmd", "http"])
+def test_translate_rejects_a_timeout_that_is_not_finite_before_any_backend_call(
+        tmp_path, suite_path, capsys, monkeypatch, kind, timeout, message):
+    log = tmp_path / "batches"
+    spec = _logging_backend(log) if kind == "cmd" else "http://127.0.0.1:9/translate"
+    calls = []
+    monkeypatch.setattr(adapter, "_call_backend", lambda config, payload: calls.append(payload))
+    out = tmp_path / "tr.jsonl"
+    assert main(["translate", "--suite", str(suite_path), "--adapter", spec, "--lang", "es", "--system", "s",
+                 f"--timeout={timeout}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and not out.exists() and not Path(f"{out}.partial").exists()
+    if kind == "cmd":
+        assert list(log.iterdir()) == []
+
+
 def _reads_and_sends(monkeypatch, tmp_path, suite_path, window: int) -> list[str]:
     """The order in which `gnt translate` reads suite instances and calls the backend, one event each."""
     events = []

@@ -5,7 +5,6 @@ import itertools
 import json
 import random
 import re
-from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -564,8 +563,9 @@ def test_a_manifest_reads_back_as_it_was_written(tmp_path_factory, data):
         quotas=data.draw(st.dictionaries(st.sampled_from(QUOTA_KEYS), st.integers(0, 10**6), max_size=4)),
         seed=data.draw(st.integers(-(2**63), 2**63)),
     )
-    # a field left at its default may also be left out
-    record = {key: value for key, value in asdict(manifest).items() if value or data.draw(st.booleans())}
+    # the pairs are written as objects; a field left at its default may also be left out
+    fields = {**manifest._asdict(), "descriptor_pairs": [pair._asdict() for pair in manifest.descriptor_pairs]}
+    record = {key: value for key, value in fields.items() if value or data.draw(st.booleans())}
     path = tmp_path_factory.getbasetemp() / "manifest.json"
     path.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
     assert parse_manifest(path) == manifest
@@ -771,8 +771,8 @@ def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
         # an active-ambiguous T3 slot, which the generator never produces
         index = next(i for i, inst in enumerate(suite) if inst.family is TemplateFamily.T3_ONE_PERSON_PARTIAL
                      and inst.slots[0].gender.is_ambiguous)
-        slots = (replace(suite[index].slots[0], gender=AMBIGUOUS_ACTIVE),) + suite[index].slots[1:]
-        suite[index] = replace(suite[index], slots=slots)
+        slots = (suite[index].slots[0]._replace(gender=AMBIGUOUS_ACTIVE),) + suite[index].slots[1:]
+        suite[index] = suite[index]._replace(slots=slots)
     rng = random.Random(7)
     scores = [SlotScore(inst.id, slot.slot_index, rng.choice(list(GenderLabel)))
               for inst in suite for slot in inst.slots]

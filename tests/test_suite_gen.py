@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,7 +505,7 @@ def test_conditions_a_family_never_produces_are_flagged(demo_manifest):
     for family, condition in impossible.items():
         index = next(i for i, inst in enumerate(suite) if inst.family.tag == family)
         instance = suite[index]
-        suite[index] = replace(instance, slots=(replace(instance.slots[0], gender=condition),) + instance.slots[1:])
+        suite[index] = instance._replace(slots=(instance.slots[0]._replace(gender=condition),) + instance.slots[1:])
         edited.append(instance.id)
     violations = [v for v in validate_balance(suite).violations if v.startswith("condition:")]
     assert sorted(v.split()[1] for v in violations) == sorted(edited)
@@ -516,7 +515,7 @@ def test_conditions_a_family_never_produces_are_flagged(demo_manifest):
 def test_instance_with_a_foreign_slot_count_is_flagged(demo_manifest, keep):
     suite = generate_suite(demo_manifest)
     index = next(i for i, inst in enumerate(suite) if inst.family is T1)
-    suite[index] = replace(suite[index], slots=suite[index].slots[:keep])
+    suite[index] = suite[index]._replace(slots=suite[index].slots[:keep])
     violations = [v for v in validate_balance(suite).violations if v.startswith("slots:")]
     assert violations == [f"slots: {suite[index].id} has {keep} slots, T1 instances have 2"]
 
@@ -526,7 +525,7 @@ def test_validate_skips_slot_zero_reads_of_an_instance_without_slots(demo_manife
     """Position, pronoun and cue are read from slot 0; an instance without one is only counted as malformed."""
     suite = generate_suite(demo_manifest)
     index = next(i for i, inst in enumerate(suite) if inst.family is family)
-    suite[index] = replace(suite[index], slots=())
+    suite[index] = suite[index]._replace(slots=())
     violations = [v for v in validate_balance(suite).violations if v.startswith("slots:")]
     assert violations == [f"slots: {suite[index].id} has 0 slots, {family.tag} instances have {slots}"]
 
