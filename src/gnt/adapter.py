@@ -42,6 +42,8 @@ class AdapterKind(Enum):
 # sizes a default cmd: batch from the suite's line count, one batch per window slot; the 1,024 here serves library
 # callers of translate_suite, whose suite may have no known length.
 _DEFAULT_BATCH_SIZE = {AdapterKind.EXTERNAL_COMMAND: 1024, AdapterKind.HTTP_ENDPOINT: 256}
+# poll() takes at most 2**31 - 1 ms: a cmd: wait on a longer timeout raises OverflowError after the spawn
+_MAX_TIMEOUT = 2_147_483
 
 
 class _AdapterConfigFields(NamedTuple):
@@ -66,11 +68,13 @@ class AdapterConfig(_AdapterConfigFields):
             raise GntError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.timeout is None:
             # the same pace per id at every default batch size, and time for a slow start on a small batch
-            self = self._replace(timeout=max(60.0, self.batch_size * 60 / 256))
+            self = self._replace(timeout=min(max(60.0, self.batch_size * 60 / 256), _MAX_TIMEOUT))
         if self.timeout <= 0:
             raise GntError(f"timeout must be positive, got {self.timeout}")
         if not self.timeout < math.inf:  # nan too: a wait on it raises deep in selectors or socket
             raise GntError(f"timeout must be finite, got {self.timeout}")
+        if self.timeout > _MAX_TIMEOUT:
+            raise GntError(f"timeout must be at most {_MAX_TIMEOUT} s, got {self.timeout}")
         if self.max_retries < 0:
             raise GntError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_concurrent_batches < 1:

@@ -12,8 +12,8 @@ order, and within a priority the earliest unconsumed token position wins:
 5. otherwise Unmatched
 
 The three single-token rules depend only on the lemma and the token, so each
-token's best one is worked out once per (lemma key, token) and kept in the
-lemma's `LemmaTable` as a rank: 0 lexicon, 1 pattern, 3 copy. A slot is then
+token's best one is worked out once per (lemma as written, token) and kept in
+the lemma's `LemmaTable` as a rank: 0 lexicon, 1 pattern, 3 copy. A slot is then
 classified in one pass over the unconsumed positions that keeps the lowest
 (rank, position); rank 0 or 1 wins at once, else the phrase rule runs, else a
 rank-3 copy wins. A shared consumed-position set keeps two slots of one

@@ -7,6 +7,8 @@ parse -> write round trip reproduces a valid file byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections import defaultdict, namedtuple
 from copy import copy
 from enum import EnumMeta
@@ -40,8 +42,6 @@ _dump = json.JSONEncoder(ensure_ascii=False).encode
 # the fixed-key writers build each line as _dump would: strings through the
 # encoder's own escaping, Enum values as their constant JSON text
 _str = encode_basestring
-# json.loads less its per-call checks; _read_lines strips each line first
-_raw_decode = json.JSONDecoder().raw_decode
 
 _MISSING = object()
 _NULL = type(None)
@@ -115,6 +115,36 @@ def _decode(raw: bytes, path: str, line: int = 0) -> str:
         raise ParseError(f"not UTF-8 ({exc.reason} at byte {exc.start})", path, line) from None
 
 
+class _NotJson(ValueError):
+    """A number that Python's json module reads but JSON does not allow."""
+
+
+def _finite(text: str) -> float:  # the constants too: json reads NaN, Infinity and -Infinity
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotJson(f"{text} is not a finite number")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+# json.loads less its per-call checks; _read_lines strips each line first
+_raw_decode = _DECODER.raw_decode
+
+
+def _invalid_json(exc: Exception, text: str, path: str, line: int = 0) -> ParseError:
+    """The error for `exc`, raised decoding `text`: it names the file, and `line` or else the line of the fault."""
+    message = str(exc)  # a _NotJson's
+    if isinstance(exc, json.JSONDecodeError):
+        # the messages of json.loads, which looks for a byte order mark first
+        message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff" else exc.msg
+        line = line or exc.lineno
+    elif isinstance(exc, RecursionError):
+        message = "nested too deeply"
+    elif not isinstance(exc, _NotJson):  # int's limit on the digits it converts
+        message = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    return ParseError(f"invalid JSON ({message})", path, line)
+
+
 def _read_lines(path: str):
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, start=1):
@@ -128,10 +158,8 @@ def _read_lines(path: str):
                 record, end = _raw_decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                # the messages of json.loads, which looks for a byte order mark first
-                message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else exc.msg
-                raise ParseError(f"invalid JSON ({message})", path, number) from None
+            except (ValueError, RecursionError) as exc:
+                raise _invalid_json(exc, line, path, number) from None
             if not isinstance(record, dict):
                 raise ParseError("record must be a JSON object", path, number)
             yield number, record
@@ -140,15 +168,10 @@ def _read_lines(path: str):
 def _read_document(path: str) -> dict:
     with open(path, "rb") as fh:
         text = _decode(fh.read(), path)
-
-    # json.loads accepts NaN, Infinity and -Infinity, which are not JSON
-    def reject(constant: str):
-        raise ParseError(f"invalid JSON ({constant} is not a number)", path)
-
     try:
-        doc = json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from None
+        doc = _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise _invalid_json(exc, text, path) from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", path)
     return doc

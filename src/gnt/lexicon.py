@@ -152,18 +152,21 @@ def _csv_rows(path: Path, header: list[str], build: Callable[..., object]) -> li
     built = []
     with open(path, "rb") as fh:
         reader = csv.reader(_decoded_lines(path, fh))
-        found = next(reader, None)
-        if found is None or [h.strip() for h in found] != header:
-            raise InvalidEntry(f"{path}: expected header {','.join(header)!r}, got {found!r}")
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise InvalidEntry(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            try:
-                built.append(build(*(nfc(cell.strip()) for cell in row)))
-            except (InvalidEntry, LexiconConflict) as exc:
-                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            found = next(reader, None)
+            if found is None or [h.strip() for h in found] != header:
+                raise InvalidEntry(f"{path}: expected header {','.join(header)!r}, got {found!r}")
+            for row in reader:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise InvalidEntry(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    built.append(build(*(nfc(cell.strip()) for cell in row)))
+                except (InvalidEntry, LexiconConflict) as exc:
+                    raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # a cell over csv's field size limit, say
+            raise InvalidEntry(f"{path}:{reader.line_num}: {exc}") from None
     return built
 
 
@@ -210,105 +213,47 @@ def load_patterns(path: str | Path) -> tuple[MorphPattern, ...]:
     return tuple(_csv_rows(Path(path), ["kind", "template"], pattern))
 
 
-class _Record:
-    """A frozen, slotted record whose slots after the first `_compared` are caches.
+class LemmaTable:
+    """What the classifier knows about one lemma, worked out on the lemma's first use.
 
-    Equality, hash and repr read the first `_compared` slots only.
-    """
-
-    __slots__ = ()
-    _compared = 0
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:self._compared])
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:self._compared])
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):  # a copy or an unpickled record starts with empty caches
-        return type(self), self._key()
-
-
-class LemmaTable(_Record):
-    """What the classifier knows about one lemma key, worked out once per language.
-
-    `forms` and `phrases` are the lemma's lexicon forms and registered phrases;
-    `token_rules` maps each token met so far, as written, to the rule it fires
-    for this lemma (or None), and is filled by the classifier.
+    `key` is the lemma's `lookup_key`; `forms` are its lexicon forms and `phrases` its registered phrases, each
+    as its folded tokens and its text, in registration order. `token_rules` maps each token met so far, as
+    written, to the rule it fires for this lemma (or None), and is filled by the classifier.
     """
 
     __slots__ = ("key", "forms", "phrases", "token_rules")
-    _compared = 3
 
-    key: str
-    forms: Mapping[str, LexiconEntry]
-    phrases: list[tuple[tuple[str, ...], str]]
-    token_rules: dict[str, tuple | None]
-
-    def __init__(self, key: str, forms: Mapping[str, LexiconEntry], phrases: list[tuple[tuple[str, ...], str]],
-                 token_rules: dict[str, tuple | None] | None = None):
-        self._fill(key, forms, phrases, {} if token_rules is None else token_rules)
+    def __init__(self, key: str, forms: Mapping[str, LexiconEntry], phrases: list[tuple[tuple[str, ...], str]]):
+        self.key, self.forms, self.phrases = key, forms, phrases
+        self.token_rules: dict[str, tuple | None] = {}
 
 
-class LanguageResources(_Record):
+class LanguageResources:
     """Everything the classifier needs for one target language.
 
-    `phrases_by_lemma` is derived from `alt_phrases`: per lemma key, each
-    phrase's folded tokens and its text, in registration order. The other
-    derived fields fill as translations are scored: `lemma_tables` holds one
-    `LemmaTable` per lemma key, `_table_of` the same tables per lemma as
-    written, and `stripped_tokens` maps each whitespace-split token to its
-    edge-stripped form.
+    Two caches fill as translations are scored: `lemma_table` keeps one `LemmaTable` per lemma as written,
+    and `stripped_tokens` maps each whitespace-split token to its edge-stripped form.
     """
 
-    __slots__ = ("language", "lexicon", "patterns", "alt_phrases",
-                 "phrases_by_lemma", "lemma_tables", "_table_of", "stripped_tokens")
-    _compared = 4
-
-    language: Language
-    lexicon: Lexicon
-    patterns: tuple[MorphPattern, ...]
-    alt_phrases: tuple[AltPhraseEntry, ...]
-    phrases_by_lemma: Mapping[str, list[tuple[tuple[str, ...], str]]]
-    lemma_tables: dict[str, LemmaTable]
-    _table_of: dict[str, LemmaTable]
-    stripped_tokens: dict[str, str]
+    __slots__ = ("language", "lexicon", "patterns", "alt_phrases", "stripped_tokens", "_tables")
 
     def __init__(self, language: Language, lexicon: Lexicon, patterns: tuple[MorphPattern, ...] = (),
                  alt_phrases: tuple[AltPhraseEntry, ...] = ()):
-        by_lemma: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for entry in alt_phrases:
-            folded = tuple(lookup_key(token) for token in entry.phrase.split())
-            by_lemma.setdefault(lookup_key(entry.lemma), []).append((folded, entry.phrase))
-        self._fill(language, lexicon, patterns, alt_phrases, by_lemma, {}, {}, {})
+        self.language = language
+        self.lexicon = lexicon
+        self.patterns = patterns
+        self.alt_phrases = alt_phrases
+        self.stripped_tokens: dict[str, str] = {}
+        self._tables: dict[str, LemmaTable] = {}
 
     def lemma_table(self, lemma: str) -> LemmaTable:
-        """The table of `lemma`'s key, built on the key's first use."""
-        table = self._table_of.get(lemma)
+        """The table of `lemma`, built on its first use."""
+        table = self._tables.get(lemma)
         if table is None:
             key = lookup_key(lemma)
-            table = self.lemma_tables.get(key)
-            if table is None:
-                table = LemmaTable(key, self.lexicon.forms_for_lemma(lemma), self.phrases_by_lemma.get(key, []))
-                self.lemma_tables[key] = table
-            self._table_of[lemma] = table
+            phrases = [(tuple(map(lookup_key, entry.phrase.split())), entry.phrase)
+                       for entry in self.alt_phrases if lookup_key(entry.lemma) == key]
+            table = self._tables[lemma] = LemmaTable(key, self.lexicon.forms_for_lemma(lemma), phrases)
         return table
 
 

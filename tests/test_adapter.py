@@ -528,3 +528,16 @@ def test_timed_out_http_batch_names_the_batch_size_and_the_flags(slow_server):
                            batch_size=8, timeout=0.2, max_retries=0)
     with pytest.raises(BackendUnavailable, match=r"batch of 5 id\(s\).*--timeout.*--batch-size"):
         translate_suite(_suite(5), config, sleep=_no_sleep)
+
+
+@pytest.mark.parametrize("kind", [AdapterKind.EXTERNAL_COMMAND, AdapterKind.HTTP_ENDPOINT])
+def test_the_longest_timeout_is_one_every_backend_wait_accepts(kind, echo_server):
+    # a cmd: wait goes through poll(), which takes at most 2**31 - 1 ms; an http: wait through the socket
+    target = "cat" if kind is AdapterKind.EXTERNAL_COMMAND else echo_server
+    config = AdapterConfig(kind, target, Language.ES, "s", batch_size=4, timeout=2147483)
+    assert len(translate_suite(_suite(6), config, sleep=_no_sleep)) == 6
+    with pytest.raises(GntError) as caught:
+        AdapterConfig(kind, target, Language.ES, "s", batch_size=4, timeout=2147483.001)
+    assert str(caught.value) == "timeout must be at most 2147483 s, got 2147483.001"
+    # a default timeout grows with the batch size, up to the ceiling
+    assert AdapterConfig(kind, target, Language.ES, "s", batch_size=10**9).timeout == 2147483

@@ -370,11 +370,15 @@ def _case_sequences(draw):
     """Resources and a sequence of (slot lemmas, translation) cases over a few of its lemmas.
 
     Every word is drawn from the forms, annotations and copies of all the drawn lemmas, so one token
-    meets several lemmas, and every translation comes back once more in another case.
+    meets several lemmas, and every translation comes back once more in another case. Each drawn lemma
+    also comes upper-cased and in NFD, so that one resources object serves a lemma written several ways.
     """
     resources = draw(st.sampled_from([_CROSSED, *_SHIPPED.values()]))
     lemmas = sorted({entry.lemma.casefold() for entry in resources.alt_phrases} | set(resources.lexicon.lemmas))
-    pool = draw(st.lists(st.sampled_from(lemmas), min_size=1, max_size=3, unique=True))
+    drawn = draw(st.lists(st.sampled_from(lemmas), min_size=1, max_size=3, unique=True))
+    pool = list(dict.fromkeys(
+        spelling for lemma in drawn for spelling in (lemma, lemma.upper(), unicodedata.normalize("NFD", lemma))
+    ))
     forms = [entry.surface_form for lemma in pool for entry in resources.lexicon.forms_for_lemma(lemma).values()]
     copies = pool + [entry.phrase for entry in resources.alt_phrases if entry.lemma.casefold() in pool]
     cases = []
@@ -449,3 +453,14 @@ def test_each_token_rule_is_worked_out_once_per_lemma(monkeypatch, full_scale_ma
     }
     assert len(scores) == 13918
     assert 0 < calls <= len(pairs)
+
+
+def test_a_lemma_written_two_ways_gets_two_tables_of_equal_content():
+    resources = LanguageResources(_CROSSED.language, _CROSSED.lexicon, _CROSSED.patterns, _CROSSED.alt_phrases)
+    lower, upper = resources.lemma_table("calm"), resources.lemma_table("CALM")
+    assert resources.lemma_table("calm") is lower and upper is not lower
+    for table in (lower, upper):
+        assert table.key == "calm" and table.phrases == [(("en", "calma"), "en calma")]
+        assert sorted(table.forms) == ["tranquila", "tranquilo"]
+    # each table memoises its own token rules
+    assert lower.token_rules == {} and upper.token_rules is not lower.token_rules

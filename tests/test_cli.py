@@ -632,6 +632,21 @@ def test_translate_rejects_a_timeout_that_is_not_finite_before_any_backend_call(
         assert list(log.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["cmd", "http"])
+def test_translate_rejects_a_timeout_above_the_ceiling_before_the_suite_is_read(tmp_path, capsys, monkeypatch, kind):
+    log = tmp_path / "batches"
+    spec = _logging_backend(log) if kind == "cmd" else "http://127.0.0.1:9/translate"
+    calls = []
+    monkeypatch.setattr(adapter, "_call_backend", lambda config, payload: calls.append(payload))
+    out = tmp_path / "tr.jsonl"
+    assert main(["translate", "--suite", str(tmp_path / "missing.jsonl"), "--adapter", spec, "--lang", "es",
+                 "--system", "s", "--timeout", "2147484", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: timeout must be at most 2147483 s, got 2147484.0\n"
+    assert calls == [] and not out.exists() and not Path(f"{out}.partial").exists()
+    if kind == "cmd":
+        assert list(log.iterdir()) == []
+
+
 def _reads_and_sends(monkeypatch, tmp_path, suite_path, window: int) -> list[str]:
     """The order in which `gnt translate` reads suite instances and calls the backend, one event each."""
     events = []
@@ -946,3 +961,74 @@ def test_every_command_reports_a_missing_input_file(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and missing in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory) -> dict[str, Path]:
+    """A demo suite, its echoed translations, their scores and metrics document, and the demo manifest."""
+    root = tmp_path_factory.mktemp("valid")
+    files = {name: root / name for name in ("suite.jsonl", "tr.jsonl", "scores.jsonl", "metrics.json")}
+    assert main(["generate", "--manifest", str(demo_manifest_path()), "--out", str(files["suite.jsonl"])]) == 0
+    assert main(["translate", "--suite", str(files["suite.jsonl"]), "--adapter", "cmd:cat", "--lang", "es",
+                 "--system", "s", "--out", str(files["tr.jsonl"])]) == 0
+    assert main(["score", "--suite", str(files["suite.jsonl"]), "--translations", str(files["tr.jsonl"]),
+                 "--lexicon-dir", str(lexicon_dir()), "--lang", "es", "--out", str(files["scores.jsonl"])]) == 0
+    assert main(["metrics", "--scores", str(files["scores.jsonl"]), "--suite", str(files["suite.jsonl"]),
+                 "--lang", "es", "--out", str(files["metrics.json"])]) == 0
+    return {**files, "manifest.json": Path(demo_manifest_path())}
+
+
+# the file a command reads, whether it is line-delimited, and the command's arguments given the bad file
+_READERS = {
+    "suite": ("suite.jsonl", True, lambda bad, ok: ["validate", "--suite", bad]),
+    "translations": ("tr.jsonl", True, lambda bad, ok: [
+        "score", "--suite", ok["suite.jsonl"], "--translations", bad, "--lexicon-dir", str(lexicon_dir()),
+        "--lang", "es", "--out", str(Path(bad).with_name("out.jsonl"))]),
+    "scores": ("scores.jsonl", True, lambda bad, ok: [
+        "metrics", "--scores", bad, "--suite", ok["suite.jsonl"], "--lang", "es",
+        "--out", str(Path(bad).with_name("out.json"))]),
+    "manifest": ("manifest.json", False, lambda bad, ok: [
+        "generate", "--manifest", bad, "--out", str(Path(bad).with_name("out.jsonl"))]),
+    "metrics": ("metrics.json", False, lambda bad, ok: ["report", "--metrics", bad]),
+    "partial": ("tr.jsonl", True, lambda bad, ok: [
+        "translate", "--suite", ok["suite.jsonl"], "--adapter", "cmd:cat", "--lang", "es", "--system", "s",
+        "--out", bad[: -len(".partial")]]),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e999", "1e999 is not a finite number"),
+    ("1" * 5001, f"an integer of more than {sys.get_int_max_str_digits()} digits"),
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+], ids=["non-finite", "long-integer", "deep"])
+@pytest.mark.parametrize("reader", _READERS)
+def test_every_reader_rejects_json_that_python_reads_and_json_does_not(
+        tmp_path, capsys, valid_files, reader, value, message):
+    name, line_delimited, argv = _READERS[reader]
+    bad = tmp_path / (f"{name}.partial" if reader == "partial" else name)
+    lines = valid_files[name].read_text(encoding="utf-8").splitlines(keepends=True)
+    # an ignored field: the second record's, or the document's
+    edited = 1 if line_delimited else len(lines) - 1
+    lines[edited] = lines[edited].rstrip()[:-1] + f', "ignored": {value}}}\n'
+    bad.write_text("".join(lines), encoding="utf-8")
+    ok = {key: str(path) for key, path in valid_files.items()}
+    assert main(argv(str(bad), ok)) == 2
+    where = f"{bad}:2" if line_delimited else str(bad)
+    assert capsys.readouterr().err == f"error: {where}: invalid JSON ({message})\n"
+
+
+@pytest.mark.parametrize("row", [0, 2], ids=["header", "row"])
+def test_score_names_the_lexicon_line_of_a_cell_over_the_csv_field_limit(tmp_path, suite_path, capsys, row):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(lexicon_dir(), lexicons)
+    phrases = lexicons / "es" / "alt_phrases.csv"
+    lines = phrases.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[row] = "x" * 131_073 + "," + lines[row]
+    phrases.write_text("".join(lines), encoding="utf-8")
+    translations = tmp_path / "tr.jsonl"
+    assert main(["translate", "--suite", str(suite_path), "--adapter", "cmd:cat", "--lang", "es", "--system", "s",
+                 "--out", str(translations)]) == 0
+    capsys.readouterr()
+    assert main(["score", "--suite", str(suite_path), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicons), "--lang", "es", "--out", str(tmp_path / "scores.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {phrases}:{row + 1}: field larger than field limit (131072)\n"
