@@ -21,7 +21,7 @@ from .formats import (
     write_suite,
     write_translations,
 )
-from .lexicon import Language
+from .lexicon import Language, load_language_resources
 from .metrics import DEFAULT_SIGNIFICANCE_THRESHOLD
 from .pipeline import build_metrics_doc, group_translations, missing_translations, run_pipeline, score_group
 from .report import render_report
@@ -118,7 +118,8 @@ def _cmd_score(args) -> int:
     if not records:
         raise GntError(f"no translations for language {language.value!r}" + (f" and system {args.system!r}" if args.system else ""))
     index = {instance.id: instance for instance in suite}
-    scores, orphans = score_group(suite, index, records, _lexicon_dir(args.lexicon_dir), language)
+    resources = load_language_resources(_lexicon_dir(args.lexicon_dir), language)
+    scores, orphans = score_group(suite, index, records, resources)
     write_scores(scores, args.out)
     print(f"wrote {len(scores)} slot scores to {args.out} "
           f"({orphans} orphan translations, {missing_translations(index, scores)} instances without translation)")

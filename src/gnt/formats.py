@@ -281,23 +281,54 @@ _INSTANCE = {
 }
 
 
-def _suite_line(instance: TestInstance) -> str:
-    slots = ", ".join(
+def _slots_text(slots: tuple[AdjectiveSlot, ...]) -> str:
+    return ", ".join(
         f'{{"slot_index": {slot.slot_index}, "lemma": {_str(slot.lemma)}, "referent": {_TEXT[slot.referent]}, '
         f'"gender_kind": {_TEXT[slot.gender.kind]}, "ambiguity_kind": {_TEXT[slot.gender.ambiguity]}, '
         f'"stereotype_kind": {_TEXT[slot.stereotype.kind]}, "stereotype_cue": {_str(slot.stereotype.cue)}}}'
-        for slot in instance.slots
+        for slot in slots
     )
+
+
+def _suite_line(instance: TestInstance, slots: str | None = None, bindings: str | None = None) -> str:
+    """The suite-file line of `instance`, with its slots' and bindings' JSON when they are already formatted."""
+    if slots is None:
+        slots = _slots_text(instance.slots)
+    if bindings is None:
+        bindings = _dump(instance.bindings)
     pair_id = "null" if instance.pair_id is None else _str(instance.pair_id)
     return (
         f'{{"id": {_str(instance.id)}, "family": {_TEXT[instance.family]}, "source_text": {_str(instance.source_text)}, '
-        f'"slots": [{slots}], "pair_id": {pair_id}, "bindings": {_dump(instance.bindings)}}}\n'
+        f'"slots": [{slots}], "pair_id": {pair_id}, "bindings": {bindings}}}\n'
     )
 
 
+# binding key and value types whose equal values of one type encode alike (not so -0.0 and 0.0, or [1] and [true])
+_PLAIN = frozenset(_BINDING_KINDS)
+
+
 def write_suite(instances: Iterable[TestInstance], path: str | Path) -> None:
+    """Write a suite file, formatting each distinct slots tuple and bindings content once."""
+    # id(slots) -> (slots, their text): the held tuple keeps its id from being reused by another
+    slot_texts: dict[int, tuple[tuple[AdjectiveSlot, ...], str]] = {}
+    bindings_texts: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_suite_line, instances))
+        for instance in instances:
+            slots = instance.slots
+            known = slot_texts.get(id(slots))
+            if known is None:
+                known = slot_texts[id(slots)] = (slots, _slots_text(slots))
+            bindings = instance.bindings
+            kinds = (*map(type, bindings), *map(type, bindings.values()))
+            if _PLAIN.issuperset(kinds):
+                # the types are part of the key: 1 and True are equal, but one encodes as 1, the other as true
+                key = (*bindings.items(), *kinds)
+                text = bindings_texts.get(key)
+                if text is None:
+                    text = bindings_texts[key] = _dump(bindings)
+            else:
+                text = _dump(bindings)
+            fh.write(_suite_line(instance, known[1], text))
 
 
 def iter_suite(path: str | Path) -> Iterator[TestInstance]:
@@ -310,13 +341,15 @@ def iter_suite(path: str | Path) -> Iterator[TestInstance]:
     """
     path = str(path)
     seen: set[str] = set()
-    # one slot cache for the whole file
+    # one slot cache and one string per distinct source text for the whole file
     table = {"slots": partial(_slots, {}), **_INSTANCE}
+    texts: dict[str, str] = {}
     for number, record in _read_lines(path):
         slots, bindings, instance_id, family, source_text, pair_id = _check(record, table, "", path, number)
         if instance_id in seen:
             raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance_id!r}")
         seen.add(instance_id)
+        source_text = texts.setdefault(source_text, source_text)
         try:
             yield TestInstance(instance_id, family, source_text, slots, pair_id, bindings)
         except ProtocolViolation as exc:
@@ -368,10 +401,12 @@ def parse_translations(path: str | Path) -> list[TranslationRecord]:
     records = []
     # the line each id was first read on, per system and language: no key tuple is kept per record
     seen: defaultdict[str, defaultdict[Language, dict[str, int]]] = defaultdict(partial(defaultdict, dict))
-    systems: dict[str, str] = {}  # one string per system id, shared by its records
+    # one string per system id and per instance id, shared by every record that names it
+    strings: dict[str, str] = {}
     for number, record in _read_lines(path):
         system, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
-        system = systems.setdefault(system, system)
+        system = strings.setdefault(system, system)
+        instance_id = strings.setdefault(instance_id, instance_id)
         language = _LANGUAGES.get(lang.lower())
         if language is None:
             raise ParseError(f"unknown language {lang!r}", path, number)

@@ -65,12 +65,10 @@ def score_group(
     suite: list[TestInstance],
     known_ids: Container[str],
     records: list[TranslationRecord],
-    lexicon_dir: str | Path,
-    language: Language,
+    resources: LanguageResources,
 ) -> tuple[list[SlotScore], int]:
     """Score one (system, language) group: (scores, number of records whose id `known_ids` lacks)."""
     valid, orphans = split_orphans(records, known_ids)
-    resources = load_language_resources(lexicon_dir, language)
     return score_suite(suite, valid, resources), len(orphans)
 
 
@@ -175,8 +173,10 @@ def run_pipeline(
     """Generate the suite, then score, aggregate and report every (system, language) found.
 
     Returns each group's (system, language, report path). A bad threshold
-    raises InvalidThreshold before anything is written, and two systems whose
-    names give one file stem raise GntError before any group is scored.
+    raises InvalidThreshold before anything is written. Two systems whose
+    names give one file stem raise GntError, and a language without a lexicon
+    InvalidEntry, before any group is scored. Each language's resources are
+    loaded once and shared by its systems.
     """
     _check_threshold(threshold)
     out = Path(out_dir)
@@ -190,11 +190,13 @@ def run_pipeline(
         owner = owners.setdefault(_slug(system), system)
         if owner != system:
             raise GntError(f"systems {owner!r} and {system!r} share the file stem {_slug(system)!r}; rename one")
+    languages = dict.fromkeys(language for _, language in groups)  # in group order: the first unloadable one is named
+    resources = {language: load_language_resources(lexicon_dir, language) for language in languages}
 
     known_ids = {instance.id for instance in suite}
     reports = []
     for (system, language), records in groups.items():
-        scores, orphans = score_group(suite, known_ids, records, lexicon_dir, language)
+        scores, orphans = score_group(suite, known_ids, records, resources[language])
         doc = build_metrics_doc(suite, scores, system, language, threshold, orphan_translations=orphans)
         markdown = render_report(doc, "md")
 

@@ -8,7 +8,7 @@ filters out consumed positions, and picks the winner by
 from __future__ import annotations
 
 from gnt import GenderLabel
-from gnt.lexicon import PatternKind
+from gnt.lexicon import PatternKind, lookup_key
 
 _LABELS = {
     "common": GenderLabel.N1_COMMON_FORM,
@@ -45,7 +45,7 @@ def _variants(pattern, token: str) -> list[str]:
 
 def oracle_classify(lemma, tokens, lexicon, patterns, alt_phrases, consumed):
     """Returns (label, matched_text, matched_positions)."""
-    lemma_key = lemma.casefold()
+    lemma_key = lookup_key(lemma)
     forms = lexicon.forms_for_lemma(lemma)
     candidates = []
 
@@ -60,9 +60,9 @@ def oracle_classify(lemma, tokens, lexicon, patterns, alt_phrases, consumed):
             if variants and any(variant.casefold() in forms for variant in variants):
                 candidates.append((2, pos, order, GenderLabel.N5_ALT_MORPHOLOGY, token, (pos,)))
 
-    phrase_entries = [p for p in alt_phrases if p.lemma.casefold() == lemma_key]
+    phrase_entries = [p for p in alt_phrases if lookup_key(p.lemma) == lemma_key]
     for order, entry in enumerate(phrase_entries):
-        phrase_tokens = [t.casefold() for t in entry.phrase.split()]
+        phrase_tokens = [lookup_key(t) for t in entry.phrase.split()]
         width = len(phrase_tokens)
         for start in range(len(tokens) - width + 1):
             if [t.casefold() for t in tokens[start : start + width]] == phrase_tokens:

@@ -349,7 +349,8 @@ def test_classifier_agrees_with_the_oracle_on_drawn_translations(case):
 # --- the per-lemma token memo -------------------------------------------------------
 
 # one token serving two lemmas: "fit" is a form of "strong" and the copy of "fit", and "tranquil(o/a)" a
-# form of "odd" and a slash-pattern hit of "calm"
+# form of "odd" and a slash-pattern hit of "calm"; "naïve" is written in NFD, which the lookup key folds away
+_NAIVE_NFD = unicodedata.normalize("NFD", "naïve")
 _CROSSED = LanguageResources(
     Language.ES,
     Lexicon(Language.ES, [
@@ -359,9 +360,11 @@ _CROSSED = LanguageResources(
         LexiconEntry("calm", "tranquilo", FormGender.MASCULINE_ONLY),
         LexiconEntry("calm", "tranquila", FormGender.FEMININE_ONLY),
         LexiconEntry("odd", "tranquil(o/a)", FormGender.COMMON_FORM),
+        LexiconEntry(_NAIVE_NFD, "ingenuo", FormGender.MASCULINE_ONLY),
+        LexiconEntry(_NAIVE_NFD, "ingenua", FormGender.FEMININE_ONLY),
     ]),
     (MorphPattern(PatternKind.SLASH_SUFFIX, "o/a"), MorphPattern(PatternKind.AT_SIGN, "o/a")),
-    (AltPhraseEntry("calm", "en calma"),),
+    (AltPhraseEntry("calm", "en calma"), AltPhraseEntry(_NAIVE_NFD, "sin malicia")),
 )
 
 
@@ -413,6 +416,7 @@ def _classified(resources: LanguageResources, lemmas: tuple[str, ...], translati
 @example((_CROSSED, [
     (("strong",), "Soy Fit."), (("fit",), "soy FIT"), (("fit", "fit"), "fit, Fit"), (("strong", "fit"), "FIT fit"),
     (("calm",), "Tranquil(o/a) tranquila"), (("odd", "calm"), "tranquil(o/a) TRANQUIL(O/A)"), (("calm",), "en calma"),
+    ((_NAIVE_NFD,), "Soy naïve."), ((_NAIVE_NFD, "naïve"), "ingenua, Sin malicia"), (("NAÏVE",), f"un {_NAIVE_NFD}"),
 ]))
 def test_the_token_memo_never_changes_a_result(case):
     base, cases = case

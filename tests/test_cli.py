@@ -385,6 +385,48 @@ def test_run_rejects_two_systems_with_one_file_stem(tmp_path, suite_path, capsys
     assert [path.name for path in out.iterdir()] == ["suite.jsonl"]
 
 
+def test_run_rejects_a_language_without_a_lexicon_before_writing_any_group(tmp_path, suite_path, capsys):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(lexicon_dir() / "es", lexicons / "es")
+    first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])
+    translations = tmp_path / "translations.jsonl"
+    translations.write_text("".join(
+        json.dumps({"system": "s", "lang": lang, "id": first["id"], "text": "fuerte"}) + "\n" for lang in ("es", "is")
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicons), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: no lexicon for 'is': ")
+    assert [path.name for path in out.iterdir()] == ["suite.jsonl"]
+
+
+def test_run_loads_each_language_once_before_scoring(tmp_path, monkeypatch):
+    """Two systems in two languages: two loads, both before the first group is scored, each shared by its systems."""
+    events = []
+    load = gnt.pipeline.load_language_resources
+    score_group = gnt.pipeline.score_group
+
+    def loaded(lexicons, language):
+        events.append(("load", language.value))
+        return load(lexicons, language)
+
+    def scored(suite, known_ids, records, resources):
+        events.append(("score", id(resources), resources.language.value))
+        return score_group(suite, known_ids, records, resources)
+
+    monkeypatch.setattr(gnt.pipeline, "load_language_resources", loaded)
+    monkeypatch.setattr(gnt.pipeline, "score_group", scored)
+    translations = _echo_translations(tmp_path, ("es", "cs"))
+    lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+    translations.write_text("".join(lines + [line.replace('"echo"', '"other"') for line in lines]), encoding="utf-8")
+    assert main(_run_argv(translations, tmp_path / "out")) == 0
+    assert events[:2] == [("load", "cs"), ("load", "es")]
+    scores = events[2:]
+    assert [(event[0], event[2]) for event in scores] == [("score", "cs"), ("score", "es")] * 2
+    assert scores[0][1] == scores[2][1] != scores[1][1] == scores[3][1]
+
+
 @pytest.mark.parametrize("slot_index", [99, -1, True, "0"])
 def test_metrics_rejects_bad_slot_index(tmp_path, suite_path, capsys, slot_index):
     first = json.loads(suite_path.read_text(encoding="utf-8").splitlines()[0])

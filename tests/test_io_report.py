@@ -27,11 +27,12 @@ from gnt import (
     write_translations,
 )
 from gnt.errors import DuplicateRecord, GntError, InvalidEntry, ParseError
-from gnt.formats import metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
+from gnt.formats import _suite_line, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
 from gnt.data import demo_manifest_path, lexicon_dir
 from gnt.pipeline import build_metrics_doc, missing_translations, score_suite
 from gnt.suite import (
     AMBIGUOUS_ACTIVE,
+    AMBIGUOUS_OMISSION,
     QUOTA_KEYS,
     AdjectiveSlot,
     AmbiguityKind,
@@ -264,6 +265,50 @@ def test_a_parsed_suite_shares_slots_but_not_bindings(full_scale_suite_file):
     before = [dict(instance.bindings) for instance in others]
     first.bindings[next(iter(first.bindings))] = "edited"
     assert [instance.bindings for instance in others] == before
+
+
+def test_a_parsed_suite_holds_one_text_per_distinct_source_text(full_scale_suite_file):
+    suite = parse_suite(full_scale_suite_file)
+    texts = {instance.source_text for instance in suite}
+    assert len(texts) == 196
+    assert len({id(instance.source_text) for instance in suite}) == len(texts)
+
+
+def _hand_slot(index, lemma="fit") -> AdjectiveSlot:
+    return AdjectiveSlot(index, lemma, Referent.SPEAKER, AMBIGUOUS_OMISSION)
+
+
+def test_write_suite_formats_shared_content_as_each_instance_alone(tmp_path):
+    """Equal but differently typed bindings, or a bool index, are never taken for formatted ones."""
+    shared = (_hand_slot(0), _hand_slot(1, "calm"))
+    bool_index = (_hand_slot(0), _hand_slot(True, "calm"))
+    bindings = [
+        {"x": 1}, {"x": True}, {"x": 1}, {"x": 1.0}, {"x": 0.0}, {"x": -0.0}, {"x": [1]}, {"x": [True]},
+        {1: "a"}, {True: "a"}, {"x": None}, {"x": "1"}, {"x": 1, "y": 2}, {"y": 2, "x": 1}, {},
+    ]
+    instances = [
+        SuiteInstance("T1-000000d", TemplateFamily.T1_ONE_PERSON_KNOWN, "t", slots, None, binding)
+        for slots, binding in itertools.product((shared, bool_index, shared), bindings)
+    ]
+    path = tmp_path / "suite.jsonl"
+    write_suite(instances, path)
+    expected = [_suite_line(instance) for instance in instances]
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
+    # every binding but the repeated {"x": 1} writes its own line, once per kind of slot index
+    assert len(set(expected)) == (len(bindings) - 1) * 2
+
+
+def test_parse_translations_shares_one_id_string_across_groups(tmp_path):
+    path = tmp_path / "translations.jsonl"
+    # json.loads builds a new string for each occurrence
+    path.write_text("".join(
+        json.dumps({"system": system, "lang": lang, "id": f"T7-{i:06d}a", "text": "t"}) + "\n"
+        for system in ("a", "b") for lang in ("es", "cs") for i in range(3)
+    ), encoding="utf-8")
+    records = parse_translations(path)
+    assert len(records) == 12
+    assert len({id(record.instance_id) for record in records}) == 3
+    assert len({id(record.system_id) for record in records}) == 2
 
 
 @pytest.mark.parametrize("line", ['{"id": "x"} trailing', '\ufeff{"id": "x"}', "not json", '{"id": ', '{"id": "x"}}'],

@@ -18,7 +18,9 @@ from gnt import (
 )
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 from gnt.formats import parse_suite, write_suite
-from gnt.suite import AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind
+from gnt.suite import (
+    AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind, _expand_shared,
+)
 from helpers import instance_to_dict, random_manifest
 
 T1 = TemplateFamily.T1_ONE_PERSON_KNOWN
@@ -565,3 +567,37 @@ def test_generated_suite_bytes_are_pinned(request, tmp_path, manifest_name, seed
     path = tmp_path / "suite.jsonl"
     write_suite(generate_suite(manifest, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("manifest_name", ["demo_manifest", "full_scale_manifest"])
+def test_a_generated_suite_shares_texts_and_slots_but_not_bindings(request, manifest_name):
+    suite = generate_suite(request.getfixturevalue(manifest_name))
+    contents = {(instance.family, *instance.bindings.items()) for instance in suite}
+    texts = {id(instance.source_text) for instance in suite}
+    slots = {id(instance.slots) for instance in suite}
+    assert len(texts) == len({instance.source_text for instance in suite}) <= len(contents) < len(suite)
+    assert len(slots) == len({instance.slots for instance in suite}) <= len(contents)
+    assert len({id(instance.bindings) for instance in suite}) == len(suite)
+    first = suite[0]
+    twins = [instance for instance in suite[1:] if instance.bindings == first.bindings]
+    assert twins and all(twin.source_text is first.source_text for twin in twins)
+    before = [dict(instance.bindings) for instance in suite]
+    first.bindings[next(iter(first.bindings))] = "edited"
+    assert [instance.bindings for instance in suite[1:]] == before[1:]
+
+
+def test_a_shared_expansion_checks_bindings_equal_to_a_known_one():
+    """1 == True and hashing fails on a list: neither may reuse a known expansion or skip expand_template's check."""
+    known = {}
+    bindings = {"named_gender": "f", "first_person": 1, "dialogue": "self", "bracket": True, "A1": "fit", "A2": "calm"}
+    first = _expand_shared(known, T3, bindings, "T3-000000d", "T3-000000")
+    assert first == expand_template(T3, bindings, "T3-000000d", "T3-000000")
+    twin = _expand_shared(known, T3, dict(bindings), "T3-000001d")
+    assert twin.source_text is first.source_text and twin.slots is first.slots and twin.bindings is not first.bindings
+    with pytest.raises(InconsistentBinding, match=r"^T3/T4 binding 'first_person' must be 1 or 2, got True$"):
+        _expand_shared(known, T3, {**bindings, "first_person": True}, "T3-000002d")
+    with pytest.raises(InconsistentBinding, match=r"^T3 binding 'bracket' must be a boolean, got 1$"):
+        _expand_shared(known, T3, {**bindings, "bracket": 1}, "T3-000003d")
+    with pytest.raises(InconsistentBinding, match=r"^T3 binding 'A1' must be a string, got \['fit'\]$"):
+        _expand_shared(known, T3, {**bindings, "A1": ["fit"]}, "T3-000004d")
+    assert len(known) == 1
