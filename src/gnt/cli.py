@@ -44,7 +44,9 @@ def _cmd_generate(args) -> int:
     diagnostics = validate_balance(suite, manifest.quotas)
     for warning in diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return 0
+    for violation in diagnostics.violations:
+        print(f"violation: {violation}", file=sys.stderr)
+    return 1 if diagnostics.violations else 0
 
 
 def _cmd_validate(args) -> int:

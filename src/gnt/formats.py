@@ -281,54 +281,42 @@ _INSTANCE = {
 }
 
 
+def _index(value: int) -> str:
+    """A slot index as JSON writes it: a bool as true or false, which the readers then reject as no integer."""
+    return f"{value}" if type(value) is int else _dump(value)
+
+
 def _slots_text(slots: tuple[AdjectiveSlot, ...]) -> str:
     return ", ".join(
-        f'{{"slot_index": {slot.slot_index}, "lemma": {_str(slot.lemma)}, "referent": {_TEXT[slot.referent]}, '
+        f'{{"slot_index": {_index(slot.slot_index)}, "lemma": {_str(slot.lemma)}, "referent": {_TEXT[slot.referent]}, '
         f'"gender_kind": {_TEXT[slot.gender.kind]}, "ambiguity_kind": {_TEXT[slot.gender.ambiguity]}, '
         f'"stereotype_kind": {_TEXT[slot.stereotype.kind]}, "stereotype_cue": {_str(slot.stereotype.cue)}}}'
         for slot in slots
     )
 
 
-def _suite_line(instance: TestInstance, slots: str | None = None, bindings: str | None = None) -> str:
-    """The suite-file line of `instance`, with its slots' and bindings' JSON when they are already formatted."""
+def _suite_line(instance: TestInstance, slots: str | None = None) -> str:
+    """The suite-file line of `instance`, with its slots' JSON when they are already formatted."""
     if slots is None:
         slots = _slots_text(instance.slots)
-    if bindings is None:
-        bindings = _dump(instance.bindings)
     pair_id = "null" if instance.pair_id is None else _str(instance.pair_id)
     return (
         f'{{"id": {_str(instance.id)}, "family": {_TEXT[instance.family]}, "source_text": {_str(instance.source_text)}, '
-        f'"slots": [{slots}], "pair_id": {pair_id}, "bindings": {bindings}}}\n'
+        f'"slots": [{slots}], "pair_id": {pair_id}, "bindings": {_dump(instance.bindings)}}}\n'
     )
 
 
-# binding key and value types whose equal values of one type encode alike (not so -0.0 and 0.0, or [1] and [true])
-_PLAIN = frozenset(_BINDING_KINDS)
-
-
 def write_suite(instances: Iterable[TestInstance], path: str | Path) -> None:
-    """Write a suite file, formatting each distinct slots tuple and bindings content once."""
+    """Write a suite file, formatting each distinct slots tuple once."""
     # id(slots) -> (slots, their text): the held tuple keeps its id from being reused by another
     slot_texts: dict[int, tuple[tuple[AdjectiveSlot, ...], str]] = {}
-    bindings_texts: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
             slots = instance.slots
             known = slot_texts.get(id(slots))
             if known is None:
                 known = slot_texts[id(slots)] = (slots, _slots_text(slots))
-            bindings = instance.bindings
-            kinds = (*map(type, bindings), *map(type, bindings.values()))
-            if _PLAIN.issuperset(kinds):
-                # the types are part of the key: 1 and True are equal, but one encodes as 1, the other as true
-                key = (*bindings.items(), *kinds)
-                text = bindings_texts.get(key)
-                if text is None:
-                    text = bindings_texts[key] = _dump(bindings)
-            else:
-                text = _dump(bindings)
-            fh.write(_suite_line(instance, known[1], text))
+            fh.write(_suite_line(instance, known[1]))
 
 
 def iter_suite(path: str | Path) -> Iterator[TestInstance]:
@@ -432,8 +420,8 @@ def split_orphans(
 
 def _score_line(score: SlotScore) -> str:
     return (
-        f'{{"instance_id": {_str(score.instance_id)}, "slot_index": {score.slot_index}, "label": {_TEXT[score.label]}, '
-        f'"matched_text": {_str(score.matched_text)}, "rule": {_str(score.rule)}}}\n'
+        f'{{"instance_id": {_str(score.instance_id)}, "slot_index": {_index(score.slot_index)}, '
+        f'"label": {_TEXT[score.label]}, "matched_text": {_str(score.matched_text)}, "rule": {_str(score.rule)}}}\n'
     )
 
 

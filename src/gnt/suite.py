@@ -349,15 +349,23 @@ def expand_template(
     boolean, got 'no'`, `T3/T4 binding 'first_person' must be 1 or 2, got
     True`) or a value outside its allowed ones (a T5 pronoun outside he/she/they).
     """
-    text, slots = _SHAPES[family].expand(_read(bindings, family))
-    return TestInstance(
-        id=instance_id,
-        family=family,
-        source_text=text,
-        slots=slots,
-        pair_id=pair_id,
-        bindings=dict(bindings),
-    )
+    return _expand({}, family, dict(bindings), instance_id, pair_id)
+
+
+def _expand(known: dict, family: TemplateFamily, bindings: dict, instance_id: str,
+            pair_id: str | None = None) -> TestInstance:
+    """expand_template, with `known` holding the text and slots of each (family, checked values) expanded.
+
+    A checked value has its variable's exact type, so equal keys expand alike: an instance whose checked
+    values equal a known one's shares its `source_text` and `slots`. `bindings` becomes the instance's own
+    dict; the members tables build a new one per instance.
+    """
+    values = _read(bindings, family)
+    key = (family, *values)
+    expansion = known.get(key)
+    if expansion is None:
+        expansion = known[key] = _SHAPES[family].expand(values)
+    return TestInstance(instance_id, family, *expansion, pair_id, bindings)
 
 
 # --- suite generation -------------------------------------------------------
@@ -497,25 +505,6 @@ def _group_count(manifest: SuiteManifest, family: TemplateFamily, shape: _Family
     return groups
 
 
-def _expand_shared(known: dict, family: TemplateFamily, bindings: dict, instance_id: str,
-                   pair_id: str | None = None) -> TestInstance:
-    """expand_template, with `known` holding the instance of each (family, bindings) already expanded.
-
-    An instance whose bindings equal a known one's shares its `source_text` and `slots` and keeps its own
-    `bindings`. The value types are part of the key, since 1, True and 1.0 are equal but expand apart.
-    """
-    key = (family, *bindings.items(), *map(type, bindings.values()))
-    try:
-        first = known.get(key)
-    except TypeError:  # an unhashable value, which expand_template rejects with its own error
-        return expand_template(family, bindings, instance_id, pair_id)
-    if first is None:
-        first = known[key] = expand_template(family, bindings, instance_id, pair_id)
-        return first
-    # the members tables build a new dict per instance, so it serves as that instance's own bindings
-    return TestInstance(instance_id, family, first.source_text, first.slots, pair_id, bindings)
-
-
 def _generate_groups(manifest: SuiteManifest, family: TemplateFamily, known: dict) -> list[TestInstance]:
     shape = _SHAPES[family]
     groups = _group_count(manifest, family, shape)
@@ -528,7 +517,7 @@ def _generate_groups(manifest: SuiteManifest, family: TemplateFamily, known: dic
         stem = f"{family.tag}-{i:06d}"
         pair_id = stem if paired else None
         for suffix, bindings in zip(shape.suffixes, shape.members(manifest, i, next(adjectives))):
-            out.append(_expand_shared(known, family, bindings, stem + suffix, pair_id))
+            out.append(_expand(known, family, bindings, stem + suffix, pair_id))
     return out
 
 
@@ -554,7 +543,7 @@ def _generate_t7(manifest: SuiteManifest, known: dict) -> list[TestInstance]:
             if coded:
                 bindings["adverb"] = adverbs[i % len(adverbs)]
                 bindings["adverb_stereotype"] = coded
-            out.append(_expand_shared(known, TemplateFamily.T7_ADVERB_STEREOTYPE, bindings, f"T7-{seq:06d}a"))
+            out.append(_expand(known, TemplateFamily.T7_ADVERB_STEREOTYPE, bindings, f"T7-{seq:06d}a"))
             seq += 1
     return out
 
@@ -566,11 +555,11 @@ def generate_suite(manifest: SuiteManifest, seed: int | None = None) -> list[Tes
     gender, first-person position and stereotype cues are balanced by
     construction. Instance ids depend only on the manifest lists, so they are
     stable across seeds; the seed controls the final instance ordering.
-    Instances with equal bindings share one `source_text` and one `slots`
-    tuple; each has its own `bindings` dict.
+    Instances with equal checked bindings share one `source_text` and one
+    `slots` tuple; each has its own `bindings` dict.
     """
     instances: list[TestInstance] = []
-    known: dict[tuple, TestInstance] = {}  # the first instance of each distinct (family, bindings)
+    known: dict[tuple, tuple] = {}  # the text and slots of each distinct (family, checked values)
     for family, shape in _SHAPES.items():
         instances += _generate_groups(manifest, family, known) if shape.members else _generate_t7(manifest, known)
     rng = random.Random(manifest.seed if seed is None else seed)

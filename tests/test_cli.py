@@ -77,6 +77,21 @@ def test_generate_rejects_a_blank_word_in_a_descriptor_pair(tmp_path, capsys, si
     assert not out.exists()
 
 
+def test_generate_reports_violations_and_fails(tmp_path, capsys):
+    """A descriptor holding a gendered pronoun leaks it into T5's ambiguous members: generate fails as validate does."""
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(demo_manifest_path().read_text(encoding="utf-8"))
+    doc["descriptor_pairs"][0]["masculine"] = "he-man"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "suite.jsonl"
+    assert main(["generate", "--manifest", str(manifest), "--out", str(out)]) == 1
+    violations = [line for line in capsys.readouterr().err.splitlines() if line.startswith("violation: ")]
+    assert len(violations) == 6
+    assert all(re.fullmatch(r"violation: leakage: T5-\d{6}a is ambiguous but contains he", v) for v in violations)
+    assert main(["validate", "--suite", str(out), "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err.splitlines() == violations
+
+
 def test_validate_flags_corrupted_suite(tmp_path, suite_path, capsys):
     lines = suite_path.read_text(encoding="utf-8").splitlines()
     kept = [line for line in lines if json.loads(line)["id"] != "T3-000000d"]

@@ -298,6 +298,24 @@ def test_write_suite_formats_shared_content_as_each_instance_alone(tmp_path):
     assert len(set(expected)) == (len(bindings) - 1) * 2
 
 
+@pytest.mark.parametrize("index", [True, False])
+def test_a_bool_slot_index_is_written_as_json_and_rejected_by_name(tmp_path, index):
+    """The writers encode a bool index as JSON does; the readers then reject it as no integer, not as bad JSON."""
+    suite = tmp_path / "suite.jsonl"
+    slots = (_hand_slot(0), _hand_slot(index, "calm")) if index else (_hand_slot(index),)
+    write_suite([SuiteInstance("T1-000000d", TemplateFamily.T1_ONE_PERSON_KNOWN, "t", slots)], suite)
+    assert json.loads(suite.read_text(encoding="utf-8"))["slots"][-1]["slot_index"] is index
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(suite))}:1: slots\.\d\.slot_index must be an integer, "
+                                         rf"got {index}$"):
+        parse_suite(suite)
+    scores = tmp_path / "scores.jsonl"
+    write_scores([SlotScore("T7-000000a", 0, GenderLabel.MASCULINE), SlotScore("T7-000001a", index, GenderLabel.FEMININE)],
+                 scores)
+    assert json.loads(scores.read_text(encoding="utf-8").splitlines()[1])["slot_index"] is index
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(scores))}:2: slot_index must be an integer, got {index}$"):
+        parse_scores(scores)
+
+
 def test_parse_translations_shares_one_id_string_across_groups(tmp_path):
     path = tmp_path / "translations.jsonl"
     # json.loads builds a new string for each occurrence

@@ -19,7 +19,7 @@ from gnt import (
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 from gnt.formats import parse_suite, write_suite
 from gnt.suite import (
-    AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind, _expand_shared,
+    AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind, _SHAPES,
 )
 from helpers import instance_to_dict, random_manifest
 
@@ -586,18 +586,37 @@ def test_a_generated_suite_shares_texts_and_slots_but_not_bindings(request, mani
     assert [instance.bindings for instance in suite[1:]] == before[1:]
 
 
-def test_a_shared_expansion_checks_bindings_equal_to_a_known_one():
+def _generate_t3(monkeypatch, members: list[tuple[dict, dict]]) -> dict:
+    """generate_suite over one T3 group per entry of `members`, each its (d, a) bindings; the instances by id."""
+    patched = _SHAPES[T3]._replace(members=lambda manifest, i, adjectives: members[i])
+    monkeypatch.setitem(_SHAPES, T3, patched)
+    manifest = SuiteManifest(["fit", "calm"], quotas={"T3-Det": 2 * len(members), "T3-Amb": 2 * len(members)})
+    return {instance.id: instance for instance in generate_suite(manifest)}
+
+
+def test_a_shared_expansion_checks_bindings_equal_to_a_known_one(monkeypatch):
     """1 == True and hashing fails on a list: neither may reuse a known expansion or skip expand_template's check."""
-    known = {}
     bindings = {"named_gender": "f", "first_person": 1, "dialogue": "self", "bracket": True, "A1": "fit", "A2": "calm"}
-    first = _expand_shared(known, T3, bindings, "T3-000000d", "T3-000000")
+    suite = _generate_t3(monkeypatch, [(bindings, dict(bindings))])
+    first, twin = suite["T3-000000d"], suite["T3-000000a"]
     assert first == expand_template(T3, bindings, "T3-000000d", "T3-000000")
-    twin = _expand_shared(known, T3, dict(bindings), "T3-000001d")
     assert twin.source_text is first.source_text and twin.slots is first.slots and twin.bindings is not first.bindings
     with pytest.raises(InconsistentBinding, match=r"^T3/T4 binding 'first_person' must be 1 or 2, got True$"):
-        _expand_shared(known, T3, {**bindings, "first_person": True}, "T3-000002d")
+        _generate_t3(monkeypatch, [(bindings, {**bindings, "first_person": True})])
     with pytest.raises(InconsistentBinding, match=r"^T3 binding 'bracket' must be a boolean, got 1$"):
-        _expand_shared(known, T3, {**bindings, "bracket": 1}, "T3-000003d")
+        _generate_t3(monkeypatch, [(bindings, {**bindings, "bracket": 1})])
     with pytest.raises(InconsistentBinding, match=r"^T3 binding 'A1' must be a string, got \['fit'\]$"):
-        _expand_shared(known, T3, {**bindings, "A1": ["fit"]}, "T3-000004d")
-    assert len(known) == 1
+        _generate_t3(monkeypatch, [(bindings, {**bindings, "A1": ["fit"]})])
+
+
+@pytest.mark.parametrize("manifest_name", ["demo_manifest", "full_scale_manifest", "random"])
+def test_each_generated_instance_equals_its_own_expansion(request, manifest_name):
+    """expand_template, with no table shared between instances, is the reference for generate_suite's sharing."""
+    if manifest_name == "random":
+        rng = random.Random(27)
+        manifests = [random_manifest(rng, big=i % 4 == 0) for i in range(24)]
+    else:
+        manifests = [request.getfixturevalue(manifest_name)]
+    for manifest in manifests:
+        for i in generate_suite(manifest):
+            assert i == expand_template(i.family, i.bindings, i.id, i.pair_id)
