@@ -94,10 +94,19 @@ class AdapterConfig(_AdapterConfigFields):
         try:
             parts = urllib.parse.urlsplit(url)
             valid = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
-        except ValueError:  # a bad IPv6 address, or a port that is no number in range
+            if valid and not parts.hostname.isascii():
+                parts.hostname.encode("idna")  # the form a name lookup and the Host header take
+        except ValueError:  # a bad IPv6 address, a port that is no number in range, a host name idna cannot encode
             valid = False
         if not valid:
             raise GntError(f"adapter spec {spec!r} must be http:<url> with an http or https URL and a host")
+        # urlsplit drops a tab or a line break silently, and the request line cannot carry the others as they are
+        if any(ch <= " " or ch == "\x7f" for ch in url) or not (parts.path + parts.query).isascii():
+            raise GntError(f"adapter spec {spec!r}: percent-encode each space, control character and non-ASCII "
+                           "character in the URL's path and query (a space is %20)")
+        if "@" in parts.netloc:
+            raise GntError(f"adapter spec {spec!r}: credentials in the URL are not sent; set GNT_HTTP_TOKEN instead")
+        _http_token()
         return cls(AdapterKind.HTTP_ENDPOINT, url, language, system_id, **kwargs)
 
 
@@ -152,14 +161,187 @@ def _run_command(command: str, payload: bytes, timeout: float) -> str:
     return _decode_text(stdout)
 
 
+def _http_token() -> str | None:
+    """GNT_HTTP_TOKEN, or None when unset or empty. It is written into a header line, so a line break or another
+    control character in it is an error before anything is sent."""
+    token = os.environ.get("GNT_HTTP_TOKEN")
+    if token and not all(" " <= ch <= "~" for ch in token):
+        raise GntError("GNT_HTTP_TOKEN must hold printable ASCII only, with no line break or other control character")
+    return token or None
+
+
+def _proxy_configured() -> bool:
+    # urllib takes a proxy from any non-empty <scheme>_proxy variable, in either case; no_proxy only names exceptions
+    return any(value and name.lower().endswith("_proxy") and name.lower() != "no_proxy"
+               for name, value in os.environ.items())
+
+
 def _run_http(url: str, payload: bytes, timeout: float) -> str:
-    # Python's HTTP client (http.client, email, ssl, hashlib: about 40 ms and 7 MB) is loaded on the first request, so
-    # no other command pays for it; the import lock makes that first import safe from every thread of the window
+    # urllib serves TLS and proxies; a plain URL is posted over a socket, which needs neither ssl nor hashlib
+    token = _http_token()
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme != "http" or _proxy_configured():
+        return _run_urllib(url, payload, timeout, token)
+    return _post(parts, payload, timeout, token)
+
+
+# the status line and the headers of a reply may take this many bytes, and so may a chunk's size line or the trailer
+_MAX_HEAD = 65536
+
+
+def _post(parts: urllib.parse.SplitResult, payload: bytes, timeout: float, token: str | None) -> str:
+    """POST one batch to a plain http: URL over a socket of its own, as HTTP/1.1 with `Connection: close`.
+
+    Connecting, sending and every read share one deadline, so `timeout` bounds the whole exchange. The reply body is
+    framed by Content-Length, by chunked encoding or by the close, and is returned as soon as it ends. A reply that
+    breaks HTTP's framing raises BackendUnavailable, so it is retried as a failed connection is.
+    """
+    # socket is loaded on the first request (about 0.4 MB and 2 ms), where Python's HTTP client would load ssl and
+    # hashlib too (about 7 MB and 20-40 ms); the import lock makes that first import safe from every thread
+    import socket
+
+    deadline = time.monotonic() + timeout
+    host = parts.netloc.rpartition("@")[2]
+    head = (
+        f"POST {parts.path or '/'}{'?' if parts.query else ''}{parts.query} HTTP/1.1\r\n"
+        f"Host: {host if host.isascii() else host.encode('idna').decode('ascii')}\r\n"
+        "Accept-Encoding: identity\r\n"  # as urllib sends it: no compressed reply
+        "Content-Type: text/plain; charset=utf-8\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        "Connection: close\r\n"
+        + (f"Authorization: Bearer {token}\r\n" if token else "")
+        + "\r\n"
+    )
+    try:
+        with socket.create_connection((parts.hostname, parts.port or 80), timeout) as sock:
+            sock.settimeout(_time_left(deadline))
+            sock.sendall(head.encode("ascii") + payload)  # one send, so Nagle's algorithm holds back no second part
+            body = _read_reply(_Reader(sock, deadline))
+    except TimeoutError as exc:
+        raise _timed_out("backend", payload, timeout) from exc
+    except OSError as exc:
+        raise BackendUnavailable(f"backend unreachable: {exc}") from exc
+    return _decode_text(body)
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError
+    return left
+
+
+def _malformed(detail: str) -> BackendUnavailable:
+    return BackendUnavailable(f"malformed reply from backend: {detail}")
+
+
+class _Reader:
+    """The bytes of one reply, received from a socket as they are asked for, each wait bounded by one deadline."""
+
+    __slots__ = ("_sock", "_deadline", "_buffer")
+
+    def __init__(self, sock, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+        self._buffer = bytearray()
+
+    def _receive(self) -> bool:
+        """Append what the peer sends next; False once it has closed the connection."""
+        self._sock.settimeout(_time_left(self._deadline))
+        data = self._sock.recv(65536)
+        self._buffer += data
+        return bool(data)
+
+    def line(self, limit: int) -> bytes:
+        """The next line, without its line break (LF or CRLF), which must come within `limit` bytes."""
+        while (end := self._buffer.find(b"\n", 0, limit)) < 0:
+            if len(self._buffer) >= limit:
+                raise _malformed(f"the header or a chunk-size line runs past {_MAX_HEAD} bytes")
+            if not self._receive():
+                raise _malformed("the backend closed the connection before the reply ended")
+        line = bytes(self._buffer[:end])
+        del self._buffer[: end + 1]
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def read(self, size: int) -> bytearray:
+        while len(self._buffer) < size:
+            if not self._receive():
+                raise _malformed(f"the body ended after {len(self._buffer)} of {size} bytes")
+        data = self._buffer[:size]
+        del self._buffer[:size]
+        return data
+
+    def rest(self) -> bytearray:
+        """Everything until the peer closes the connection."""
+        while self._receive():
+            pass
+        return self._buffer
+
+
+def _read_reply(reader: _Reader) -> bytes | bytearray:
+    """The body of a 2xx reply; any other status raises BackendUnavailable naming it."""
+    code = 100
+    while 100 <= code < 200:  # an interim reply, such as 100 Continue, precedes the final one
+        status = reader.line(_MAX_HEAD)
+        version, _, rest = status.partition(b" ")
+        digits, _, reason = rest.partition(b" ")
+        if not version.startswith(b"HTTP/") or len(digits) != 3 or not digits.isdigit():
+            raise _malformed(f"status line {status[:80]!r}")
+        code = int(digits)
+        headers = _read_fields(reader, _MAX_HEAD - len(status))
+    if not 200 <= code < 300:  # a redirect too: it is not followed
+        raise BackendUnavailable(f"HTTP {code} from backend: {reason.strip().decode('latin-1')}")
+    if code == 204:
+        return b""
+    encoding = headers.get(b"transfer-encoding")
+    if encoding is not None:  # it overrides Content-Length
+        return _read_chunked(reader) if encoding.rpartition(b",")[2].strip().lower() == b"chunked" else reader.rest()
+    length = headers.get(b"content-length")
+    if length is None:
+        return reader.rest()
+    lengths = {value.strip() for value in length.split(b",")}  # a repeated header is one list
+    if len(lengths) != 1 or not (size := lengths.pop()).isdigit() or len(size) > 18:
+        raise _malformed(f"Content-Length {length[:80]!r}")
+    return reader.read(int(size))
+
+
+def _read_fields(reader: _Reader, limit: int) -> dict[bytes, bytes]:
+    """Header or trailer fields up to the blank line that ends them, together at most `limit` bytes, by lower-case
+    name; the values of a repeated name are joined by commas."""
+    fields: dict[bytes, bytes] = {}
+    while line := reader.line(limit):
+        limit -= len(line) + 1
+        name, colon, value = line.partition(b":")
+        if colon:
+            name = name.strip().lower()
+            fields[name] = fields[name] + b"," + value.strip() if name in fields else value.strip()
+    return fields
+
+
+def _read_chunked(reader: _Reader) -> bytearray:
+    body = bytearray()
+    while True:
+        line = reader.line(_MAX_HEAD)
+        digits = line.partition(b";")[0].strip()  # a chunk extension is ignored
+        if not digits or len(digits) > 16 or digits.strip(b"0123456789abcdefABCDEF"):
+            raise _malformed(f"chunk size {line[:80]!r}")
+        size = int(digits, 16)
+        if not size:  # the last chunk, then the trailer
+            _read_fields(reader, _MAX_HEAD)
+            return body
+        body += reader.read(size)
+        if reader.read(2) != b"\r\n":
+            raise _malformed("a chunk does not end where its size says")
+
+
+def _run_urllib(url: str, payload: bytes, timeout: float, token: str | None) -> str:
+    # Python's HTTP client (http.client, email, ssl, hashlib: about 7 MB and 20-40 ms) serves https: URLs and
+    # proxies; it is loaded on the first such request, and the import lock makes that import safe from every thread
+    import http.client
     import urllib.error
     import urllib.request
 
     headers = {"Content-Type": "text/plain; charset=utf-8"}
-    token = os.environ.get("GNT_HTTP_TOKEN")
     if token:
         headers["Authorization"] = f"Bearer {token}"
     request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
@@ -174,6 +356,8 @@ def _run_http(url: str, payload: bytes, timeout: float) -> str:
         if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
             raise _timed_out("backend", payload, timeout) from exc
         raise BackendUnavailable(f"backend unreachable: {exc}") from exc
+    except http.client.HTTPException as exc:  # a malformed status line, a body cut short
+        raise _malformed(repr(exc)) from exc
     return _decode_text(body)
 
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import gc
 import os
+import socket
 import sys
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -541,3 +543,240 @@ def test_the_longest_timeout_is_one_every_backend_wait_accepts(kind, echo_server
     assert str(caught.value) == "timeout must be at most 2147483 s, got 2147483.001"
     # a default timeout grows with the batch size, up to the ceiling
     assert AdapterConfig(kind, target, Language.ES, "s", batch_size=10**9).timeout == 2147483
+
+
+# --- raw HTTP replies ---------------------------------------------------------------
+
+
+class _RawServer:
+    """A one-connection-at-a-time server that reads each request whole and answers with `respond(conn, body)`,
+    so a test can send the replies that no HTTP server library would."""
+
+    def __init__(self, respond):
+        self.respond = respond
+        self.requests: list[bytes] = []  # each request's head, up to its blank line
+        self.stop = threading.Event()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}/t"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                try:
+                    conn.settimeout(10)
+                    received = b""
+                    while b"\r\n\r\n" not in received:
+                        received += _received(conn)
+                    head, _, body = received.partition(b"\r\n\r\n")
+                    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+                    while len(body) < length:
+                        body += _received(conn)
+                    self.requests.append(head)
+                    self.respond(conn, body)
+                except OSError:
+                    pass  # the client has given up
+
+    def close(self) -> None:
+        self.stop.set()
+        self.thread.join(timeout=10)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+def _received(conn: socket.socket) -> bytes:
+    data = conn.recv(65536)
+    if not data:
+        raise ConnectionResetError("the client closed the connection")
+    return data
+
+
+@pytest.fixture()
+def raw_server(monkeypatch):
+    """Start a _RawServer for a respond function; the proxy variables are cleared, so gnt posts over its socket."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    servers = []
+
+    def start(respond) -> _RawServer:
+        servers.append(_RawServer(respond))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def _canned(reply: bytes):
+    return lambda conn, body: conn.sendall(reply)
+
+
+def _echoed(framing: str, hold: threading.Event | None = None):
+    """An echo reply in the given framing; with `hold`, the connection stays open until the event is set."""
+    def respond(conn, body):
+        if framing == "length":
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+        elif framing == "chunked":  # two chunks, one with an extension, then a trailer
+            half = len(body) // 2
+            conn.sendall(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                         b"%x\r\n%s\r\n%X;note=1\r\n%s\r\n0\r\nX-Trailer: 1\r\n\r\n"
+                         % (half, body[:half], len(body) - half, body[half:]))
+        elif framing == "interim":  # 100 Continue before the final reply, whose bare LF lines end a header too
+            conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\nContent-Length: %d\n\n" % len(body) + body)
+        else:  # the body ends when the connection closes
+            conn.sendall(b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\n" + body)
+        if hold is not None:
+            hold.wait(30)
+    return respond
+
+
+def _http_config(url: str, **kwargs) -> AdapterConfig:
+    settings = dict(batch_size=8, timeout=10.0, max_retries=0)
+    settings.update(kwargs)
+    return AdapterConfig(AdapterKind.HTTP_ENDPOINT, url, Language.ES, "http-system", **settings)
+
+
+@pytest.mark.parametrize("framing", ["length", "chunked", "interim", "close"])
+def test_an_http_reply_is_read_in_each_framing(raw_server, framing):
+    suite = _suite(5)
+    server = raw_server(_echoed(framing))
+    records = translate_suite(suite, _http_config(server.url), sleep=_no_sleep)
+    assert [(r.instance_id, r.target_text) for r in records] == [(i.id, i.source_text) for i in suite]
+
+
+@pytest.mark.parametrize("framing", ["length", "chunked"])
+def test_a_framed_http_reply_returns_when_its_body_ends_not_when_the_peer_closes(raw_server, framing):
+    hold = threading.Event()
+    server = raw_server(_echoed(framing, hold))
+    started = time.monotonic()
+    try:
+        records = translate_suite(_suite(5), _http_config(server.url, timeout=30.0), sleep=_no_sleep)
+        elapsed = time.monotonic() - started
+    finally:
+        hold.set()
+    assert len(records) == 5
+    assert elapsed < 5  # at the timeout, it would have waited for the close
+
+
+def test_the_socket_path_writes_one_post_with_the_contract_headers(raw_server, monkeypatch):
+    monkeypatch.setenv("GNT_HTTP_TOKEN", "s3cret-token")
+    server = raw_server(_echoed("length"))
+    suite = _suite(3)
+    translate_suite(suite, _http_config(server.url + "?model=a%20b"), sleep=_no_sleep)
+    payload = "".join(f"{i.id}\t{i.source_text}\n" for i in suite).encode("utf-8")
+    assert server.requests == [
+        b"POST /t?model=a%%20b HTTP/1.1\r\n"
+        b"Host: 127.0.0.1:%d\r\n"
+        b"Accept-Encoding: identity\r\n"
+        b"Content-Type: text/plain; charset=utf-8\r\n"
+        b"Content-Length: %d\r\n"
+        b"Connection: close\r\n"
+        b"Authorization: Bearer s3cret-token" % (server.listener.getsockname()[1], len(payload))
+    ]
+
+
+_MALFORMED = {
+    "garbage-status-line": b"SPAM EGGS\r\n\r\n",
+    "body-cut-short": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nhello",
+    "bad-chunk-size": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nhello\r\n0\r\n\r\n",
+    "closed-in-the-header": b"HTTP/1.1 200 OK\r\nContent-Len",
+}
+
+
+# urllib, which serves proxies, reads a close in the header as the header's end, and the batch as unanswered
+@pytest.mark.parametrize("reply, path", [(reply, "socket") for reply in _MALFORMED]
+                         + [(reply, "urllib") for reply in _MALFORMED if reply != "closed-in-the-header"])
+def test_a_malformed_http_reply_is_a_retried_backend_failure(raw_server, monkeypatch, reply, path):
+    server = raw_server(_canned(_MALFORMED[reply]))
+    if path == "urllib":  # through a proxy, which is the same server: urllib sends it the absolute URL
+        monkeypatch.setenv("http_proxy", server.url.rsplit("/", 1)[0])
+    # urlopen's shared opener keeps the proxies it found when it was built, so it is built anew on each side
+    urllib.request.install_opener(None)
+    try:
+        with pytest.raises(BackendUnavailable) as caught:
+            translate_suite(_suite(3), _http_config(server.url, max_retries=2), sleep=_no_sleep)
+    finally:
+        urllib.request.install_opener(None)
+    assert len(server.requests) == 3  # each retry made a new request
+    assert server.requests[0].startswith(b"POST /t " if path == "socket" else f"POST {server.url} ".encode())
+    assert str(caught.value).startswith("malformed reply from backend: ")
+
+
+@pytest.mark.parametrize("reply", list(_MALFORMED))
+def test_translate_exits_2_on_a_malformed_http_reply(tmp_path, raw_server, capsys, reply):
+    suite_file = tmp_path / "suite.jsonl"
+    write_suite(_suite(3), suite_file)
+    server = raw_server(_canned(_MALFORMED[reply]))
+    assert main(["translate", "--suite", str(suite_file), "--adapter", f"http:{server.url}", "--lang", "es",
+                 "--system", "s", "--out", str(tmp_path / "tr.jsonl"), "--max-retries", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed reply from backend: ") and err.count("\n") == 1
+
+
+def test_a_redirect_is_an_http_error_not_followed(raw_server):
+    server = raw_server(_canned(b"HTTP/1.1 301 Moved Permanently\r\nLocation: /elsewhere\r\nContent-Length: 0\r\n\r\n"))
+    with pytest.raises(BackendUnavailable, match=r"^HTTP 301 from backend: Moved Permanently$"):
+        translate_suite(_suite(3), _http_config(server.url), sleep=_no_sleep)
+    assert len(server.requests) == 1
+
+
+def test_the_http_timeout_bounds_the_whole_batch_not_each_read(raw_server):
+    def trickle(conn, body):  # one byte of the header every 50 ms, so no single read waits long
+        for byte in b"HTTP/1.1 200 OK\r\nX-Slow: " + b"z" * 1000:
+            conn.sendall(bytes([byte]))
+            time.sleep(0.05)
+
+    server = raw_server(trickle)
+    started = time.monotonic()
+    with pytest.raises(BackendUnavailable, match=r"timed out after 0\.4s on a batch of 3 id\(s\)"):
+        translate_suite(_suite(3), _http_config(server.url, timeout=0.4), sleep=_no_sleep)
+    assert time.monotonic() - started < 3
+
+
+@pytest.mark.parametrize("token", ["abc\r\nX-Injected: 1", "abc\n", "tab\there", "esc\x1b", "del\x7f", "é"])
+def test_a_token_with_a_control_character_never_reaches_the_wire(tmp_path, raw_server, monkeypatch, capsys, token):
+    server = raw_server(_echoed("length"))
+    monkeypatch.setenv("GNT_HTTP_TOKEN", token)
+    # from the CLI, before the suite is read: it does not exist
+    assert main(["translate", "--suite", str(tmp_path / "missing.jsonl"), "--adapter", server.url, "--lang", "es",
+                 "--system", "s", "--out", str(tmp_path / "tr.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GNT_HTTP_TOKEN must hold printable ASCII only") and token not in err
+    # from Python, on the request: not retried, and nothing is sent
+    with pytest.raises(GntError, match="GNT_HTTP_TOKEN") as caught:
+        translate_suite(_suite(3), _http_config(server.url, max_retries=2), sleep=_no_sleep)
+    assert not isinstance(caught.value, BackendUnavailable)
+    assert server.requests == []
+
+
+@pytest.mark.parametrize("url", [
+    "http://127.0.0.1:9/a b",
+    "http://127.0.0.1:9/tränslate",
+    "http://127.0.0.1:9/t?q=a b",
+    "http://127.0.0.1:9/t?q=ü",
+    "http://127.0.0.1:9/a\tb",
+    "http://127.0.0.1:9/a\r\nX-Injected: 1",
+    "http://127.0.0.1:9/a\x00",
+    "https://127.0.0.1:9/a b",
+])
+def test_a_url_path_or_query_that_needs_percent_encoding_is_rejected_before_the_suite_is_read(
+        tmp_path, capsys, url):
+    assert main(["translate", "--suite", str(tmp_path / "missing.jsonl"), "--adapter", f"http:{url}", "--lang",
+                 "es", "--system", "s", "--out", str(tmp_path / "tr.jsonl")]) == 2
+    assert capsys.readouterr().err == (f"error: adapter spec {f'http:{url}'!r}: percent-encode each space, control "
+                                       "character and non-ASCII character in the URL's path and query (a space is "
+                                       "%20)\n")
+    for ok in ("http://127.0.0.1:9/a%20b", "http://bücher.example:9/t%C3%A4?q=%C3%BC"):
+        assert AdapterConfig.parse_target(ok, Language.ES, "s").target == ok
+
+
+def test_credentials_in_the_url_are_rejected():
+    with pytest.raises(GntError, match="credentials in the URL are not sent; set GNT_HTTP_TOKEN instead"):
+        AdapterConfig.parse_target("http://user:pw@127.0.0.1:9/t", Language.ES, "s")
