@@ -4,13 +4,15 @@ Two backends share one wire contract: each request is a block of
 ``id<TAB>source_text`` lines and each reply is a block of
 ``id<TAB>translation`` lines. Replies are paired by id, never by line order.
 The command backend spawns the configured shell command once per batch; the
-HTTP backend POSTs the block as UTF-8 ``text/plain`` and reads the same shape
-back. A window of batches is in flight at once, and partial progress can be
-persisted so an interrupted run resumes with only the missing ids.
+HTTP backend POSTs the block as UTF-8 ``text/plain`` through gnt's own HTTP/1.1
+client, with TLS for ``https://`` and the proxy that urllib's settings name, and
+reads the same shape back. A window of batches is in flight at once, and partial
+progress can be persisted so an interrupted run resumes with only the missing ids.
 """
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import math
 import os
@@ -170,56 +172,89 @@ def _http_token() -> str | None:
     return token or None
 
 
-def _proxy_configured() -> bool:
-    # urllib takes a proxy from any non-empty <scheme>_proxy variable, in either case; no_proxy only names exceptions
-    return any(value and name.lower().endswith("_proxy") and name.lower() != "no_proxy"
-               for name, value in os.environ.items())
-
-
 def _run_http(url: str, payload: bytes, timeout: float) -> str:
-    # urllib serves TLS and proxies; a plain URL is posted over a socket, which needs neither ssl nor hashlib
-    token = _http_token()
     parts = urllib.parse.urlsplit(url)
-    if parts.scheme != "http" or _proxy_configured():
-        return _run_urllib(url, payload, timeout, token)
-    return _post(parts, payload, timeout, token)
+    return _post(parts, payload, timeout, _http_token(), _proxy(parts))
+
+
+def _proxy(parts: urllib.parse.SplitResult) -> urllib.parse.SplitResult | None:
+    """The proxy that urllib's own reader names for this URL: the *_proxy variables, with no_proxy and the CGI rule,
+    or on macOS and Windows the system settings."""
+    # urllib takes a proxy from any non-empty <scheme>_proxy variable, in either case, and no_proxy only names
+    # exceptions; it is loaded only where a proxy can apply, so a plain URL with none of them set loads socket alone
+    if parts.scheme == "http" and not any(value and name.lower().endswith("_proxy") and name.lower() != "no_proxy"
+                                          for name, value in os.environ.items()):
+        return None
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc):
+        return None
+    proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")  # as urllib, host:port alone too
+    with contextlib.suppress(ValueError):  # a port that is no number in range
+        if proxy_parts.hostname and proxy_parts.port != 0:
+            return proxy_parts
+    raise GntError(f"the {parts.scheme} proxy setting must be a URL with a host and, if any, a port from 1 to 65535")
 
 
 # the status line and the headers of a reply may take this many bytes, and so may a chunk's size line or the trailer
 _MAX_HEAD = 65536
 
 
-def _post(parts: urllib.parse.SplitResult, payload: bytes, timeout: float, token: str | None) -> str:
-    """POST one batch to a plain http: URL over a socket of its own, as HTTP/1.1 with `Connection: close`.
+def _post(parts: urllib.parse.SplitResult, payload: bytes, timeout: float, token: str | None,
+          proxy: urllib.parse.SplitResult | None) -> str:
+    """POST one batch to an http(s) URL over a connection of its own, as HTTP/1.1 with `Connection: close`.
 
-    Connecting, sending and every read share one deadline, so `timeout` bounds the whole exchange. The reply body is
-    framed by Content-Length, by chunked encoding or by the close, and is returned as soon as it ends. A reply that
-    breaks HTTP's framing raises BackendUnavailable, so it is retried as a failed connection is.
+    Through a proxy, an http: URL is sent in absolute form and an https: one through a CONNECT tunnel, and the proxy's
+    credentials reach the proxy alone. Connecting, the CONNECT, the TLS handshake, sending and every read share one
+    deadline, so `timeout` bounds the whole exchange. The reply body is framed by Content-Length, by chunked encoding
+    or by the close, and is returned as soon as it ends. A reply that breaks HTTP's framing raises BackendUnavailable,
+    so it is retried as a failed connection is.
     """
-    # socket is loaded on the first request (about 0.4 MB and 2 ms), where Python's HTTP client would load ssl and
-    # hashlib too (about 7 MB and 20-40 ms); the import lock makes that first import safe from every thread
+    # socket is loaded on the first request (about 0.4 MB and 2 ms), and ssl (about 5 MB) only for https: URLs; the
+    # import lock makes that first import safe from every thread
     import socket
 
     deadline = time.monotonic() + timeout
     host = parts.netloc.rpartition("@")[2]
+    host = host if host.isascii() else host.encode("idna").decode("ascii")
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    tunnel = proxy is not None and parts.scheme == "https"
+    # as http.client: a proxy without a port is reached on the backend scheme's default port
+    address = (proxy.hostname, proxy.port or (443 if tunnel else 80)) if proxy else (parts.hostname, port)
+    proxy_auth = ""
+    if proxy is not None and proxy.username and proxy.password:  # as urllib: both, unquoted
+        user_pass = f"{urllib.parse.unquote(proxy.username)}:{urllib.parse.unquote(proxy.password)}".encode()
+        proxy_auth = f"Proxy-Authorization: Basic {binascii.b2a_base64(user_pass, newline=False).decode()}\r\n"
     head = (
-        f"POST {parts.path or '/'}{'?' if parts.query else ''}{parts.query} HTTP/1.1\r\n"
-        f"Host: {host if host.isascii() else host.encode('idna').decode('ascii')}\r\n"
+        f"POST {'http://' + host if proxy and not tunnel else ''}{parts.path or '/'}{'?' if parts.query else ''}"
+        f"{parts.query} HTTP/1.1\r\n"
+        f"Host: {host}\r\n"
         "Accept-Encoding: identity\r\n"  # as urllib sends it: no compressed reply
         "Content-Type: text/plain; charset=utf-8\r\n"
         f"Content-Length: {len(payload)}\r\n"
         "Connection: close\r\n"
         + (f"Authorization: Bearer {token}\r\n" if token else "")
+        + ("" if tunnel else proxy_auth)
         + "\r\n"
     )
     try:
-        with socket.create_connection((parts.hostname, parts.port or 80), timeout) as sock:
-            sock.settimeout(_time_left(deadline))
-            sock.sendall(head.encode("ascii") + payload)  # one send, so Nagle's algorithm holds back no second part
-            body = _read_reply(_Reader(sock, deadline))
+        with socket.create_connection(address, timeout) as sock:
+            if tunnel:  # a 2xx reply to a CONNECT has no body
+                sock.sendall(f"CONNECT {host if parts.port else f'{host}:{port}'} HTTP/1.0\r\n{proxy_auth}\r\n"
+                             .encode())
+                _read_head(_Reader(sock, deadline), "proxy")
+            if parts.scheme == "https":  # against the system's trust store, or SSL_CERT_FILE
+                import ssl
+                sock.settimeout(_time_left(deadline))
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=parts.hostname)
+            with sock:  # the TLS socket, which has taken the connection over, or the plain one again
+                sock.settimeout(_time_left(deadline))
+                sock.sendall(head.encode("ascii") + payload)  # one send, so Nagle's algorithm holds back no second part
+                body = _read_reply(_Reader(sock, deadline))
     except TimeoutError as exc:
         raise _timed_out("backend", payload, timeout) from exc
-    except OSError as exc:
+    except OSError as exc:  # ssl.SSLError too, such as a certificate that does not verify
         raise BackendUnavailable(f"backend unreachable: {exc}") from exc
     return _decode_text(body)
 
@@ -278,8 +313,8 @@ class _Reader:
         return self._buffer
 
 
-def _read_reply(reader: _Reader) -> bytes | bytearray:
-    """The body of a 2xx reply; any other status raises BackendUnavailable naming it."""
+def _read_head(reader: _Reader, peer: str) -> tuple[int, dict[bytes, bytes]]:
+    """The status code and the header fields of a 2xx reply; any other status raises BackendUnavailable naming it."""
     code = 100
     while 100 <= code < 200:  # an interim reply, such as 100 Continue, precedes the final one
         status = reader.line(_MAX_HEAD)
@@ -290,7 +325,13 @@ def _read_reply(reader: _Reader) -> bytes | bytearray:
         code = int(digits)
         headers = _read_fields(reader, _MAX_HEAD - len(status))
     if not 200 <= code < 300:  # a redirect too: it is not followed
-        raise BackendUnavailable(f"HTTP {code} from backend: {reason.strip().decode('latin-1')}")
+        raise BackendUnavailable(f"HTTP {code} from {peer}: {reason.strip().decode('latin-1')}")
+    return code, headers
+
+
+def _read_reply(reader: _Reader) -> bytes | bytearray:
+    """The body of a 2xx reply from the backend."""
+    code, headers = _read_head(reader, "backend")
     if code == 204:
         return b""
     encoding = headers.get(b"transfer-encoding")
@@ -332,33 +373,6 @@ def _read_chunked(reader: _Reader) -> bytearray:
         body += reader.read(size)
         if reader.read(2) != b"\r\n":
             raise _malformed("a chunk does not end where its size says")
-
-
-def _run_urllib(url: str, payload: bytes, timeout: float, token: str | None) -> str:
-    # Python's HTTP client (http.client, email, ssl, hashlib: about 7 MB and 20-40 ms) serves https: URLs and
-    # proxies; it is loaded on the first such request, and the import lock makes that import safe from every thread
-    import http.client
-    import urllib.error
-    import urllib.request
-
-    headers = {"Content-Type": "text/plain; charset=utf-8"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()  # the error holds the response and its socket open
-        raise BackendUnavailable(f"HTTP {exc.code} from backend: {exc.reason}") from exc
-    except OSError as exc:  # URLError and TimeoutError too
-        # a timeout while connecting or sending arrives wrapped in URLError, one while waiting for the reply bare
-        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
-            raise _timed_out("backend", payload, timeout) from exc
-        raise BackendUnavailable(f"backend unreachable: {exc}") from exc
-    except http.client.HTTPException as exc:  # a malformed status line, a body cut short
-        raise _malformed(repr(exc)) from exc
-    return _decode_text(body)
 
 
 def _timed_out(what: str, payload: bytes, timeout: float) -> BackendUnavailable:
