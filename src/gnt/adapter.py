@@ -172,11 +172,6 @@ def _http_token() -> str | None:
     return token or None
 
 
-def _run_http(url: str, payload: bytes, timeout: float) -> str:
-    parts = urllib.parse.urlsplit(url)
-    return _post(parts, payload, timeout, _http_token(), _proxy(parts))
-
-
 def _proxy(parts: urllib.parse.SplitResult) -> urllib.parse.SplitResult | None:
     """The proxy that urllib's own reader names for this URL: the *_proxy variables, with no_proxy and the CGI rule,
     or on macOS and Windows the system settings."""
@@ -191,10 +186,12 @@ def _proxy(parts: urllib.parse.SplitResult) -> urllib.parse.SplitResult | None:
     if not proxy or urllib.request.proxy_bypass(parts.netloc):
         return None
     proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")  # as urllib, host:port alone too
+    # gnt speaks neither TLS nor SOCKS to a proxy: an https: or socks5: proxy URL is refused, not sent plain text
     with contextlib.suppress(ValueError):  # a port that is no number in range
-        if proxy_parts.hostname and proxy_parts.port != 0:
+        if proxy_parts.scheme in ("", "http") and proxy_parts.hostname and proxy_parts.port != 0:
             return proxy_parts
-    raise GntError(f"the {parts.scheme} proxy setting must be a URL with a host and, if any, a port from 1 to 65535")
+    raise GntError(f"the {parts.scheme} proxy setting must be an http:// URL or host:port, with a host and, if any, a "
+                   "port from 1 to 65535")
 
 
 # the status line and the headers of a reply may take this many bytes, and so may a chunk's size line or the trailer
@@ -220,7 +217,7 @@ def _post(parts: urllib.parse.SplitResult, payload: bytes, timeout: float, token
     host = host if host.isascii() else host.encode("idna").decode("ascii")
     port = parts.port or (443 if parts.scheme == "https" else 80)
     tunnel = proxy is not None and parts.scheme == "https"
-    # as http.client: a proxy without a port is reached on the backend scheme's default port
+    # as urllib: a proxy without a port is reached on the backend scheme's default port
     address = (proxy.hostname, proxy.port or (443 if tunnel else 80)) if proxy else (parts.hostname, port)
     proxy_auth = ""
     if proxy is not None and proxy.username and proxy.password:  # as urllib: both, unquoted
@@ -238,12 +235,14 @@ def _post(parts: urllib.parse.SplitResult, payload: bytes, timeout: float, token
         + ("" if tunnel else proxy_auth)
         + "\r\n"
     )
+    peer = "proxy" if proxy else "backend"  # the host that a fault is reported against
     try:
         with socket.create_connection(address, timeout) as sock:
             if tunnel:  # a 2xx reply to a CONNECT has no body
                 sock.sendall(f"CONNECT {host if parts.port else f'{host}:{port}'} HTTP/1.0\r\n{proxy_auth}\r\n"
                              .encode())
-                _read_head(_Reader(sock, deadline), "proxy")
+                _read_head(_Reader(sock, deadline, peer))
+            peer = "backend"
             if parts.scheme == "https":  # against the system's trust store, or SSL_CERT_FILE
                 import ssl
                 sock.settimeout(_time_left(deadline))
@@ -251,11 +250,11 @@ def _post(parts: urllib.parse.SplitResult, payload: bytes, timeout: float, token
             with sock:  # the TLS socket, which has taken the connection over, or the plain one again
                 sock.settimeout(_time_left(deadline))
                 sock.sendall(head.encode("ascii") + payload)  # one send, so Nagle's algorithm holds back no second part
-                body = _read_reply(_Reader(sock, deadline))
+                body = _read_reply(_Reader(sock, deadline, peer))
     except TimeoutError as exc:
-        raise _timed_out("backend", payload, timeout) from exc
+        raise _timed_out(peer, payload, timeout) from exc
     except OSError as exc:  # ssl.SSLError too, such as a certificate that does not verify
-        raise BackendUnavailable(f"backend unreachable: {exc}") from exc
+        raise BackendUnavailable(f"{peer} unreachable: {exc}") from exc
     return _decode_text(body)
 
 
@@ -266,19 +265,19 @@ def _time_left(deadline: float) -> float:
     return left
 
 
-def _malformed(detail: str) -> BackendUnavailable:
-    return BackendUnavailable(f"malformed reply from backend: {detail}")
-
-
 class _Reader:
-    """The bytes of one reply, received from a socket as they are asked for, each wait bounded by one deadline."""
+    """The bytes of one reply from `peer`, received from a socket as they are asked for, each wait within a deadline."""
 
-    __slots__ = ("_sock", "_deadline", "_buffer")
+    __slots__ = ("_sock", "_deadline", "_buffer", "peer")
 
-    def __init__(self, sock, deadline: float):
+    def __init__(self, sock, deadline: float, peer: str):
         self._sock = sock
         self._deadline = deadline
         self._buffer = bytearray()
+        self.peer = peer
+
+    def malformed(self, detail: str) -> BackendUnavailable:
+        return BackendUnavailable(f"malformed reply from {self.peer}: {detail}")
 
     def _receive(self) -> bool:
         """Append what the peer sends next; False once it has closed the connection."""
@@ -291,9 +290,9 @@ class _Reader:
         """The next line, without its line break (LF or CRLF), which must come within `limit` bytes."""
         while (end := self._buffer.find(b"\n", 0, limit)) < 0:
             if len(self._buffer) >= limit:
-                raise _malformed(f"the header or a chunk-size line runs past {_MAX_HEAD} bytes")
+                raise self.malformed(f"the header or a chunk-size line runs past {_MAX_HEAD} bytes")
             if not self._receive():
-                raise _malformed("the backend closed the connection before the reply ended")
+                raise self.malformed(f"the {self.peer} closed the connection before the reply ended")
         line = bytes(self._buffer[:end])
         del self._buffer[: end + 1]
         return line[:-1] if line.endswith(b"\r") else line
@@ -301,7 +300,7 @@ class _Reader:
     def read(self, size: int) -> bytearray:
         while len(self._buffer) < size:
             if not self._receive():
-                raise _malformed(f"the body ended after {len(self._buffer)} of {size} bytes")
+                raise self.malformed(f"the body ended after {len(self._buffer)} of {size} bytes")
         data = self._buffer[:size]
         del self._buffer[:size]
         return data
@@ -313,7 +312,7 @@ class _Reader:
         return self._buffer
 
 
-def _read_head(reader: _Reader, peer: str) -> tuple[int, dict[bytes, bytes]]:
+def _read_head(reader: _Reader) -> tuple[int, dict[bytes, bytes]]:
     """The status code and the header fields of a 2xx reply; any other status raises BackendUnavailable naming it."""
     code = 100
     while 100 <= code < 200:  # an interim reply, such as 100 Continue, precedes the final one
@@ -321,17 +320,17 @@ def _read_head(reader: _Reader, peer: str) -> tuple[int, dict[bytes, bytes]]:
         version, _, rest = status.partition(b" ")
         digits, _, reason = rest.partition(b" ")
         if not version.startswith(b"HTTP/") or len(digits) != 3 or not digits.isdigit():
-            raise _malformed(f"status line {status[:80]!r}")
+            raise reader.malformed(f"status line {status[:80]!r}")
         code = int(digits)
         headers = _read_fields(reader, _MAX_HEAD - len(status))
     if not 200 <= code < 300:  # a redirect too: it is not followed
-        raise BackendUnavailable(f"HTTP {code} from {peer}: {reason.strip().decode('latin-1')}")
+        raise BackendUnavailable(f"HTTP {code} from {reader.peer}: {reason.strip().decode('latin-1')}")
     return code, headers
 
 
 def _read_reply(reader: _Reader) -> bytes | bytearray:
     """The body of a 2xx reply from the backend."""
-    code, headers = _read_head(reader, "backend")
+    code, headers = _read_head(reader)
     if code == 204:
         return b""
     encoding = headers.get(b"transfer-encoding")
@@ -342,7 +341,7 @@ def _read_reply(reader: _Reader) -> bytes | bytearray:
         return reader.rest()
     lengths = {value.strip() for value in length.split(b",")}  # a repeated header is one list
     if len(lengths) != 1 or not (size := lengths.pop()).isdigit() or len(size) > 18:
-        raise _malformed(f"Content-Length {length[:80]!r}")
+        raise reader.malformed(f"Content-Length {length[:80]!r}")
     return reader.read(int(size))
 
 
@@ -365,14 +364,14 @@ def _read_chunked(reader: _Reader) -> bytearray:
         line = reader.line(_MAX_HEAD)
         digits = line.partition(b";")[0].strip()  # a chunk extension is ignored
         if not digits or len(digits) > 16 or digits.strip(b"0123456789abcdefABCDEF"):
-            raise _malformed(f"chunk size {line[:80]!r}")
+            raise reader.malformed(f"chunk size {line[:80]!r}")
         size = int(digits, 16)
         if not size:  # the last chunk, then the trailer
             _read_fields(reader, _MAX_HEAD)
             return body
         body += reader.read(size)
         if reader.read(2) != b"\r\n":
-            raise _malformed("a chunk does not end where its size says")
+            raise reader.malformed("a chunk does not end where its size says")
 
 
 def _timed_out(what: str, payload: bytes, timeout: float) -> BackendUnavailable:
@@ -392,7 +391,8 @@ def _decode_text(reply: bytes) -> str:
 def _call_backend(config: AdapterConfig, payload: bytes) -> str:
     if config.kind is AdapterKind.EXTERNAL_COMMAND:
         return _run_command(config.target, payload, config.timeout)
-    return _run_http(config.target, payload, config.timeout)
+    parts = urllib.parse.urlsplit(config.target)
+    return _post(parts, payload, config.timeout, _http_token(), _proxy(parts))
 
 
 def _with_retries(config: AdapterConfig, payload: bytes, sleep: Callable[[float], None], rng: random.Random) -> str:

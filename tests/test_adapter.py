@@ -863,13 +863,40 @@ def test_an_https_url_goes_through_a_connect_tunnel_with_the_proxy_credentials_o
     assert post.endswith(b"\r\nAuthorization: Bearer s3cret-token") and b"Proxy-Authorization" not in post
 
 
-def test_a_proxy_that_refuses_the_connect_is_a_retried_backend_failure(raw_server, monkeypatch):
-    proxy = raw_server(_canned(b"HTTP/1.1 407 Proxy Authentication Required\r\n"
-                               b"Proxy-Authenticate: Basic\r\nContent-Length: 0\r\n\r\n"))
+@pytest.mark.parametrize("reply, error", [
+    (b"HTTP/1.1 407 Proxy Authentication Required\r\nProxy-Authenticate: Basic\r\nContent-Length: 0\r\n\r\n",
+     r"HTTP 407 from proxy: Proxy Authentication Required"),
+    (_MALFORMED["garbage-status-line"], r"malformed reply from proxy: status line b'SPAM EGGS'"),
+    (b"HTTP/1.0 200 Connection est", r"malformed reply from proxy: the proxy closed the connection before the reply "
+                                     r"ended"),
+], ids=["407", "garbage", "closed"])
+def test_a_refused_or_garbled_connect_reply_is_a_retried_failure_that_names_the_proxy(raw_server, monkeypatch,
+                                                                                       reply, error):
+    proxy = raw_server(_canned(reply))
     monkeypatch.setenv("https_proxy", proxy.url.rsplit("/", 1)[0])
-    with pytest.raises(BackendUnavailable, match=r"^HTTP 407 from proxy: Proxy Authentication Required$"):
+    with pytest.raises(BackendUnavailable, match=f"^{error}$"):
         translate_suite(_suite(3), _http_config("https://127.0.0.1:9/t", max_retries=2), sleep=_no_sleep)
     assert proxy.requests == [b"CONNECT 127.0.0.1:9 HTTP/1.0"] * 3
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/t", "https://127.0.0.1:9/t"])
+@pytest.mark.parametrize("fault", ["refused", "silent"])
+def test_an_unreachable_or_silent_proxy_is_named_as_the_proxy(raw_server, monkeypatch, fault, url):
+    if fault == "refused":  # a port that was free a moment ago
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            proxy_url = f"http://127.0.0.1:{closed.getsockname()[1]}"
+        error = "^proxy unreachable: "
+    else:  # it takes the request and never answers: a CONNECT waits on the proxy, a relayed POST on the backend
+        hold = threading.Event()
+        proxy_url = raw_server(lambda conn, body: hold.wait(5)).url.rsplit("/", 1)[0]
+        error = rf"^{'proxy' if url.startswith('https') else 'backend'} timed out after 0\.3s"
+    monkeypatch.setenv(f"{url.partition(':')[0]}_proxy", proxy_url)
+    try:
+        with pytest.raises(BackendUnavailable, match=error):
+            translate_suite(_suite(3), _http_config(url, timeout=0.3), sleep=_no_sleep)
+    finally:
+        if fault == "silent":
+            hold.set()
 
 
 @pytest.mark.parametrize("no_proxy", [None, "127.0.0.1"])
@@ -891,13 +918,24 @@ def test_an_http_proxy_gets_the_absolute_url_and_its_credentials_unless_no_proxy
         assert proxy.requests[0].endswith(b"\r\nProxy-Authorization: Basic " + base64.b64encode(b"user:p w"))
 
 
-@pytest.mark.parametrize("proxy", ["http://:3128", "http://127.0.0.1:99999", "http://127.0.0.1:port", "127.0.0.1:0"])
-def test_a_proxy_setting_without_a_usable_host_and_port_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
-                                                                                      proxy):
+@pytest.mark.parametrize("proxy", ["http://:3128", "http://127.0.0.1:99999", "http://127.0.0.1:port", "127.0.0.1:0",
+                                   "https://127.0.0.1:3128", "socks5://127.0.0.1:1080"])
+def test_an_unusable_proxy_setting_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys, proxy):
     monkeypatch.setenv("https_proxy", proxy)
     suite_file = tmp_path / "suite.jsonl"
     write_suite(_suite(3), suite_file)
     assert main(["translate", "--suite", str(suite_file), "--adapter", "http:https://127.0.0.1:9/t", "--lang", "es",
                  "--system", "s", "--out", str(tmp_path / "tr.jsonl")]) == 2
-    assert capsys.readouterr().err == ("error: the https proxy setting must be a URL with a host and, if any, a port "
-                                       "from 1 to 65535\n")
+    assert capsys.readouterr().err == ("error: the https proxy setting must be an http:// URL or host:port, with a "
+                                       "host and, if any, a port from 1 to 65535\n")
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/t", "https://127.0.0.1:9/t"])
+def test_a_tls_proxy_is_refused_so_its_credentials_are_never_sent_in_plain_text(raw_server, monkeypatch, url):
+    proxy = raw_server(_echoed("length"))
+    monkeypatch.setenv(f"{url.partition(':')[0]}_proxy",
+                       f"https://user:pw@127.0.0.1:{proxy.listener.getsockname()[1]}")
+    with pytest.raises(GntError, match="proxy setting must be an http:// URL") as caught:
+        translate_suite(_suite(3), _http_config(url, max_retries=2), sleep=_no_sleep)
+    assert not isinstance(caught.value, BackendUnavailable)  # not retried
+    assert proxy.requests == []
