@@ -446,9 +446,8 @@ def translate_suite(
         resume = Path(resume_path) if resume_path else None
         if resume and resume.exists():
             _drop_torn_line(resume)
-            for record in parse_translations(resume):
-                if record.system_id == config.system_id and record.language is config.language:
-                    done[record.instance_id] = record
+            for instance_id, text in parse_translations(resume).get((config.system_id, config.language), {}).items():
+                done[instance_id] = TranslationRecord(config.system_id, config.language, instance_id, text)
         resumed = set(done)
 
         def batches():

@@ -16,6 +16,7 @@ from .formats import (
     parse_scores,
     parse_suite,
     parse_translations,
+    split_orphans,
     write_metrics_doc,
     write_scores,
     write_suite,
@@ -23,7 +24,7 @@ from .formats import (
 )
 from .lexicon import Language, load_language_resources
 from .metrics import DEFAULT_SIGNIFICANCE_THRESHOLD
-from .pipeline import build_metrics_doc, group_translations, missing_translations, run_pipeline, score_group
+from .pipeline import build_metrics_doc, missing_translations, run_pipeline, score_group
 from .report import render_report
 from .suite import QUOTA_KEYS, generate_suite, validate_balance
 
@@ -112,16 +113,17 @@ def _cmd_translate(args) -> int:
 def _cmd_score(args) -> int:
     suite = parse_suite(args.suite)
     language = Language.parse(args.lang)
-    groups = group_translations(parse_translations(args.translations))
+    groups = parse_translations(args.translations)
     systems = [system for system, lang in groups if lang is language]
     if not args.system and len(systems) > 1:
         raise GntError(f"translations carry several systems ({', '.join(systems)}); pass --system")
-    records = groups.get((args.system or (systems[0] if systems else None), language))
-    if not records:
+    texts = groups.get((args.system or (systems[0] if systems else None), language), {})
+    if not texts:
         raise GntError(f"no translations for language {language.value!r}" + (f" and system {args.system!r}" if args.system else ""))
+    del groups  # free the other groups' texts before scoring
     index = {instance.id: instance for instance in suite}
     resources = load_language_resources(_lexicon_dir(args.lexicon_dir), language)
-    scores, orphans = score_group(suite, index, records, resources)
+    scores, orphans = score_group(suite, index, texts, resources)
     write_scores(scores, args.out)
     print(f"wrote {len(scores)} slot scores to {args.out} "
           f"({orphans} orphan translations, {missing_translations(index, scores)} instances without translation)")
@@ -130,10 +132,18 @@ def _cmd_score(args) -> int:
 
 def _cmd_metrics(args) -> int:
     suite = parse_suite(args.suite)
-    scores = parse_scores(args.scores, {instance.id: instance for instance in suite})
-    doc = build_metrics_doc(
-        suite, scores, args.system, Language.parse(args.lang), threshold=args.threshold
-    )
+    language = Language.parse(args.lang)
+    index = {instance.id: instance for instance in suite}
+    orphans = 0
+    if args.translations:
+        texts = parse_translations(args.translations).get((args.system, language))
+        if texts is None:
+            raise GntError(f"{args.translations}: no translations for system {args.system!r} "
+                           f"and language {language.value!r}")
+        orphans = len(split_orphans(texts, index))
+    scores = parse_scores(args.scores, index)
+    doc = build_metrics_doc(suite, scores, args.system, language, threshold=args.threshold,
+                            orphan_translations=orphans)
     write_metrics_doc(doc, args.out)
     print(f"wrote metrics to {args.out}")
     return 0
@@ -216,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=DEFAULT_SIGNIFICANCE_THRESHOLD)
     p.add_argument("--system", default="unknown")
     p.add_argument("--lang", required=True, choices=[l.value for l in Language])
+    p.add_argument("--translations", default=None,
+                   help="The translations file that was scored: count the --system/--lang group's orphan records.")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_metrics)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from copy import copy
 from enum import EnumMeta
 from functools import partial
@@ -378,41 +378,44 @@ def _duplicate(key: tuple, path: str, number: int, first: int) -> DuplicateRecor
     return DuplicateRecord(f"{path}:{number}: duplicate record for {key} (first seen on line {first})")
 
 
-def parse_translations(path: str | Path) -> list[TranslationRecord]:
-    """Parse and validate a translations file.
+def parse_translations(path: str | Path) -> dict[tuple[str, Language], dict[str, str]]:
+    """Parse and validate a translations file into one id -> text map per (system, language).
 
-    Raises ParseError (with line number) on malformed lines or languages
-    outside the closed is/cs/es set, and DuplicateRecord when one
-    (system, lang, id) key appears twice.
+    The groups are ordered by system, then language code; each map keeps the
+    order in which the file first gives its ids. Raises ParseError (with line
+    number) on malformed lines or languages outside the closed is/cs/es set,
+    and DuplicateRecord when one (system, lang, id) key appears twice.
     """
+    from array import array  # here, so that `import gnt.cli` loads no module that only a read of translations uses
+
     path = str(path)
-    records = []
-    # the line each id was first read on, per system and language: no key tuple is kept per record
-    seen: defaultdict[str, defaultdict[Language, dict[str, int]]] = defaultdict(partial(defaultdict, dict))
-    # one string per system id and per instance id, shared by every record that names it
+    groups: dict[tuple[str, Language], dict[str, str]] = {}
+    # the line each group's ids were first read on, in the order of its map's keys: the file is read once
+    lines: dict[tuple[str, Language], array[int]] = {}
+    # one string per system id and per instance id, shared by every group that names it
     strings: dict[str, str] = {}
     for number, record in _read_lines(path):
         system, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
-        system = strings.setdefault(system, system)
-        instance_id = strings.setdefault(instance_id, instance_id)
         language = _LANGUAGES.get(lang.lower())
         if language is None:
             raise ParseError(f"unknown language {lang!r}", path, number)
-        first = seen[system][language].setdefault(instance_id, number)
-        if first != number:
+        key = (strings.setdefault(system, system), language)
+        texts = groups.get(key)
+        if texts is None:
+            texts = groups[key] = {}
+            lines[key] = array("I")
+        size = len(texts)
+        texts.setdefault(strings.setdefault(instance_id, instance_id), text)
+        if len(texts) == size:
+            first = lines[key][list(texts).index(instance_id)]
             raise _duplicate((system, language.value, instance_id), path, number, first)
-        records.append(TranslationRecord(system, language, instance_id, text))
-    return records
+        lines[key].append(number)
+    return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
 
 
-def split_orphans(
-    records: Iterable[TranslationRecord], known_ids: Container[str]
-) -> tuple[list[TranslationRecord], list[TranslationRecord]]:
-    """Separate records whose instance id is not part of the loaded suite."""
-    valid, orphans = [], []
-    for record in records:
-        (valid if record.instance_id in known_ids else orphans).append(record)
-    return valid, orphans
+def split_orphans(texts: Iterable[str], known_ids: Container[str]) -> list[str]:
+    """The ids of `texts` (an id -> text map, or its ids) that `known_ids` lacks: translations of no suite instance."""
+    return [instance_id for instance_id in texts if instance_id not in known_ids]
 
 
 # --- scores ----------------------------------------------------------------------

@@ -11,12 +11,11 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Container
+from typing import Container, Mapping
 
 from .classify import GenderLabel, SlotScore, classify_instance
 from .errors import EmptySelection, GntError, InvalidThreshold
 from .formats import (
-    TranslationRecord,
     by_family_entry,
     metrics_entry,
     parse_translations,
@@ -40,36 +39,25 @@ from .report import render_report
 from .suite import SuiteManifest, TestInstance, generate_suite
 
 
-def score_suite(
-    suite: list[TestInstance], translations: list[TranslationRecord], resources: LanguageResources
-) -> list[SlotScore]:
-    """Classify the slots of every suite instance that has a translation."""
-    by_id = {record.instance_id: record for record in translations}
+def score_suite(suite: list[TestInstance], texts: Mapping[str, str], resources: LanguageResources) -> list[SlotScore]:
+    """Classify the slots of every suite instance that `texts` (instance id -> translation) translates."""
     scores: list[SlotScore] = []
     for instance in suite:
-        record = by_id.get(instance.id)
-        if record is not None:
-            scores.extend(classify_instance(instance, record.target_text, resources))
+        text = texts.get(instance.id)
+        if text is not None:
+            scores.extend(classify_instance(instance, text, resources))
     return scores
-
-
-def group_translations(records: list[TranslationRecord]) -> dict[tuple[str, Language], list[TranslationRecord]]:
-    """The records of each (system, language), ordered by system, then language code."""
-    groups: dict[tuple[str, Language], list[TranslationRecord]] = {}
-    for record in records:
-        groups.setdefault((record.system_id, record.language), []).append(record)
-    return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
 
 
 def score_group(
     suite: list[TestInstance],
     known_ids: Container[str],
-    records: list[TranslationRecord],
+    texts: Mapping[str, str],
     resources: LanguageResources,
 ) -> tuple[list[SlotScore], int]:
-    """Score one (system, language) group: (scores, number of records whose id `known_ids` lacks)."""
-    valid, orphans = split_orphans(records, known_ids)
-    return score_suite(suite, valid, resources), len(orphans)
+    """Score one (system, language) group's id -> text map: (scores, number of ids that `known_ids` lacks)."""
+    orphans = split_orphans(texts, known_ids)
+    return score_suite(suite, texts, resources), len(orphans)
 
 
 def missing_translations(index: dict[str, TestInstance], scores: list[SlotScore]) -> int:
@@ -184,7 +172,7 @@ def run_pipeline(
 
     suite = generate_suite(manifest, seed)
     write_suite(suite, out / "suite.jsonl")
-    groups = group_translations(parse_translations(translations_path))
+    groups = parse_translations(translations_path)
     owners: dict[str, str] = {}
     for system, _ in groups:
         owner = owners.setdefault(_slug(system), system)
@@ -193,10 +181,13 @@ def run_pipeline(
     languages = dict.fromkeys(language for _, language in groups)  # in group order: the first unloadable one is named
     resources = {language: load_language_resources(lexicon_dir, language) for language in languages}
 
-    known_ids = {instance.id for instance in suite}
+    # a dict of the suite's ids takes less memory than a set of them
+    known_ids = {instance.id: instance for instance in suite}
     reports = []
-    for (system, language), records in groups.items():
-        scores, orphans = score_group(suite, known_ids, records, resources[language])
+    for system, language in list(groups):
+        # out of `groups`, so this group's texts are released once it is scored
+        texts = groups.pop((system, language))
+        scores, orphans = score_group(suite, known_ids, texts, resources[language])
         doc = build_metrics_doc(suite, scores, system, language, threshold, orphan_translations=orphans)
         markdown = render_report(doc, "md")
 
@@ -206,6 +197,6 @@ def run_pipeline(
         write_metrics_doc(doc, out / f"metrics_{stem}.json")
         report_path.write_text(markdown, encoding="utf-8")
         reports.append((system, language, report_path))
-        # release this group's outputs before the next group is scored
-        del scores, doc, markdown
+        # release this group's texts and outputs before the next group is scored
+        del texts, scores, doc, markdown
     return reports

@@ -17,9 +17,10 @@ import gnt.suite
 from gnt import AdapterConfig, AdapterKind, Language, adapter, expand_template, translate_suite
 from gnt.errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
 from gnt.cli import main
-from gnt.formats import TranslationRecord, iter_suite, parse_translations, translation_line, write_suite
+from gnt.formats import TranslationRecord, iter_suite, translation_line, write_suite
 from gnt.suite import TemplateFamily
 from conftest import FIXTURES, backend_command
+from helpers import read_records
 
 
 def _suite(size: int):
@@ -193,7 +194,7 @@ def test_an_unframeable_instance_stops_the_run_before_its_batch(tmp_path):
     with pytest.raises(ProtocolViolation) as excinfo:
         translate_suite(suite, config, resume_path=resume, sleep=_no_sleep)
     assert str(excinfo.value) == "instance 'T7-000005a' cannot be framed on the line protocol"
-    assert [r.instance_id for r in parse_translations(resume)] == [i.id for i in suite[:4]]
+    assert [r.instance_id for r in read_records(resume)] == [i.id for i in suite[:4]]
 
 
 @pytest.mark.parametrize("stop", ["backend-fails", "bad-resume-file", "interrupt"])
@@ -245,7 +246,7 @@ def test_window_does_not_change_records_or_output(tmp_path):
         assert main(argv) == 2  # interrupted: the batch holding T7-000009a failed
         assert out.with_name(out.name + ".partial").exists()
         assert main(argv) == 0  # resumed
-        assert parse_translations(out) == sequential
+        assert read_records(out) == sequential
         outputs.add(out.read_bytes())
     assert len(outputs) == 1
 
@@ -267,7 +268,7 @@ def test_window_keeps_every_record_under_thread_switching(tmp_path, threaded_ech
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert [r.instance_id for r in result[0]] == [i.id for i in suite]
-    persisted = sorted(r.instance_id for r in parse_translations(resume))
+    persisted = sorted(r.instance_id for r in read_records(resume))
     assert persisted == [i.id for i in suite]
 
 
@@ -402,7 +403,7 @@ def test_reply_lines_end_at_newline_only(tmp_path):
     assert [record.target_text for record in records] == ["fuerte bien", "x\rbien", "a\fb\x85c"]
     path = tmp_path / "translations.jsonl"
     path.write_text("".join(translation_line(record) for record in records), encoding="utf-8")
-    assert parse_translations(path) == records
+    assert read_records(path) == records
 
 
 def test_source_text_is_transmitted_byte_identically():

@@ -19,7 +19,6 @@ from gnt import (
 from gnt import classify
 from gnt.data import lexicon_dir
 from gnt.errors import InvalidEntry, LexiconConflict
-from gnt.formats import TranslationRecord
 from gnt.lexicon import (
     AltPhraseEntry,
     FormGender,
@@ -447,7 +446,7 @@ def test_each_token_rule_is_worked_out_once_per_lemma(monkeypatch, full_scale_ma
 
     monkeypatch.setattr(classify, "_token_rule", counted)
     suite = generate_suite(full_scale_manifest)
-    echoed = [TranslationRecord("echo", Language.ES, instance.id, instance.source_text) for instance in suite]
+    echoed = {instance.id: instance.source_text for instance in suite}
     scores = score_suite(suite, echoed, load_language_resources(lexicon_dir(), Language.ES))
     pairs = {
         (lookup_key(slot.lemma), token)

@@ -5,10 +5,12 @@ import importlib
 import json
 import os
 import pkgutil
+import random
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 from enum import Enum
 from pathlib import Path
 
@@ -31,8 +33,10 @@ from gnt import (
     write_translations,
 )
 from gnt.cli import build_parser, main
+from gnt.errors import DuplicateRecord
 from gnt.data import demo_manifest_path, lexicon_dir
 from conftest import GOLDEN, backend_command
+from helpers import read_records
 
 
 @pytest.fixture()
@@ -296,6 +300,115 @@ def test_run_holds_one_groups_scores_at_a_time(tmp_path, monkeypatch):
     assert main(_run_argv(_echo_translations(tmp_path, ("es", "cs")), tmp_path / "out")) == 0
     # the scores alive at the first group's entry belong to no group of this run
     assert len(alive) == 2 and alive[1] == alive[0]
+
+
+class _Texts(dict):
+    """A group's id -> text map that a weak reference can name."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_run_frees_each_groups_translations_once_it_is_scored(tmp_path, monkeypatch):
+    """At each group's entry no TranslationRecord is alive, and the maps of the groups scored before it are dead."""
+    parse = gnt.pipeline.parse_translations
+    score_group = gnt.pipeline.score_group
+    maps: list[weakref.ref] = []
+    entries: list[tuple[int, list[bool]]] = []
+
+    def records_alive() -> int:
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is TranslationRecord)
+
+    def parse_weakly(path):
+        groups = {key: _Texts(texts) for key, texts in parse(path).items()}
+        maps.extend(weakref.ref(texts) for texts in groups.values())
+        return groups
+
+    def watched(*args, **kwargs):
+        records = records_alive()
+        entries.append((records, [ref() is not None for ref in maps]))
+        return score_group(*args, **kwargs)
+
+    monkeypatch.setattr(gnt.pipeline, "parse_translations", parse_weakly)
+    monkeypatch.setattr(gnt.pipeline, "score_group", watched)
+    translations = _echo_translations(tmp_path, ("es", "cs", "is"))
+    before = records_alive()
+    assert main(_run_argv(translations, tmp_path / "out")) == 0
+    assert before == 0
+    assert entries == [(0, [True, True, True]), (0, [False, True, True]), (0, [False, False, True])]
+    assert [ref() for ref in maps] == [None, None, None]
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_run_does_not_depend_on_the_order_of_the_translations_file(tmp_path, capsys):
+    """Shuffled lines, whose groups interleave, give the grouped file's outputs and its duplicate message."""
+    grouped = _echo_translations(tmp_path, ("es", "cs"))
+    lines = grouped.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines += [line.replace('"echo"', '"other"') for line in lines[::3]]
+    lines.append(json.dumps({"system": "echo", "lang": "es", "id": "orphan-1", "text": "hola"}) + "\n")
+    grouped.write_text("".join(lines), encoding="utf-8")
+    shuffled = tmp_path / "shuffled.jsonl"
+    random.Random(7).shuffle(lines)
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    keys = [(record["system"], record["lang"]) for record in map(json.loads, lines)]
+    assert sum(a != b for a, b in zip(keys, keys[1:])) > 100  # the four groups interleave
+
+    assert main(_run_argv(grouped, tmp_path / "grouped")) == 0
+    assert main(_run_argv(shuffled, tmp_path / "shuffled")) == 0
+    expected = _tree(tmp_path / "grouped")
+    assert len(expected) == 1 + 3 * 4
+    assert _tree(tmp_path / "shuffled") == expected
+    assert json.loads(expected["metrics_echo_es.json"])["coverage"]["orphan_translations"] == 1
+
+    # a copy of a line, put between later lines of other groups
+    first = 40
+    lines.insert(300, lines[first])
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    record = json.loads(lines[first])
+    message = (f"{shuffled}:301: duplicate record for {(record['system'], record['lang'], record['id'])} "
+               f"(first seen on line {first + 1})")
+    with pytest.raises(DuplicateRecord) as excinfo:
+        parse_translations(shuffled)
+    assert str(excinfo.value) == message
+    capsys.readouterr()
+    assert main(_run_argv(shuffled, tmp_path / "dup")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["score", "--suite", str(tmp_path / "grouped" / "suite.jsonl"), "--translations", str(shuffled),
+                 "--lexicon-dir", str(lexicon_dir()), "--lang", record["lang"], "--system", record["system"],
+                 "--out", str(tmp_path / "scores.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_split_path_counts_the_orphans_of_its_group(tmp_path, suite_path, capsys):
+    """`score` -> `metrics --translations` writes `gnt run`'s metrics document, orphan count included."""
+    translations = _echo_translations(tmp_path, ("es", "cs"))
+    lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines += [line.replace('"echo"', '"other"') for line in lines[::2]]
+    orphans = {("echo", "es"): 2, ("echo", "cs"): 1, ("other", "es"): 3, ("other", "cs"): 0}
+    lines += [json.dumps({"system": system, "lang": lang, "id": f"orphan-{i}", "text": "x"}) + "\n"
+              for (system, lang), count in orphans.items() for i in range(count)]
+    translations.write_text("".join(lines), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(_run_argv(translations, out_dir)) == 0
+    for (system, lang), count in orphans.items():
+        stem = f"{system}_{lang}"
+        scores, metrics = tmp_path / f"scores_{stem}.jsonl", tmp_path / f"metrics_{stem}.json"
+        assert main(["score", "--suite", str(suite_path), "--translations", str(translations), "--system", system,
+                     "--lexicon-dir", str(lexicon_dir()), "--lang", lang, "--out", str(scores)]) == 0
+        assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path), "--system", system,
+                     "--lang", lang, "--translations", str(translations), "--out", str(metrics)]) == 0
+        assert metrics.read_bytes() == (out_dir / f"metrics_{stem}.json").read_bytes(), stem
+        assert json.loads(metrics.read_text(encoding="utf-8"))["coverage"]["orphan_translations"] == count
+
+    capsys.readouterr()
+    assert main(["metrics", "--scores", str(scores), "--suite", str(suite_path), "--system", "nobody",
+                 "--lang", "cs", "--translations", str(translations), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {translations}: no translations for system 'nobody' and language 'cs'\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 def _gnt_enums() -> list[type[Enum]]:
@@ -623,7 +736,7 @@ def test_a_bad_line_fails_its_batch_after_the_batches_before_it_are_sent(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith(f"error: {suite_path}:20: ") and message in err and "Traceback" not in err
     # batches 0 and 1 were sent and persisted; no id of batch 2 or after reached the backend
-    assert sorted(record.instance_id for record in parse_translations(partial)) == sorted(ids[:16])
+    assert sorted(record.instance_id for record in read_records(partial)) == sorted(ids[:16])
     assert _received_ids(first_run) == sorted(ids[:16])
     assert not out.exists()
 
@@ -771,7 +884,7 @@ def test_a_default_cmd_batch_is_one_window_slot_of_the_suite(tmp_path, flags, si
                  "--system", "s", "--out", str(out)] + flags) == 0
     assert _batch_sizes(log) == sizes
     assert _received_ids(log) == ids
-    assert [record.instance_id for record in parse_translations(out)] == ids
+    assert [record.instance_id for record in read_records(out)] == ids
 
 
 def test_a_resumed_run_spawns_at_most_once_per_window_slot(tmp_path):
@@ -782,7 +895,7 @@ def test_a_resumed_run_spawns_at_most_once_per_window_slot(tmp_path):
     assert main(argv + ["--adapter", "cmd:cat", "--out", str(clean)]) == 0
     out = tmp_path / "tr.jsonl"
     partial = tmp_path / "tr.jsonl.partial"
-    done = parse_translations(clean)[300:1300]
+    done = read_records(clean)[300:1300]
     write_translations(done, partial)
     log = tmp_path / "batches"
     assert main(argv + ["--adapter", _logging_backend(log), "--out", str(out)]) == 0

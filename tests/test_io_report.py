@@ -3,8 +3,10 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import os
 import random
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,9 +69,10 @@ def test_parse_translations_happy_path(tmp_path):
             {"system": "sysB", "lang": "is", "id": "T7-000000a", "text": "Ég er sterkur."},
         ],
     )
-    records = parse_translations(path)
-    assert len(records) == 3
-    assert records[0] == TranslationRecord("sysA", Language.ES, "T7-000000a", "Estoy en forma.")
+    assert parse_translations(path) == {
+        ("sysA", Language.ES): {"T7-000000a": "Estoy en forma.", "T7-000001a": "Soy fuerte."},
+        ("sysB", Language.IS): {"T7-000000a": "Ég er sterkur."},
+    }
 
 
 def test_parse_translations_rejects_unknown_language(tmp_path):
@@ -95,6 +98,47 @@ def test_parse_translations_keys_a_duplicate_by_system_language_and_id(tmp_path)
     assert len(parse_translations(_write_lines(tmp_path / "distinct.jsonl", records[:3]))) == 3
 
 
+def _line(system, lang, instance_id):
+    return {"system": system, "lang": lang, "id": instance_id, "text": f"{system} {lang} {instance_id}"}
+
+
+@pytest.mark.parametrize("records, number, first, key", [
+    # other ids of the group, and of other groups, between the first record and the duplicate
+    ([_line("s", "es", "x"), _line("s", "es", "y"), _line("t", "es", "x"), _line("s", "es", "z"), _line("s", "es", "x")],
+     5, 1, "('s', 'es', 'x')"),
+    # the second group's third id is repeated, after a record of the first group
+    ([_line("a", "cs", "x"), _line("a", "cs", "y"), _line("b", "is", "x"), _line("b", "is", "y"), _line("b", "is", "z"),
+      _line("a", "cs", "z"), _line("b", "is", "z")], 7, 5, "('b', 'is', 'z')"),
+], ids=["ids-between", "second-group"])
+def test_a_duplicate_names_the_line_its_key_was_first_read_on(tmp_path, records, number, first, key):
+    path = _write_lines(tmp_path / "tr.jsonl", records)
+    with pytest.raises(DuplicateRecord) as excinfo:
+        parse_translations(path)
+    assert str(excinfo.value) == f"{path}:{number}: duplicate record for {key} (first seen on line {first})"
+
+
+def test_a_duplicate_read_from_a_pipe_names_the_line_its_key_was_first_read_on(tmp_path):
+    """A FIFO can be read once: the first line is found without a second read."""
+    fifo = tmp_path / "tr.fifo"
+    os.mkfifo(fifo)
+    lines = [_line("s", "es", "x"), _line("s", "cs", "x"), _line("s", "es", "y"), _line("s", "es", "x")]
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:  # blocks until the reader opens the FIFO
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with pytest.raises(DuplicateRecord) as excinfo:
+            parse_translations(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert str(excinfo.value) == f"{fifo}:4: duplicate record for ('s', 'es', 'x') (first seen on line 1)"
+
+
 def test_parse_translations_reports_malformed_line_number(tmp_path):
     path = tmp_path / "tr.jsonl"
     good = b'{"system": "s", "lang": "es", "id": "x", "text": "t"}\n'
@@ -106,13 +150,8 @@ def test_parse_translations_reports_malformed_line_number(tmp_path):
 
 
 def test_orphans_are_split_not_fatal():
-    records = [
-        TranslationRecord("s", Language.ES, "T7-000000a", "a"),
-        TranslationRecord("s", Language.ES, "ghost", "b"),
-    ]
-    valid, orphans = split_orphans(records, {"T7-000000a"})
-    assert [r.instance_id for r in valid] == ["T7-000000a"]
-    assert [r.instance_id for r in orphans] == ["ghost"]
+    texts = {"T7-000000a": "a", "ghost": "b"}
+    assert split_orphans(texts, {"T7-000000a"}) == ["ghost"]
 
 
 # --- round trips ----------------------------------------------------------------
@@ -323,10 +362,10 @@ def test_parse_translations_shares_one_id_string_across_groups(tmp_path):
         json.dumps({"system": system, "lang": lang, "id": f"T7-{i:06d}a", "text": "t"}) + "\n"
         for system in ("a", "b") for lang in ("es", "cs") for i in range(3)
     ), encoding="utf-8")
-    records = parse_translations(path)
-    assert len(records) == 12
-    assert len({id(record.instance_id) for record in records}) == 3
-    assert len({id(record.system_id) for record in records}) == 2
+    groups = parse_translations(path)
+    assert sum(map(len, groups.values())) == 12
+    assert len({id(instance_id) for texts in groups.values() for instance_id in texts}) == 3
+    assert len({id(system) for system, _ in groups}) == 2
 
 
 @pytest.mark.parametrize("line", ['{"id": "x"} trailing', '\ufeff{"id": "x"}', "not json", '{"id": ', '{"id": "x"}}'],
@@ -801,6 +840,10 @@ def _fake_system_translations(suite, resources, system="fake", neutral_on_they=T
     return records
 
 
+def _texts(records):
+    return {record.instance_id: record.target_text for record in records}
+
+
 @pytest.mark.parametrize("slot_index", [-1, False, 1.0, None])
 def test_parse_scores_rejects_bad_slot_index(tmp_path, slot_index):
     path = _write_lines(tmp_path / "scores.jsonl", [
@@ -822,7 +865,7 @@ def test_label_cells_rejects_slot_index_past_the_instance(demo_manifest):
 def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)[:-3]
-    scores = score_suite(suite, records, es_resources)
+    scores = score_suite(suite, _texts(records), es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     assert doc["coverage"]["missing_translations"] == 3
 
@@ -862,7 +905,7 @@ def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
 def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)[:-3]
-    scores = score_suite(suite, records, es_resources)
+    scores = score_suite(suite, _texts(records), es_resources)
     assert missing_translations({instance.id: instance for instance in suite}, scores) == 3
     translated = {record.instance_id for record in records}
     assert len(scores) == sum(len(i.slots) for i in suite if i.id in translated)
@@ -871,7 +914,7 @@ def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
 def test_build_metrics_doc_engineered_active_response(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)
-    scores = score_suite(suite, records, es_resources)
+    scores = score_suite(suite, _texts(records), es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     assert doc["coverage"]["missing_translations"] == 0
     active = doc["active_response"]["macro"]
@@ -938,7 +981,7 @@ def test_run_pipeline_missing_lexicon_dir_fails_in_score_stage(tmp_path, demo_ma
 def test_metrics_doc_write_parse_write_is_byte_identical(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     records = _fake_system_translations(suite, es_resources)
-    scores = score_suite(suite, records, es_resources)
+    scores = score_suite(suite, _texts(records), es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     first = tmp_path / "metrics.json"
     second = tmp_path / "metrics2.json"

@@ -40,13 +40,27 @@ def test_every_trace_point_resolves(monkeypatch):
 def test_gnt_run_calls_every_pipeline_trace_point(tmp_path, monkeypatch):
     suite = generate_suite(parse_manifest(demo_manifest_path()))
     translations = tmp_path / "translations.jsonl"
-    write_translations([TranslationRecord("echo", Language.ES, i.id, i.source_text) for i in suite], translations)
+    write_translations([TranslationRecord("echo", language, i.id, i.source_text)
+                        for language in (Language.ES, Language.CS) for i in suite], translations)
 
     calls: Counter = Counter()
+    active: Counter = Counter()
 
     def counted(attribute, func):
         def wrapper(*args, **kwargs):
             calls[attribute] += 1
+            active[attribute] += 1
+            try:
+                return func(*args, **kwargs)
+            finally:
+                active[attribute] -= 1
+        return wrapper
+
+    def classified(func):
+        def wrapper(*args, **kwargs):
+            # a slot classified outside score_suite would read as time of no layer in a traced run
+            assert active["score_suite"] == 1, "classify_instance called outside score_suite"
+            calls["classify_instance"] += 1
             return func(*args, **kwargs)
         return wrapper
 
@@ -54,6 +68,11 @@ def test_gnt_run_calls_every_pipeline_trace_point(tmp_path, monkeypatch):
     names = [attribute for module_name, attribute, _ in _trace_points(monkeypatch) if module_name == "gnt.pipeline"]
     for attribute in names:
         monkeypatch.setattr(gnt.pipeline, attribute, counted(attribute, getattr(gnt.pipeline, attribute)))
+    monkeypatch.setattr(gnt.pipeline, "classify_instance", classified(gnt.pipeline.classify_instance))
     assert main(["run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
                  "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(tmp_path / "out")]) == 0
     assert names and [name for name in names if not calls[name]] == []
+    # once per group of the two
+    assert {name: calls[name] for name in ("score_suite", "split_orphans", "build_metrics_doc", "write_scores")} == {
+        "score_suite": 2, "split_orphans": 2, "build_metrics_doc": 2, "write_scores": 2}
+    assert calls["classify_instance"] == 2 * len(suite)
