@@ -113,15 +113,15 @@ def _cmd_translate(args) -> int:
 def _cmd_score(args) -> int:
     suite = parse_suite(args.suite)
     language = Language.parse(args.lang)
-    groups = parse_translations(args.translations)
-    systems = [system for system, lang in groups if lang is language]
+    index = {instance.id: instance for instance in suite}
+    # only the language's groups, or with --system its one group, keep their texts
+    groups = parse_translations(args.translations, index, system=args.system or None, language=language)
+    systems = [system for system, _ in groups]
     if not args.system and len(systems) > 1:
         raise GntError(f"translations carry several systems ({', '.join(systems)}); pass --system")
     texts = groups.get((args.system or (systems[0] if systems else None), language), {})
     if not texts:
         raise GntError(f"no translations for language {language.value!r}" + (f" and system {args.system!r}" if args.system else ""))
-    del groups  # free the other groups' texts before scoring
-    index = {instance.id: instance for instance in suite}
     resources = load_language_resources(_lexicon_dir(args.lexicon_dir), language)
     scores, orphans = score_group(suite, index, texts, resources)
     write_scores(scores, args.out)
@@ -136,11 +136,11 @@ def _cmd_metrics(args) -> int:
     index = {instance.id: instance for instance in suite}
     orphans = 0
     if args.translations:
-        texts = parse_translations(args.translations).get((args.system, language))
-        if texts is None:
+        groups = parse_translations(args.translations, index, system=args.system, language=language)
+        if not groups:
             raise GntError(f"{args.translations}: no translations for system {args.system!r} "
                            f"and language {language.value!r}")
-        orphans = len(split_orphans(texts, index))
+        orphans = len(split_orphans(groups[args.system, language], index))
     scores = parse_scores(args.scores, index)
     doc = build_metrics_doc(suite, scores, args.system, language, threshold=args.threshold,
                             orphan_translations=orphans)

@@ -378,39 +378,50 @@ def _duplicate(key: tuple, path: str, number: int, first: int) -> DuplicateRecor
     return DuplicateRecord(f"{path}:{number}: duplicate record for {key} (first seen on line {first})")
 
 
-def parse_translations(path: str | Path) -> dict[tuple[str, Language], dict[str, str]]:
+def parse_translations(
+    path: str | Path,
+    ids: Iterable[str] = (),
+    *,
+    system: str | None = None,
+    language: Language | None = None,
+) -> dict[tuple[str, Language], dict[str, str]]:
     """Parse and validate a translations file into one id -> text map per (system, language).
 
     The groups are ordered by system, then language code; each map keeps the
-    order in which the file first gives its ids. Raises ParseError (with line
-    number) on malformed lines or languages outside the closed is/cs/es set,
-    and DuplicateRecord when one (system, lang, id) key appears twice.
+    order in which the file first gives its ids. A map's key is the string of
+    `ids` (say, the suite's instance ids) that it equals, so a suite's ids are
+    not held twice. With `system` or `language`, only the groups of that
+    system and language are returned, and no text of another group is kept;
+    every line is still checked. Raises ParseError (with line number) on
+    malformed lines or languages outside the closed is/cs/es set, and
+    DuplicateRecord when one (system, lang, id) key appears twice.
     """
     from array import array  # here, so that `import gnt.cli` loads no module that only a read of translations uses
 
     path = str(path)
-    groups: dict[tuple[str, Language], dict[str, str]] = {}
-    # the line each group's ids were first read on, in the order of its map's keys: the file is read once
-    lines: dict[tuple[str, Language], array[int]] = {}
+    # per group: its map; the line each of its ids was first read on, in the order of the map's keys, so the file is
+    # read once; and whether it is returned. A group that is not keeps its ids, for the duplicate check, and no text.
+    groups: dict[tuple[str, Language], tuple[dict[str, str | None], array[int], bool]] = {}
     # one string per system id and per instance id, shared by every group that names it
-    strings: dict[str, str] = {}
+    strings: dict[str, str] = {instance_id: instance_id for instance_id in ids}
     for number, record in _read_lines(path):
-        system, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
-        language = _LANGUAGES.get(lang.lower())
-        if language is None:
+        name, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
+        member = _LANGUAGES.get(lang.lower())
+        if member is None:
             raise ParseError(f"unknown language {lang!r}", path, number)
-        key = (strings.setdefault(system, system), language)
-        texts = groups.get(key)
-        if texts is None:
-            texts = groups[key] = {}
-            lines[key] = array("I")
+        key = (strings.setdefault(name, name), member)
+        group = groups.get(key)
+        if group is None:
+            keep = (system is None or name == system) and (language is None or member is language)
+            group = groups[key] = ({}, array("I"), keep)
+        texts, lines, keep = group
         size = len(texts)
-        texts.setdefault(strings.setdefault(instance_id, instance_id), text)
+        texts.setdefault(strings.setdefault(instance_id, instance_id), text if keep else None)
         if len(texts) == size:
-            first = lines[key][list(texts).index(instance_id)]
-            raise _duplicate((system, language.value, instance_id), path, number, first)
-        lines[key].append(number)
-    return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
+            raise _duplicate((name, member.value, instance_id), path, number, lines[list(texts).index(instance_id)])
+        lines.append(number)
+    kept = sorted((key for key, (_, _, keep) in groups.items() if keep), key=lambda key: (key[0], key[1].value))
+    return {key: groups[key][0] for key in kept}
 
 
 def split_orphans(texts: Iterable[str], known_ids: Container[str]) -> list[str]:

@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Container, Mapping
+from typing import Container
 
 from .classify import GenderLabel, SlotScore, classify_instance
 from .errors import EmptySelection, GntError, InvalidThreshold
@@ -39,11 +39,15 @@ from .report import render_report
 from .suite import SuiteManifest, TestInstance, generate_suite
 
 
-def score_suite(suite: list[TestInstance], texts: Mapping[str, str], resources: LanguageResources) -> list[SlotScore]:
-    """Classify the slots of every suite instance that `texts` (instance id -> translation) translates."""
+def score_suite(suite: list[TestInstance], texts: dict[str, str], resources: LanguageResources) -> list[SlotScore]:
+    """Classify the slots of every suite instance that `texts` (instance id -> translation) translates.
+
+    Consumes `texts`: each suite instance's text is taken out of the map as it is classified (suite ids are unique),
+    so afterwards the map holds only the ids that no suite instance has.
+    """
     scores: list[SlotScore] = []
     for instance in suite:
-        text = texts.get(instance.id)
+        text = texts.pop(instance.id, None)
         if text is not None:
             scores.extend(classify_instance(instance, text, resources))
     return scores
@@ -52,10 +56,11 @@ def score_suite(suite: list[TestInstance], texts: Mapping[str, str], resources: 
 def score_group(
     suite: list[TestInstance],
     known_ids: Container[str],
-    texts: Mapping[str, str],
+    texts: dict[str, str],
     resources: LanguageResources,
 ) -> tuple[list[SlotScore], int]:
-    """Score one (system, language) group's id -> text map: (scores, number of ids that `known_ids` lacks)."""
+    """Score one (system, language) group's id -> text map, which `score_suite` consumes: (scores, number of ids
+    that `known_ids` lacks)."""
     orphans = split_orphans(texts, known_ids)
     return score_suite(suite, texts, resources), len(orphans)
 
@@ -172,7 +177,12 @@ def run_pipeline(
 
     suite = generate_suite(manifest, seed)
     write_suite(suite, out / "suite.jsonl")
-    groups = parse_translations(translations_path)
+    # nothing after the suite file reads an instance's bindings
+    for instance in suite:
+        instance.bindings.clear()
+    # a dict of the suite's ids takes less memory than a set of them
+    known_ids = {instance.id: instance for instance in suite}
+    groups = parse_translations(translations_path, known_ids)
     owners: dict[str, str] = {}
     for system, _ in groups:
         owner = owners.setdefault(_slug(system), system)
@@ -181,8 +191,6 @@ def run_pipeline(
     languages = dict.fromkeys(language for _, language in groups)  # in group order: the first unloadable one is named
     resources = {language: load_language_resources(lexicon_dir, language) for language in languages}
 
-    # a dict of the suite's ids takes less memory than a set of them
-    known_ids = {instance.id: instance for instance in suite}
     reports = []
     for system, language in list(groups):
         # out of `groups`, so this group's texts are released once it is scored

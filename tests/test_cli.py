@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from enum import Enum
 from pathlib import Path
@@ -319,8 +320,8 @@ def test_run_frees_each_groups_translations_once_it_is_scored(tmp_path, monkeypa
         gc.collect()
         return sum(1 for obj in gc.get_objects() if type(obj) is TranslationRecord)
 
-    def parse_weakly(path):
-        groups = {key: _Texts(texts) for key, texts in parse(path).items()}
+    def parse_weakly(path, *args, **kwargs):
+        groups = {key: _Texts(texts) for key, texts in parse(path, *args, **kwargs).items()}
         maps.extend(weakref.ref(texts) for texts in groups.values())
         return groups
 
@@ -337,6 +338,40 @@ def test_run_frees_each_groups_translations_once_it_is_scored(tmp_path, monkeypa
     assert before == 0
     assert entries == [(0, [True, True, True]), (0, [False, True, True]), (0, [False, False, True])]
     assert [ref() for ref in maps] == [None, None, None]
+
+
+def test_run_scores_each_group_on_the_suites_own_ids_and_holds_no_bindings(tmp_path, monkeypatch):
+    """Once the suite file is written, the run's instances hold no bindings; each group's map is keyed by the suite's
+    own id strings, and once `score_suite` has scored it, it holds exactly the group's orphan ids."""
+    score_group, score_suite = gnt.pipeline.score_group, gnt.pipeline.score_suite
+    entries: list[tuple[bool, bool]] = []
+    left: list[list[str]] = []
+
+    def watched(suite, known_ids, texts, resources):
+        translated = [key for key in texts if key in known_ids]
+        entries.append((all(instance.bindings == {} for instance in suite),
+                        bool(translated) and all(key is known_ids[key].id for key in translated)))
+        return score_group(suite, known_ids, texts, resources)
+
+    def scored(suite, texts, resources):
+        scores = score_suite(suite, texts, resources)
+        left.append(list(texts))
+        return scores
+
+    monkeypatch.setattr(gnt.pipeline, "score_group", watched)
+    monkeypatch.setattr(gnt.pipeline, "score_suite", scored)
+    translations = _echo_translations(tmp_path, ("es", "cs"))
+    orphans = {"es": ["orphan-1", "orphan-2"], "cs": ["orphan-3"]}
+    with translations.open("a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"system": "echo", "lang": lang, "id": instance_id, "text": "x"}) + "\n"
+                      for lang, ids in orphans.items() for instance_id in ids)
+    assert main(_run_argv(translations, tmp_path / "out")) == 0
+    assert entries == [(True, True), (True, True)]
+    assert left == [orphans["cs"], orphans["es"]]  # cs is scored first
+    # the suite file was written with every instance's bindings
+    expected = tmp_path / "expected.jsonl"
+    write_suite(generate_suite(parse_manifest(demo_manifest_path())), expected)
+    assert (tmp_path / "out" / "suite.jsonl").read_bytes() == expected.read_bytes()
 
 
 def _tree(directory: Path) -> dict[str, bytes]:
@@ -409,6 +444,73 @@ def test_split_path_counts_the_orphans_of_its_group(tmp_path, suite_path, capsys
     assert capsys.readouterr().err == (
         f"error: {translations}: no translations for system 'nobody' and language 'cs'\n")
     assert not (tmp_path / "m.json").exists()
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """The traced peak of Python allocations, in bytes, while `gnt` runs `argv`."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_and_metrics_keep_the_texts_of_their_group_only(tmp_path, suite_path):
+    """`score` and `metrics --translations` on a three-group file peak as on the file of their group alone."""
+    suite = generate_suite(parse_manifest(demo_manifest_path()))
+    own = [TranslationRecord("echo", Language.ES, instance.id, instance.source_text) for instance in suite]
+    # the texts of the other two groups weigh 2 x 4,000 bytes per instance
+    others = [TranslationRecord(system, language, instance.id, "x" * 4000)
+              for system, language in (("echo", Language.CS), ("other", Language.ES)) for instance in suite]
+    one, three = tmp_path / "one.jsonl", tmp_path / "three.jsonl"
+    write_translations(own, one)
+    write_translations(others[:len(suite)] + own + others[len(suite):], three)
+    other_bytes = sum(len(record.target_text) for record in others)
+
+    def peaks(translations: Path) -> tuple[int, int]:
+        scores = tmp_path / f"scores_{translations.stem}.jsonl"
+        score = _traced_peak(["score", "--suite", str(suite_path), "--translations", str(translations),
+                              "--lexicon-dir", str(lexicon_dir()), "--lang", "es", "--system", "echo",
+                              "--out", str(scores)])
+        metrics = _traced_peak(["metrics", "--scores", str(scores), "--suite", str(suite_path), "--system", "echo",
+                                "--lang", "es", "--translations", str(translations),
+                                "--out", str(tmp_path / f"metrics_{translations.stem}.json")])
+        return score, metrics
+
+    peaks(one)  # a first run loads what any run loads once
+    alone, among = peaks(one), peaks(three)
+    assert all(b - a < other_bytes / 4 for a, b in zip(alone, among)), (alone, among, other_bytes)
+    for name in ("scores_{}.jsonl", "metrics_{}.json"):
+        assert (tmp_path / name.format("one")).read_bytes() == (tmp_path / name.format("three")).read_bytes()
+
+
+def test_score_lists_the_languages_systems_and_checks_every_group(tmp_path, suite_path, capsys):
+    """Without --system, the language's several systems are named; a duplicate in a group that is not scored is
+    still the duplicate message."""
+    translations = _echo_translations(tmp_path, ("es", "cs"))
+    lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines += [line.replace('"echo"', '"other"') for line in lines if '"cs"' in line]
+    translations.write_text("".join(lines), encoding="utf-8")
+    argv = ["score", "--suite", str(suite_path), "--translations", str(translations),
+            "--lexicon-dir", str(lexicon_dir()), "--out", str(tmp_path / "scores.jsonl")]
+    capsys.readouterr()
+    assert main(argv + ["--lang", "cs"]) == 2
+    assert capsys.readouterr().err == "error: translations carry several systems (echo, other); pass --system\n"
+    assert main(argv + ["--lang", "es"]) == 0
+
+    lines.append(lines[-1])
+    translations.write_text("".join(lines), encoding="utf-8")
+    record = json.loads(lines[-1])
+    message = (f"{translations}:{len(lines)}: duplicate record for {('other', 'cs', record['id'])} "
+               f"(first seen on line {len(lines) - 1})")
+    capsys.readouterr()
+    assert main(argv + ["--lang", "es", "--system", "echo"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["metrics", "--scores", str(tmp_path / "scores.jsonl"), "--suite", str(suite_path),
+                 "--system", "echo", "--lang", "es", "--translations", str(translations),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _gnt_enums() -> list[type[Enum]]:

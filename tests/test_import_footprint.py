@@ -27,6 +27,9 @@ SRC = Path(gnt.__file__).resolve().parents[1]
 HTTP_CLIENT = ("urllib.request", "urllib.error", "http.client", "ssl", "hashlib")
 # what a plain http: request loads, on its first request, and nothing else does
 SOCKET = ("socket",)
+# what a cmd: translate loads, on its first batch, and nothing else does. With selectors, which socket loads too, they
+# were 0.53 MB of `import gnt.cli`.
+SUBPROCESS = ("subprocess", "signal")
 # `dataclasses` and the modules it alone pulls in: gnt's records are NamedTuples and slotted classes, so that no
 # command pays for building them with it (`import gnt.cli` took 58 ms with it, 31 ms without, by -X importtime on
 # a 2-core host).
@@ -42,9 +45,9 @@ print(json.dumps({"code": code, "loaded": [name for name in json.loads(sys.argv[
 
 
 def _gnt(*argv: str, env: dict[str, str] | None = None) -> tuple[int, list[str]]:
-    """Run one gnt command in a fresh interpreter: its exit code and which of HTTP_CLIENT, SOCKET and
+    """Run one gnt command in a fresh interpreter: its exit code and which of HTTP_CLIENT, SOCKET, SUBPROCESS and
     DATACLASS_MACHINERY it loaded."""
-    watched = HTTP_CLIENT + SOCKET + DATACLASS_MACHINERY
+    watched = HTTP_CLIENT + SOCKET + SUBPROCESS + DATACLASS_MACHINERY
     done = subprocess.run([sys.executable, "-I", "-c", _RUN, str(SRC), json.dumps(argv), json.dumps(watched)],
                           capture_output=True, text=True, timeout=120, check=True, env=env)
     result = json.loads(done.stdout.splitlines()[-1])
@@ -58,16 +61,22 @@ def _translate(suite_file: Path, out: Path, adapter: str, *flags: str,
 
 
 def test_no_command_but_an_http_translate_loads_the_http_client(tmp_path):
-    """None of these loads the HTTP client or socket, and none loads the dataclass machinery."""
+    """None of these loads the HTTP client or socket, only a cmd: translate loads subprocess, and none loads the
+    dataclass machinery."""
     suite_file = tmp_path / "suite.jsonl"
     assert _gnt("generate", "--manifest", str(demo_manifest_path()), "--out", str(suite_file)) == (0, [])
     assert _gnt("validate", "--suite", str(suite_file)) == (0, [])
-    assert _translate(suite_file, tmp_path / "tr.jsonl", "cmd:cat") == (0, [])
+    assert _translate(suite_file, tmp_path / "tr.jsonl", "cmd:cat") == (0, list(SUBPROCESS))
     translations = tmp_path / "echo.jsonl"
     write_translations([TranslationRecord("echo", Language.ES, instance.id, instance.source_text)
                         for instance in generate_suite(parse_manifest(demo_manifest_path()))], translations)
     assert _gnt("run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(tmp_path / "out")) == (0, [])
+    scores = tmp_path / "scores.jsonl"
+    assert _gnt("score", "--suite", str(suite_file), "--translations", str(translations), "--lang", "es",
+                "--lexicon-dir", str(lexicon_dir()), "--out", str(scores)) == (0, [])
+    assert _gnt("metrics", "--scores", str(scores), "--suite", str(suite_file), "--lang", "es", "--system", "echo",
+                "--translations", str(translations), "--out", str(tmp_path / "metrics.json")) == (0, [])
 
 
 class _Echo(BaseHTTPRequestHandler):
@@ -109,9 +118,9 @@ def test_an_http_translate_loads_the_client_from_a_window_of_two(tmp_path):
     suite_file = tmp_path / "suite.jsonl"
     write_suite(generate_suite(parse_manifest(demo_manifest_path())), suite_file)
     http, targets, _ = _translate_through_echo(suite_file, tmp_path / "http.jsonl", proxy=False)
-    assert http == (0, list(SOCKET))  # none of HTTP_CLIENT, and none of DATACLASS_MACHINERY
+    assert http == (0, list(SOCKET))  # none of HTTP_CLIENT, SUBPROCESS or DATACLASS_MACHINERY
     assert targets == {"/translate"}
-    assert _translate(suite_file, tmp_path / "cmd.jsonl", "cmd:cat") == (0, [])
+    assert _translate(suite_file, tmp_path / "cmd.jsonl", "cmd:cat") == (0, list(SUBPROCESS))
     assert (tmp_path / "http.jsonl").read_bytes() == (tmp_path / "cmd.jsonl").read_bytes()
 
 

@@ -368,6 +368,26 @@ def test_parse_translations_shares_one_id_string_across_groups(tmp_path):
     assert len({id(system) for system, _ in groups}) == 2
 
 
+def test_parse_translations_keys_its_maps_by_the_given_ids_and_keeps_the_asked_groups(tmp_path):
+    path = tmp_path / "translations.jsonl"
+    path.write_text("".join(
+        json.dumps({"system": system, "lang": lang, "id": f"T7-{i:06d}a", "text": f"{system}-{lang}-{i}"}) + "\n"
+        for system in ("a", "b") for lang in ("es", "cs") for i in range(3)
+    ), encoding="utf-8")
+    ids = ["".join(("T7-", f"{i:06d}a")) for i in range(2)]  # built at run time, so no literal shares them
+    groups = parse_translations(path, ids)
+    assert len(groups) == 4
+    for texts in groups.values():
+        keys = list(texts)
+        assert keys[0] is ids[0] and keys[1] is ids[1] and keys[2] == "T7-000002a"
+    assert groups == parse_translations(path)
+    assert parse_translations(path, system="b", language=Language.CS) == {
+        ("b", Language.CS): {f"T7-{i:06d}a": f"b-cs-{i}" for i in range(3)}}
+    assert list(parse_translations(path, language=Language.ES)) == [("a", Language.ES), ("b", Language.ES)]
+    assert list(parse_translations(path, system="a")) == [("a", Language.CS), ("a", Language.ES)]
+    assert parse_translations(path, system="c") == {}
+
+
 @pytest.mark.parametrize("line", ['{"id": "x"} trailing', '\ufeff{"id": "x"}', "not json", '{"id": ', '{"id": "x"}}'],
                          ids=["extra-data", "byte-order-mark", "not-json", "cut", "extra-brace"])
 def test_an_invalid_json_line_carries_the_decoder_message(tmp_path, line):
