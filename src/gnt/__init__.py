@@ -4,7 +4,6 @@ gender-neutral machine translation evaluation."""
 from .adapter import AdapterConfig, AdapterKind, translate_suite
 from .classify import GenderLabel, SlotScore, classify_instance, classify_slot, normalize
 from .formats import (
-    TranslationRecord,
     parse_manifest,
     parse_scores,
     parse_suite,

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import BackendUnavailable, GntError, IncompleteBatch, ProtocolViolation
-from .formats import TranslationRecord, parse_translations, translation_line
+from .formats import parse_translations, translation_line
 from .lexicon import Language
 from .suite import TestInstance
 
@@ -416,8 +416,8 @@ def translate_suite(
     config: AdapterConfig,
     resume_path: str | Path | None = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[TranslationRecord]:
-    """Collect one TranslationRecord per instance from the configured backend.
+) -> dict[str, str]:
+    """Collect each instance's translation from the configured backend, as an id -> text map in id order.
 
     The suite is read as batches are needed: up to
     `config.max_concurrent_batches` batches are in flight at once, the calling
@@ -430,13 +430,13 @@ def translate_suite(
     read counts as that batch's failure. After the first failure no new batch
     starts, not even one that was being read when it occurred; batches in
     flight finish, and the error of the lowest-numbered failed batch is
-    raised. When `resume_path` is given, completed records are appended there
-    after every batch, in completion order, and a rerun only requests the ids
-    still missing. Raises IncompleteBatch when a reply skips ids,
-    ProtocolViolation on malformed or foreign reply lines, and
-    BackendUnavailable once retries are exhausted. The records are sorted by
-    id, whatever the window. The suite's iterator is closed on every exit, so
-    a suite read from a file leaves no file open.
+    raised. When `resume_path` is given, each batch's translations are
+    appended there as it completes, in completion order, and a rerun only
+    requests the ids that the file lacks for this system and language. Raises
+    IncompleteBatch when a reply skips ids, ProtocolViolation on malformed or
+    foreign reply lines, and BackendUnavailable once retries are exhausted.
+    The map is in id order, whatever the window. The suite's iterator is
+    closed on every exit, so a suite read from a file leaves no file open.
     """
     if config.kind is AdapterKind.EXTERNAL_COMMAND:
         # imported before any batch thread starts: imported by the first batch, beside a thread reading the suite, a
@@ -444,16 +444,17 @@ def translate_suite(
         import subprocess  # noqa: F401  (_run_command imports it where it is used)
     instances = iter(suite)
     # one lock for pulling from the suite, one for the results, so a batch whose reply has arrived
-    # persists its records while another thread reads the next batch
+    # persists its translations while another thread reads the next batch
     read_lock = threading.Lock()
     done_lock = threading.Lock()
     try:
-        done: dict[str, TranslationRecord] = {}
+        key = (config.system_id, config.language)
+        done: dict[str, str] = {}
         resume = Path(resume_path) if resume_path else None
         if resume and resume.exists():
             _drop_torn_line(resume)
-            for instance_id, text in parse_translations(resume).get((config.system_id, config.language), {}).items():
-                done[instance_id] = TranslationRecord(config.system_id, config.language, instance_id, text)
+            # only this group's texts are kept: a .partial shared with other systems or languages holds theirs too
+            done = parse_translations(resume, system=config.system_id, language=config.language).get(key, done)
         resumed = set(done)
 
         def batches():
@@ -501,16 +502,12 @@ def translate_suite(
                     # the batch's own id strings stay the keys, so the reply's copies of them are released
                     translations = _decode_reply(reply, ids)
                     del reply, ids
-                    records = [
-                        TranslationRecord(config.system_id, config.language, instance_id, text)
-                        for instance_id, text in translations.items()
-                        if text is not None
-                    ]
+                    texts = {instance_id: text for instance_id, text in translations.items() if text is not None}
                     with done_lock:
                         # persist before any later batch gets the chance to fail the run
-                        if resume and records:
-                            _append_records(resume, records)
-                        done.update((record.instance_id, record) for record in records)
+                        if resume and texts:
+                            _append_records(resume, key, texts)
+                        done.update(texts)
                         missing.extend(instance_id for instance_id, text in translations.items() if text is None)
             except BaseException as exc:  # an interrupt too; the calling thread re-raises it
                 with done_lock:
@@ -527,16 +524,17 @@ def translate_suite(
             raise errors[min(errors)]
         if missing:
             raise IncompleteBatch(sorted(missing))
-        return sorted(done.values(), key=lambda record: record.instance_id)
+        return {instance_id: done[instance_id] for instance_id in sorted(done)}
     finally:
         if hasattr(instances, "close"):
             with read_lock:  # a helper that outlived an interrupt may be reading
                 instances.close()
 
 
-def _append_records(path: Path, records: list[TranslationRecord]) -> None:
+def _append_records(path: Path, key: tuple[str, Language], texts: dict[str, str]) -> None:
+    system, language = key
     with open(path, "a", encoding="utf-8") as fh:
-        fh.writelines(translation_line(record) for record in records)
+        fh.writelines(translation_line(system, language, instance_id, text) for instance_id, text in texts.items())
         # durable once the batch counts as done, so a crash loses at most the batches in flight
         fh.flush()
         os.fsync(fh.fileno())

@@ -96,17 +96,18 @@ def _cmd_translate(args) -> int:
         raise GntError(f"--out directory {str(out.parent)!r} is not an existing directory")
     if out.is_dir():
         raise GntError(f"--out {args.out!r} is a directory, not a file")
-    if args.batch_size is None and config.kind is AdapterKind.EXTERNAL_COMMAND:
-        # every spawn pays a start-up, perhaps a model load: one batch per window slot
+    # every spawn pays a start-up, perhaps a model load: one batch per window slot. A pipe can be read only once, so
+    # only a regular file is counted; a suite read from anything else gets translate_suite's default.
+    if args.batch_size is None and config.kind is AdapterKind.EXTERNAL_COMMAND and os.path.isfile(args.suite):
         batch_size = -(-_count_lines(args.suite) // config.max_concurrent_batches)
         # through the constructor, so that a default timeout follows the new batch size
         config = AdapterConfig(*config._replace(batch_size=max(1, batch_size), timeout=args.timeout))
     resume = Path(str(args.out) + ".partial")
     # read lazily, so the first batches are in flight while the rest of the suite is read
-    records = translate_suite(iter_suite(args.suite), config, resume_path=resume)
-    write_translations(records, args.out)
+    texts = translate_suite(iter_suite(args.suite), config, resume_path=resume)
+    write_translations({(config.system_id, config.language): texts}, args.out)
     resume.unlink(missing_ok=True)
-    print(f"wrote {len(records)} translations to {args.out}")
+    print(f"wrote {len(texts)} translations to {args.out}")
     return 0
 
 

@@ -16,7 +16,7 @@ from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, Mapping
 
 from .classify import GenderLabel, SlotScore
 from .errors import DuplicateRecord, ParseError, ProtocolViolation
@@ -351,24 +351,23 @@ def parse_suite(path: str | Path) -> list[TestInstance]:
 # --- translations --------------------------------------------------------------
 
 
-class TranslationRecord(NamedTuple):
-    system_id: str
-    language: Language
-    instance_id: str
-    target_text: str
-
-
-def translation_line(record: TranslationRecord) -> str:
+def translation_line(system: str, language: Language, instance_id: str, text: str) -> str:
     """One translations-file line, newline included."""
     return (
-        f'{{"system": {_str(record.system_id)}, "lang": {_TEXT[record.language]}, '
-        f'"id": {_str(record.instance_id)}, "text": {_str(record.target_text)}}}\n'
+        f'{{"system": {_str(system)}, "lang": {_TEXT[language]}, '
+        f'"id": {_str(instance_id)}, "text": {_str(text)}}}\n'
     )
 
 
-def write_translations(records: Iterable[TranslationRecord], path: str | Path) -> None:
+def write_translations(groups: Mapping[tuple[str, Language], Mapping[str, str]], path: str | Path) -> None:
+    """Write one id -> text map per (system, language), in mapping order: the shape `parse_translations` returns.
+
+    It is the reader's inverse: writing back what `parse_translations` read reproduces, byte for byte, a file
+    written this way with its groups in the reader's order (by system, then language code).
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(translation_line(record) for record in records)
+        for (system, language), texts in groups.items():
+            fh.writelines(translation_line(system, language, instance_id, text) for instance_id, text in texts.items())
 
 
 _TRANSLATION = {"system": (str,), "lang": (str,), "id": (str,), "text": (str,)}

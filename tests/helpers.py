@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gnt import DescriptorPair, Language, StrategyBreakdown, SuiteManifest, TranslationRecord, parse_translations
+from gnt import DescriptorPair, Language, StrategyBreakdown, SuiteManifest
 from gnt.lexicon import (
     AltPhraseEntry,
     FormGender,
@@ -14,15 +14,6 @@ from gnt.lexicon import (
     PatternKind,
 )
 from gnt.suite import TestInstance
-
-
-def read_records(path) -> list[TranslationRecord]:
-    """A translations file's records: group by group as `parse_translations` orders them, each in file order."""
-    return [
-        TranslationRecord(system, language, instance_id, text)
-        for (system, language), texts in parse_translations(path).items()
-        for instance_id, text in texts.items()
-    ]
 
 
 def instance_to_dict(instance: TestInstance) -> dict:

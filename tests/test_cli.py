@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from enum import Enum
@@ -24,7 +25,6 @@ from gnt import (
     Language,
     SlotScore,
     TemplateFamily,
-    TranslationRecord,
     adapter,
     expand_template,
     generate_suite,
@@ -37,7 +37,6 @@ from gnt.cli import build_parser, main
 from gnt.errors import DuplicateRecord
 from gnt.data import demo_manifest_path, lexicon_dir
 from conftest import GOLDEN, backend_command
-from helpers import read_records
 
 
 @pytest.fixture()
@@ -275,10 +274,7 @@ def _echo_translations(tmp_path, langs: tuple[str, ...]) -> Path:
     """A translations file that copies the demo suite's English source for each of `langs`."""
     suite = generate_suite(parse_manifest(demo_manifest_path()))
     path = tmp_path / "translations.jsonl"
-    write_translations(
-        [TranslationRecord("echo", Language(lang), instance.id, instance.source_text) for lang in langs for instance in suite],
-        path,
-    )
+    write_translations({("echo", Language(lang)): {i.id: i.source_text for i in suite} for lang in langs}, path)
     return path
 
 
@@ -310,15 +306,11 @@ class _Texts(dict):
 
 
 def test_run_frees_each_groups_translations_once_it_is_scored(tmp_path, monkeypatch):
-    """At each group's entry no TranslationRecord is alive, and the maps of the groups scored before it are dead."""
+    """At each group's entry the maps of the groups scored before it are dead."""
     parse = gnt.pipeline.parse_translations
     score_group = gnt.pipeline.score_group
     maps: list[weakref.ref] = []
-    entries: list[tuple[int, list[bool]]] = []
-
-    def records_alive() -> int:
-        gc.collect()
-        return sum(1 for obj in gc.get_objects() if type(obj) is TranslationRecord)
+    entries: list[list[bool]] = []
 
     def parse_weakly(path, *args, **kwargs):
         groups = {key: _Texts(texts) for key, texts in parse(path, *args, **kwargs).items()}
@@ -326,17 +318,15 @@ def test_run_frees_each_groups_translations_once_it_is_scored(tmp_path, monkeypa
         return groups
 
     def watched(*args, **kwargs):
-        records = records_alive()
-        entries.append((records, [ref() is not None for ref in maps]))
+        gc.collect()
+        entries.append([ref() is not None for ref in maps])
         return score_group(*args, **kwargs)
 
     monkeypatch.setattr(gnt.pipeline, "parse_translations", parse_weakly)
     monkeypatch.setattr(gnt.pipeline, "score_group", watched)
     translations = _echo_translations(tmp_path, ("es", "cs", "is"))
-    before = records_alive()
     assert main(_run_argv(translations, tmp_path / "out")) == 0
-    assert before == 0
-    assert entries == [(0, [True, True, True]), (0, [False, True, True]), (0, [False, False, True])]
+    assert entries == [[True, True, True], [False, True, True], [False, False, True]]
     assert [ref() for ref in maps] == [None, None, None]
 
 
@@ -459,14 +449,13 @@ def _traced_peak(argv: list[str]) -> int:
 def test_score_and_metrics_keep_the_texts_of_their_group_only(tmp_path, suite_path):
     """`score` and `metrics --translations` on a three-group file peak as on the file of their group alone."""
     suite = generate_suite(parse_manifest(demo_manifest_path()))
-    own = [TranslationRecord("echo", Language.ES, instance.id, instance.source_text) for instance in suite]
+    own = {instance.id: instance.source_text for instance in suite}
     # the texts of the other two groups weigh 2 x 4,000 bytes per instance
-    others = [TranslationRecord(system, language, instance.id, "x" * 4000)
-              for system, language in (("echo", Language.CS), ("other", Language.ES)) for instance in suite]
+    other = {instance.id: "x" * 4000 for instance in suite}
     one, three = tmp_path / "one.jsonl", tmp_path / "three.jsonl"
-    write_translations(own, one)
-    write_translations(others[:len(suite)] + own + others[len(suite):], three)
-    other_bytes = sum(len(record.target_text) for record in others)
+    write_translations({("echo", Language.ES): own}, one)
+    write_translations({("echo", Language.CS): other, ("echo", Language.ES): own, ("other", Language.ES): other}, three)
+    other_bytes = 2 * sum(map(len, other.values()))
 
     def peaks(translations: Path) -> tuple[int, int]:
         scores = tmp_path / f"scores_{translations.stem}.jsonl"
@@ -739,7 +728,7 @@ def test_translate_batch_size_defaults_to_the_adapter_default(tmp_path, suite_pa
     args = build_parser().parse_args(argv)
     assert args.batch_size is None and args.timeout is None
     configs = []
-    monkeypatch.setattr(gnt.cli, "translate_suite", lambda suite, config, resume_path: configs.append(config) or [])
+    monkeypatch.setattr(gnt.cli, "translate_suite", lambda suite, config, resume_path: configs.append(config) or {})
     assert main(argv + flags) == 0
     assert (configs[0].batch_size, configs[0].timeout) == (batch_size, timeout)
 
@@ -838,7 +827,7 @@ def test_a_bad_line_fails_its_batch_after_the_batches_before_it_are_sent(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith(f"error: {suite_path}:20: ") and message in err and "Traceback" not in err
     # batches 0 and 1 were sent and persisted; no id of batch 2 or after reached the backend
-    assert sorted(record.instance_id for record in read_records(partial)) == sorted(ids[:16])
+    assert sorted(parse_translations(partial)["s", Language.ES]) == sorted(ids[:16])
     assert _received_ids(first_run) == sorted(ids[:16])
     assert not out.exists()
 
@@ -986,7 +975,36 @@ def test_a_default_cmd_batch_is_one_window_slot_of_the_suite(tmp_path, flags, si
                  "--system", "s", "--out", str(out)] + flags) == 0
     assert _batch_sizes(log) == sizes
     assert _received_ids(log) == ids
-    assert [record.instance_id for record in read_records(out)] == ids
+    assert list(parse_translations(out)["s", Language.ES]) == ids
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names the pipe /dev/fd/N, as a shell's <(...) does")
+def test_a_piped_suite_is_read_once_in_the_default_cmd_batches(tmp_path):
+    """A suite given as `<(cat suite.jsonl)` can be read only once: it is not counted, and goes out in
+    translate_suite's default batches of 1,024 ids, to the bytes of a run on the file."""
+    suite = tmp_path / "suite.jsonl"
+    _t7_suite(suite, 2100)
+    argv = ["translate", "--lang", "es", "--system", "s"]
+    clean = tmp_path / "clean.jsonl"
+    assert main(argv + ["--suite", str(suite), "--adapter", "cmd:cat", "--out", str(clean)]) == 0
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(suite.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    log, out = tmp_path / "batches", tmp_path / "tr.jsonl"
+    try:
+        code = main(argv + ["--suite", f"/dev/fd/{read_end}", "--adapter", _logging_backend(log), "--out", str(out)])
+    finally:
+        writer.join(timeout=30)
+        os.close(read_end)
+    assert not writer.is_alive()
+    assert code == 0
+    assert _batch_sizes(log) == [1024, 1024, 52]
+    assert out.read_bytes() == clean.read_bytes()
 
 
 def test_a_resumed_run_spawns_at_most_once_per_window_slot(tmp_path):
@@ -997,8 +1015,8 @@ def test_a_resumed_run_spawns_at_most_once_per_window_slot(tmp_path):
     assert main(argv + ["--adapter", "cmd:cat", "--out", str(clean)]) == 0
     out = tmp_path / "tr.jsonl"
     partial = tmp_path / "tr.jsonl.partial"
-    done = read_records(clean)[300:1300]
-    write_translations(done, partial)
+    done = list(parse_translations(clean)["s", Language.ES].items())[300:1300]
+    write_translations({("s", Language.ES): dict(done)}, partial)
     log = tmp_path / "batches"
     assert main(argv + ["--adapter", _logging_backend(log), "--out", str(out)]) == 0
     # the batch is sized from the whole suite: the 1,100 ids left fit in the window's 2 spawns

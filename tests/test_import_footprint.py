@@ -15,7 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import gnt
-from gnt import Language, TranslationRecord, generate_suite, parse_manifest, write_suite, write_translations
+from gnt import Language, generate_suite, parse_manifest, write_suite, write_translations
 from gnt.data import demo_manifest_path, lexicon_dir
 
 SRC = Path(gnt.__file__).resolve().parents[1]
@@ -68,8 +68,8 @@ def test_no_command_but_an_http_translate_loads_the_http_client(tmp_path):
     assert _gnt("validate", "--suite", str(suite_file)) == (0, [])
     assert _translate(suite_file, tmp_path / "tr.jsonl", "cmd:cat") == (0, list(SUBPROCESS))
     translations = tmp_path / "echo.jsonl"
-    write_translations([TranslationRecord("echo", Language.ES, instance.id, instance.source_text)
-                        for instance in generate_suite(parse_manifest(demo_manifest_path()))], translations)
+    suite = generate_suite(parse_manifest(demo_manifest_path()))
+    write_translations({("echo", Language.ES): {i.id: i.source_text for i in suite}}, translations)
     assert _gnt("run", "--manifest", str(demo_manifest_path()), "--translations", str(translations),
                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(tmp_path / "out")) == (0, [])
     scores = tmp_path / "scores.jsonl"

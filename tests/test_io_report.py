@@ -15,7 +15,6 @@ from gnt import (
     GenderLabel,
     Language,
     SlotScore,
-    TranslationRecord,
     generate_suite,
     label_cells,
     parse_manifest,
@@ -433,25 +432,33 @@ def _draw_instance(data) -> SuiteInstance:
 @given(data=st.data())
 def test_each_record_writer_writes_what_the_json_encoder_writes(tmp_path_factory, data):
     instance = _draw_instance(data)
-    translation = TranslationRecord(data.draw(_TEXTS), data.draw(st.sampled_from(Language)),
-                                    data.draw(_TEXTS), data.draw(_TEXTS))
+    # groups as parse_translations orders them: by system, then language code; each map in its drawn order
+    keys = data.draw(st.lists(st.tuples(_TEXTS, st.sampled_from(Language)), min_size=1, max_size=3, unique=True))
+    groups = {key: data.draw(st.dictionaries(_TEXTS, _TEXTS, min_size=1, max_size=3))
+              for key in sorted(keys, key=lambda key: (key[0], key[1].value))}
     score = SlotScore(data.draw(_TEXTS), data.draw(st.integers(0, 10**6)), data.draw(st.sampled_from(GenderLabel)),
                       data.draw(_TEXTS), data.draw(_TEXTS))
     expected = {
-        "suite": instance_to_dict(instance),
-        "translations": {"system": translation.system_id, "lang": translation.language.value,
-                         "id": translation.instance_id, "text": translation.target_text},
-        "scores": {"instance_id": score.instance_id, "slot_index": score.slot_index, "label": score.label.value,
-                   "matched_text": score.matched_text, "rule": score.rule},
+        "suite": [instance_to_dict(instance)],
+        "translations": [{"system": system, "lang": language.value, "id": instance_id, "text": text}
+                         for (system, language), texts in groups.items() for instance_id, text in texts.items()],
+        "scores": [{"instance_id": score.instance_id, "slot_index": score.slot_index, "label": score.label.value,
+                    "matched_text": score.matched_text, "rule": score.rule}],
     }
     base = tmp_path_factory.getbasetemp()
     write_suite([instance], base / "suite.jsonl")
-    write_translations([translation], base / "translations.jsonl")
+    write_translations(groups, base / "translations.jsonl")
     write_scores([score], base / "scores.jsonl")
-    for name, record in expected.items():
+    for name, records in expected.items():
         written = (base / f"{name}.jsonl").read_bytes()
-        assert written == (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"), name
+        assert written == "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records).encode(), name
     assert parse_suite(base / "suite.jsonl") == [instance]
+    # the translations reader and writer are each other's inverse, the order of groups and of ids included
+    parsed = parse_translations(base / "translations.jsonl")
+    assert [(key, list(texts.items())) for key, texts in parsed.items()] == [
+        (key, list(texts.items())) for key, texts in groups.items()]
+    write_translations(parsed, base / "rewritten.jsonl")
+    assert (base / "rewritten.jsonl").read_bytes() == (base / "translations.jsonl").read_bytes()
 
 
 _MANIFEST = json.loads(demo_manifest_path().read_text(encoding="utf-8"))
@@ -840,12 +847,14 @@ def test_a_document_with_a_strategy_breakdown_renders_as_before(tmp_path):
 # --- pipeline ------------------------------------------------------------------------
 
 
-def _fake_system_translations(suite, resources, system="fake", neutral_on_they=True):
+def _fake_system_translations(suite, resources, neutral_on_they=True) -> dict[str, str]:
+    """A fake es system's id -> text map for `suite`: each known adjective's `common` form on a they-dialogue,
+    else its masculine form."""
     forms = {}
     for entry in resources.lexicon.entries:
         slot = forms.setdefault(entry.lemma, {})
         slot.setdefault(entry.form_gender.value, entry.surface_form)
-    records = []
+    texts = {}
     for instance in suite:
         neutral = neutral_on_they and ',"' + " they said" in instance.source_text
         words = []
@@ -854,14 +863,8 @@ def _fake_system_translations(suite, resources, system="fake", neutral_on_they=T
             if lemma in forms:
                 choice = forms[lemma].get("common") if neutral else forms[lemma].get("m")
                 words.append(choice or next(iter(forms[lemma].values())))
-        records.append(
-            TranslationRecord(system, Language.ES, instance.id, " ".join(words) + ".")
-        )
-    return records
-
-
-def _texts(records):
-    return {record.instance_id: record.target_text for record in records}
+        texts[instance.id] = " ".join(words) + "."
+    return texts
 
 
 @pytest.mark.parametrize("slot_index", [-1, False, 1.0, None])
@@ -884,8 +887,7 @@ def test_label_cells_rejects_slot_index_past_the_instance(demo_manifest):
 
 def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    records = _fake_system_translations(suite, es_resources)[:-3]
-    scores = score_suite(suite, _texts(records), es_resources)
+    scores = score_suite(suite, _fake_system_translations(suite[:-3], es_resources), es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     assert doc["coverage"]["missing_translations"] == 3
 
@@ -924,17 +926,14 @@ def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
 
 def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    records = _fake_system_translations(suite, es_resources)[:-3]
-    scores = score_suite(suite, _texts(records), es_resources)
+    scores = score_suite(suite, _fake_system_translations(suite[:-3], es_resources), es_resources)
     assert missing_translations({instance.id: instance for instance in suite}, scores) == 3
-    translated = {record.instance_id for record in records}
-    assert len(scores) == sum(len(i.slots) for i in suite if i.id in translated)
+    assert len(scores) == sum(len(i.slots) for i in suite[:-3])
 
 
 def test_build_metrics_doc_engineered_active_response(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    records = _fake_system_translations(suite, es_resources)
-    scores = score_suite(suite, _texts(records), es_resources)
+    scores = score_suite(suite, _fake_system_translations(suite, es_resources), es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     assert doc["coverage"]["missing_translations"] == 0
     active = doc["active_response"]["macro"]
@@ -953,7 +952,7 @@ def test_build_metrics_doc_engineered_active_response(demo_manifest, es_resource
 def test_run_pipeline_end_to_end(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     translations = tmp_path / "translations.jsonl"
-    write_translations(_fake_system_translations(suite, es_resources), translations)
+    write_translations({("fake", Language.ES): _fake_system_translations(suite, es_resources)}, translations)
     reports = run_pipeline(demo_manifest, translations, lexicon_dir(), tmp_path / "out")
     assert len(reports) == 1
     system, language, report_path = reports[0]
@@ -965,13 +964,11 @@ def test_run_pipeline_end_to_end(tmp_path, demo_manifest, es_resources):
 
 def test_orphan_translations_never_alter_metrics(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    records = _fake_system_translations(suite, es_resources)
+    texts = _fake_system_translations(suite, es_resources)
     clean = tmp_path / "clean.jsonl"
     noisy = tmp_path / "noisy.jsonl"
-    write_translations(records, clean)
-    write_translations(
-        records + [TranslationRecord("fake", Language.ES, "ghost-id", "Soy fuerte.")], noisy
-    )
+    write_translations({("fake", Language.ES): texts}, clean)
+    write_translations({("fake", Language.ES): {**texts, "ghost-id": "Soy fuerte."}}, noisy)
     run_pipeline(demo_manifest, clean, lexicon_dir(), tmp_path / "a")
     run_pipeline(demo_manifest, noisy, lexicon_dir(), tmp_path / "b")
     clean_doc = parse_metrics_doc(tmp_path / "a" / "metrics_fake_es.json")
@@ -983,9 +980,9 @@ def test_orphan_translations_never_alter_metrics(tmp_path, demo_manifest, es_res
 
 def test_run_pipeline_accepts_unknown_systems(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    records = _fake_system_translations(suite, es_resources, system="never-seen-before")
     translations = tmp_path / "translations.jsonl"
-    write_translations(records, translations)
+    write_translations({("never-seen-before", Language.ES): _fake_system_translations(suite, es_resources)},
+                       translations)
     reports = run_pipeline(demo_manifest, translations, lexicon_dir(), tmp_path / "out")
     assert [system for system, _, _ in reports] == ["never-seen-before"]
 
@@ -993,15 +990,14 @@ def test_run_pipeline_accepts_unknown_systems(tmp_path, demo_manifest, es_resour
 def test_run_pipeline_missing_lexicon_dir_fails_in_score_stage(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     translations = tmp_path / "translations.jsonl"
-    write_translations(_fake_system_translations(suite, es_resources), translations)
+    write_translations({("fake", Language.ES): _fake_system_translations(suite, es_resources)}, translations)
     with pytest.raises(InvalidEntry, match="nowhere"):
         run_pipeline(demo_manifest, translations, tmp_path / "nowhere", tmp_path / "out")
 
 
 def test_metrics_doc_write_parse_write_is_byte_identical(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    records = _fake_system_translations(suite, es_resources)
-    scores = score_suite(suite, _texts(records), es_resources)
+    scores = score_suite(suite, _fake_system_translations(suite, es_resources), es_resources)
     doc = build_metrics_doc(suite, scores, "fake", Language.ES)
     first = tmp_path / "metrics.json"
     second = tmp_path / "metrics2.json"

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from gnt import AdapterConfig, GenderCondition, Language, SlotScore, SuiteManifest, TranslationRecord
+from gnt import AdapterConfig, GenderCondition, Language, SlotScore, SuiteManifest
 from gnt.classify import GenderLabel
 from gnt.errors import GntError, InvalidEntry
 from gnt.lexicon import (
@@ -56,10 +56,9 @@ RECORDS = {
     "ResponseReport": lambda: paired_response(_breakdown(), _breakdown()),
     "StereotypeReport": lambda: compute_stereotype_effect(_breakdown(), _breakdown(), _breakdown()),
     "SlotScore": lambda: SlotScore("T1-000000d", 0, GenderLabel.MASCULINE),
-    "TranslationRecord": lambda: TranslationRecord("s", Language.ES, "T1-000000d", "texto"),
     "AdapterConfig": lambda: AdapterConfig.parse_target("cmd:cat", Language.ES, "s"),
 }
-HASHABLE = ("GenderCondition", "StereotypeCondition", "AdjectiveSlot", "SlotScore", "TranslationRecord")
+HASHABLE = ("GenderCondition", "StereotypeCondition", "AdjectiveSlot", "SlotScore")
 
 
 def _fields(record) -> tuple[str, ...]:

@@ -14,9 +14,10 @@ from collections import Counter
 from pathlib import Path
 
 import gnt.pipeline
-from gnt import Language, TranslationRecord, generate_suite, parse_manifest, write_translations
+from gnt import Language, generate_suite, parse_manifest, parse_translations, write_suite, write_translations
 from gnt.cli import main
 from gnt.data import demo_manifest_path, lexicon_dir
+from conftest import backend_command
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -40,8 +41,8 @@ def test_every_trace_point_resolves(monkeypatch):
 def test_gnt_run_calls_every_pipeline_trace_point(tmp_path, monkeypatch):
     suite = generate_suite(parse_manifest(demo_manifest_path()))
     translations = tmp_path / "translations.jsonl"
-    write_translations([TranslationRecord("echo", language, i.id, i.source_text)
-                        for language in (Language.ES, Language.CS) for i in suite], translations)
+    write_translations({("echo", language): {i.id: i.source_text for i in suite}
+                        for language in (Language.ES, Language.CS)}, translations)
 
     calls: Counter = Counter()
     active: Counter = Counter()
@@ -76,3 +77,31 @@ def test_gnt_run_calls_every_pipeline_trace_point(tmp_path, monkeypatch):
     assert {name: calls[name] for name in ("score_suite", "split_orphans", "build_metrics_doc", "write_scores")} == {
         "score_suite": 2, "split_orphans": 2, "build_metrics_doc": 2, "write_scores": 2}
     assert calls["classify_instance"] == 2 * len(suite)
+
+
+def test_gnt_translate_calls_each_translate_trace_point_once(tmp_path, monkeypatch):
+    """A translate that resumes from a .partial reads it, translates and writes once, each through its traced name."""
+    points = [("gnt.cli", "translate_suite"), ("gnt.cli", "write_translations"), ("gnt.adapter", "parse_translations")]
+    traced = {(module_name, attribute) for module_name, attribute, _ in _trace_points(monkeypatch)}
+    assert [point for point in points if point not in traced] == []
+    suite = generate_suite(parse_manifest(demo_manifest_path()))
+    suite_file, out = tmp_path / "suite.jsonl", tmp_path / "translations.jsonl"
+    write_suite(suite, suite_file)
+    texts = {i.id: i.source_text for i in suite}
+    write_translations({("echo", Language.ES): dict(list(texts.items())[:10])}, tmp_path / "translations.jsonl.partial")
+
+    calls: Counter = Counter()
+
+    def counted(point, func):
+        def wrapper(*args, **kwargs):
+            calls[point] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module_name, attribute in points:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attribute, counted((module_name, attribute), getattr(module, attribute)))
+    assert main(["translate", "--suite", str(suite_file), "--adapter", "cmd:" + backend_command(), "--lang", "es",
+                 "--system", "echo", "--out", str(out)]) == 0
+    assert calls == dict.fromkeys(points, 1)
+    assert list(parse_translations(out)["echo", Language.ES].items()) == sorted(texts.items())
