@@ -30,7 +30,7 @@ from .suite import (
     TemplateFamily,
     expand_template,
     generate_suite,
-    quota_key_for_slot,
+    quota_key,
     validate_balance,
 )
 

@@ -13,11 +13,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import GenderLabel, SlotScore
 from .errors import EmptySelection, GntError
-from .suite import TestInstance, quota_key_for_slot
+from .suite import TestInstance
 
 DEFAULT_SIGNIFICANCE_THRESHOLD = 0.07
 
-_STRATEGY_LABELS = (
+# the labels whose shares are the fields m, f, n1..n5 of a breakdown, in that order
+_SHARE_LABELS = (
+    GenderLabel.MASCULINE,
+    GenderLabel.FEMININE,
     GenderLabel.N1_COMMON_FORM,
     GenderLabel.N2_NEUTER_CASE,
     GenderLabel.N3_ALT_PART_OF_SPEECH,
@@ -59,38 +62,22 @@ class StrategyBreakdown(NamedTuple):
         """Shares of each label; an empty selection (no classified slot) has all shares 0."""
         u_count = labels.get(GenderLabel.UNMATCHED, 0)
         classified = sum(count for label, count in labels.items() if label is not GenderLabel.UNMATCHED)
-        total = classified + u_count
-
-        def share(label: GenderLabel) -> Fraction:
-            # with no classified slot every count is 0, and so is every share
-            return Fraction(labels.get(label, 0), classified or 1)
-
-        strategies = tuple(share(label) for label in _STRATEGY_LABELS)
-        return cls(
-            m=share(GenderLabel.MASCULINE),
-            f=share(GenderLabel.FEMININE),
-            n=sum(strategies),
-            n1=strategies[0],
-            n2=strategies[1],
-            n3=strategies[2],
-            n4=strategies[3],
-            n5=strategies[4],
-            u=Fraction(u_count, total or 1),
-            count=classified,
-            u_count=u_count,
-        )
+        # with no classified slot every count is 0, and so is every share
+        m, f, *strategies = (Fraction(labels.get(label, 0), classified or 1) for label in _SHARE_LABELS)
+        u = Fraction(u_count, classified + u_count or 1)
+        return cls(m, f, sum(strategies), *strategies, u, classified, u_count)
 
 
-def label_cells(scores: Iterable[SlotScore], index: Mapping[str, TestInstance]) -> dict[str, Counter]:
-    """Count the labels of each quota-key subset (`quota_key_for_slot`) in one pass.
+def label_cells(scores: Iterable[SlotScore], index: Mapping[str, TestInstance]) -> Counter:
+    """Count the scores by slot condition and label in one pass.
 
-    `index` maps each instance id to its instance. A slot's quota key depends
-    only on its (family, gender kind, stereotype kind) condition, so it is
-    worked out once per condition. Raises GntError for a score whose instance
-    id is unknown or whose slot index is outside its instance's slots.
+    The table is keyed by (family, gender kind, stereotype kind, label): the
+    condition as the suite file records it, so `suite.quota_key` folds it into
+    quota-key cells. `index` maps each instance id to its instance. Raises
+    GntError for a score whose instance id is unknown or whose slot index is
+    outside its instance's slots.
     """
-    cells: dict[str, Counter] = {}
-    cell_of: dict[tuple, Counter] = {}  # condition -> the cell of its quota key
+    cells: Counter = Counter()
     for score in scores:
         instance = index.get(score.instance_id)
         if instance is None:
@@ -104,11 +91,7 @@ def label_cells(scores: Iterable[SlotScore], index: Mapping[str, TestInstance]) 
                 f"but the instance has {len(slots)} slot(s)"
             )
         slot = slots[score.slot_index]
-        condition = (instance.family, slot.gender.kind, slot.stereotype.kind)
-        cell = cell_of.get(condition)
-        if cell is None:
-            cell = cell_of[condition] = cells.setdefault(quota_key_for_slot(instance.family, slot), Counter())
-        cell[score.label] += 1
+        cells[instance.family, slot.gender.kind, slot.stereotype.kind, score.label] += 1
     return cells
 
 
@@ -167,19 +150,9 @@ def macro_average_breakdowns(breakdowns: Mapping[str, StrategyBreakdown]) -> Str
     members = list(breakdowns.values())
     if any(b.is_empty for b in members):
         raise EmptySelection("macro average over an empty breakdown")
-    strategies = [_mean(shares) for shares in zip(*(b.strategy_vector for b in members))]
-    return StrategyBreakdown(
-        m=_mean([b.m for b in members]),
-        f=_mean([b.f for b in members]),
-        n=_mean([b.n for b in members]),
-        n1=strategies[0],
-        n2=strategies[1],
-        n3=strategies[2],
-        n4=strategies[3],
-        n5=strategies[4],
-        u=_mean([b.u for b in members]),
-        count=sum(b.count for b in members),
-        u_count=sum(b.u_count for b in members),
+    return StrategyBreakdown._make(
+        sum(values) if name in ("count", "u_count") else _mean(values)
+        for name, values in zip(StrategyBreakdown._fields, zip(*members))
     )
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Container
 
-from .classify import GenderLabel, SlotScore, classify_instance
+from .classify import SlotScore, classify_instance
 from .errors import EmptySelection, GntError, InvalidThreshold
 from .formats import (
     by_family_entry,
@@ -36,7 +36,7 @@ from .metrics import (
     paired_response,
 )
 from .report import render_report
-from .suite import SuiteManifest, TestInstance, generate_suite
+from .suite import SuiteManifest, TestInstance, generate_suite, quota_key
 
 
 def score_suite(suite: list[TestInstance], texts: dict[str, str], resources: LanguageResources) -> list[SlotScore]:
@@ -75,16 +75,15 @@ def missing_translations(index: dict[str, TestInstance], scores: list[SlotScore]
     return sum(1 for instance in index.values() if instance.slots)
 
 
-def _cell(cells: dict[str, Counter], key: str) -> StrategyBreakdown:
-    """Breakdown of one quota-key cell; empty when the cell has no slot."""
-    return StrategyBreakdown.from_label_counts(cells.get(key, {}))
+_NO_SLOT = StrategyBreakdown.from_label_counts({})  # the breakdown of a quota key that has no scored slot
 
 
 def _response_section(cells, families, threshold):
     reports: dict[str, ResponseReport] = {}
     for family in families:
         try:
-            reports[family] = paired_response(_cell(cells, f"{family}-Det"), _cell(cells, f"{family}-Amb"), threshold)
+            det, amb = (cells.get(f"{family}-{side}", _NO_SLOT) for side in ("Det", "Amb"))
+            reports[family] = paired_response(det, amb, threshold)
         except EmptySelection:
             continue
     return by_family_entry(reports, macro_average(reports)) if reports else None
@@ -106,16 +105,20 @@ def build_metrics_doc(
 ) -> dict:
     """Aggregate one system/language score set into the metrics document.
 
-    The scores are counted once into quota-key cells (`T3-Det`, `T3-Amb`,
-    `T7-StereoM`, ...) and every section reads the cells it compares by key.
+    The scores are counted once by slot condition (`label_cells`), the counts
+    are folded into one breakdown per quota key (`T3-Det`, `T3-Amb`,
+    `T7-StereoM`, ...), and every section reads the breakdowns it compares.
     `missing_translations` counts the suite instances that have slots but no
     score. A threshold that is negative or not finite raises InvalidThreshold.
     """
     _check_threshold(threshold)
     index = {instance.id: instance for instance in suite}
-    cells = label_cells(scores, index)
+    counts: dict[str, Counter] = {}
+    for (family, gender_kind, stereotype_kind, label), count in label_cells(scores, index).items():
+        counts.setdefault(quota_key(family, gender_kind, stereotype_kind), Counter())[label] += count
+    cells = {key: StrategyBreakdown.from_label_counts(labels) for key, labels in sorted(counts.items())}
 
-    breakdowns = {family: _cell(cells, f"{family}-Det") for family in ("T1", "T2", "T3", "T4", "T5")}
+    breakdowns = {family: cells.get(f"{family}-Det", _NO_SLOT) for family in ("T1", "T2", "T3", "T4", "T5")}
     breakdowns = {family: breakdown for family, breakdown in breakdowns.items() if not breakdown.is_empty}
     baseline = by_family_entry(breakdowns, macro_average_breakdowns(breakdowns)) if breakdowns else None
 
@@ -124,16 +127,15 @@ def build_metrics_doc(
 
     stereotype = None
     try:
-        t7 = (_cell(cells, f"T7-{key}") for key in ("None", "StereoM", "StereoF"))
+        t7 = (cells.get(f"T7-{key}", _NO_SLOT) for key in ("None", "StereoM", "StereoF"))
         stereotype = metrics_entry(compute_stereotype_effect(*t7, threshold))
     except EmptySelection:
         pass
 
-    subsets: dict[str, dict] = {}
-    for key, labels in sorted(cells.items()):
-        unmatched = labels[GenderLabel.UNMATCHED]
-        total = labels.total()
-        subsets[key] = {"classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total}
+    subsets = {
+        key: {"classified": cell.count, "unmatched": cell.u_count, "unmatched_rate": float(cell.u)}
+        for key, cell in cells.items()
+    }
 
     return {
         "system": system,

@@ -30,10 +30,6 @@ class TemplateFamily(Enum):
     T5_CHAR_STEREOTYPE = "T5"
     T7_ADVERB_STEREOTYPE = "T7"
 
-    @property
-    def tag(self) -> str:
-        return self.value
-
 
 class GenderKind(Enum):
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
@@ -205,12 +201,12 @@ class SuiteManifest(_SuiteManifestFields):
 _T7_SUFFIX = {StereotypeKind.NONE: "None", StereotypeKind.MASCULINE: "StereoM", StereotypeKind.FEMININE: "StereoF"}
 
 
-def quota_key_for_slot(family: TemplateFamily, slot: AdjectiveSlot) -> str:
-    """Map a slot to the quota key that counts it."""
+def quota_key(family: TemplateFamily, gender_kind: GenderKind, stereotype_kind: StereotypeKind) -> str:
+    """The quota key that counts the slots of one (family, gender kind, stereotype kind) condition."""
     if family is TemplateFamily.T7_ADVERB_STEREOTYPE:
-        suffix = _T7_SUFFIX[slot.stereotype.kind]
+        suffix = _T7_SUFFIX[stereotype_kind]
     else:
-        suffix = "Amb" if slot.gender.is_ambiguous else "Det"
+        suffix = "Amb" if gender_kind is GenderKind.AMBIGUOUS else "Det"
     return f"{family.value}-{suffix}"
 
 
@@ -253,9 +249,9 @@ def _read(bindings: Mapping, family: TemplateFamily) -> list:
         value = bindings.get(key)
         if value is None:
             if required is True or (required and bindings.get(required)):
-                raise MissingBinding(f"{family.tag} expansion requires binding {key!r}")
+                raise MissingBinding(f"{family.value} expansion requires binding {key!r}")
         elif type(value) is not kind or (allowed and value not in allowed):
-            raise InconsistentBinding(f"{who or family.tag} binding {key!r} must be {phrase}, got {value!r}")
+            raise InconsistentBinding(f"{who or family.value} binding {key!r} must be {phrase}, got {value!r}")
         values.append(value)
     return values
 
@@ -494,12 +490,12 @@ _SHAPES = {
 
 
 def _group_count(manifest: SuiteManifest, family: TemplateFamily, shape: _FamilyShape) -> int:
-    det_key, amb_key = f"{family.tag}-Det", f"{family.tag}-Amb"
+    det_key, amb_key = f"{family.value}-Det", f"{family.value}-Amb"
     det, amb = manifest.quota(det_key), manifest.quota(amb_key)
     groups, rest = divmod(det, shape.det)
     if rest or amb != groups * shape.amb:
         raise QuotaInfeasible(
-            f"{family.tag} is generated in groups of {shape.det} Det and {shape.amb} Amb slots; "
+            f"{family.value} is generated in groups of {shape.det} Det and {shape.amb} Amb slots; "
             f"{det_key} ({det}) and {amb_key} ({amb}) do not fill whole groups"
         )
     return groups
@@ -510,11 +506,11 @@ def _generate_groups(manifest: SuiteManifest, family: TemplateFamily, known: dic
     groups = _group_count(manifest, family, shape)
     if not groups:
         return []
-    adjectives = _adjective_stream(manifest.adjectives, shape.slots, family.tag)
+    adjectives = _adjective_stream(manifest.adjectives, shape.slots, family.value)
     paired = len(shape.suffixes) > 1
     out = []
     for i in range(groups):
-        stem = f"{family.tag}-{i:06d}"
+        stem = f"{family.value}-{i:06d}"
         pair_id = stem if paired else None
         for suffix, bindings in zip(shape.suffixes, shape.members(manifest, i, next(adjectives))):
             out.append(_expand(known, family, bindings, stem + suffix, pair_id))
@@ -617,22 +613,19 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
     violations: list[str] = []
     warnings: list[str] = []
 
-    slot_counts: dict[str, int] = {}
-    genders: Counter = Counter()  # (family, gender kind) -> slots
+    conditions: Counter = Counter()  # (family, gender kind, stereotype kind) -> slots
     positions: Counter = Counter()  # (family, first-person position) -> instances
     pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
     cues: Counter = Counter()  # (T5 pronoun, stereotype kind) -> instances
     pair_groups: dict[str, TemplateFamily] = {}
 
     for inst in instances:
-        family = inst.family.tag
+        family = inst.family.value
         shape = _SHAPES[inst.family]
         if len(inst.slots) != shape.slots:
             violations.append(f"slots: {inst.id} has {len(inst.slots)} slots, {family} instances have {shape.slots}")
         for slot in inst.slots:
-            key = quota_key_for_slot(inst.family, slot)
-            slot_counts[key] = slot_counts.get(key, 0) + 1
-            genders[family, slot.gender.kind] += 1
+            conditions[inst.family, slot.gender.kind, slot.stereotype.kind] += 1
             if slot.lemma not in inst.source_text:
                 violations.append(f"text: {inst.id} slot {slot.slot_index} lemma {slot.lemma!r} absent from source")
             if slot.gender.ambiguity not in shape.ambiguity:
@@ -674,6 +667,13 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
             if len(lemma_lists) != 1:
                 violations.append(f"pairing: group {pair_id} members disagree on adjectives")
 
+    slot_counts: dict[str, int] = {}
+    genders: Counter = Counter()  # (family, gender kind) -> slots
+    for (family, gender_kind, stereotype_kind), count in conditions.items():
+        key = quota_key(family, gender_kind, stereotype_kind)
+        slot_counts[key] = slot_counts.get(key, 0) + count
+        genders[family.value, gender_kind] += count
+
     if quotas is not None:
         for key in QUOTA_KEYS:
             expected = quotas.get(key, 0)
@@ -685,11 +685,11 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
     for family, shape in _SHAPES.items():
         if shape.det and shape.amb:
             ratio = shape.det // shape.amb
-            det = slot_counts.get(f"{family.tag}-Det", 0)
-            amb = slot_counts.get(f"{family.tag}-Amb", 0)
+            det = slot_counts.get(f"{family.value}-Det", 0)
+            amb = slot_counts.get(f"{family.value}-Amb", 0)
             if det != ratio * amb:
                 times = f"{ratio} x " if ratio != 1 else ""
-                violations.append(f"count-mismatch: {family.tag}-Det ({det}) != {times}{family.tag}-Amb ({amb})")
+                violations.append(f"count-mismatch: {family.value}-Det ({det}) != {times}{family.value}-Amb ({amb})")
 
     det_gender_split = {}
     for family in sorted({family for family, kind in genders if kind is not GenderKind.AMBIGUOUS}):

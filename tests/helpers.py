@@ -20,7 +20,7 @@ def instance_to_dict(instance: TestInstance) -> dict:
     """A suite instance as the record a suite line holds; the reference the suite writer is checked against."""
     return {
         "id": instance.id,
-        "family": instance.family.tag,
+        "family": instance.family.value,
         "source_text": instance.source_text,
         "slots": [
             {

@@ -22,7 +22,7 @@ from gnt import (
     load_language_resources,
     normalize,
     paired_response,
-    quota_key_for_slot,
+    quota_key,
     validate_balance,
 )
 from gnt.cli import main
@@ -58,7 +58,7 @@ def test_criterion_01_full_scale_suite_counts(full_scale_manifest):
     counts: dict[str, int] = {}
     for instance in suite:
         for slot in instance.slots:
-            key = quota_key_for_slot(instance.family, slot)
+            key = quota_key(instance.family, slot.gender.kind, slot.stereotype.kind)
             counts[key] = counts.get(key, 0) + 1
     assert sum(counts.values()) == 13918
     assert counts == {

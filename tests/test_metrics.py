@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gnt.metrics
+import gnt.suite
 from gnt import (
     GenderLabel,
     Language,
@@ -29,14 +29,17 @@ from gnt.suite import (
     DETERMINED_MASCULINE,
     NO_STEREOTYPE,
     AdjectiveSlot,
+    GenderKind,
     Referent,
     StereotypeCondition,
     StereotypeKind,
     TemplateFamily,
-    quota_key_for_slot,
+    generate_suite,
+    quota_key,
+    validate_balance,
 )
 from gnt.suite import TestInstance as SuiteInstance  # a name pytest does not collect
-from helpers import reference_breakdown
+from helpers import random_manifest, reference_breakdown
 
 _LABELS = [
     GenderLabel.MASCULINE,
@@ -61,10 +64,10 @@ def _scores_for(suite, labels):
 
 
 def _aggregate(scores, suite):
-    """One breakdown over all scores, from their label_cells counts."""
+    """One breakdown over all scores, from the label_cells table summed over its conditions."""
     labels: Counter = Counter()
-    for counts in label_cells(scores, {inst.id: inst for inst in suite}).values():
-        labels.update(counts)
+    for (*_, label), count in label_cells(scores, {inst.id: inst for inst in suite}).items():
+        labels[label] += count
     return StrategyBreakdown.from_label_counts(labels)
 
 
@@ -306,7 +309,9 @@ _STEREOTYPES = (
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_label_cells_match_a_per_score_quota_key_count(data):
-    """`label_cells` counts each score under its slot's quota key, worked out once per slot condition."""
+    """`label_cells` counts each score under its slot's condition and label, and folding that table by
+    `quota_key` gives each quota key's per-score label count; `validate_balance` works out each condition's
+    quota key once."""
     instances = []
     for number in range(data.draw(st.integers(1, 12))):
         slots = tuple(
@@ -321,26 +326,97 @@ def test_label_cells_match_a_per_score_quota_key_count(data):
     ]
     index = {instance.id: instance for instance in instances}
 
+    expected_table: Counter = Counter()
     expected: defaultdict[str, Counter] = defaultdict(Counter)
-    conditions = set()
     for score in scores:
         instance = index[score.instance_id]
         slot = instance.slots[score.slot_index]
-        expected[quota_key_for_slot(instance.family, slot)][score.label] += 1
-        conditions.add((instance.family, slot.gender.kind, slot.stereotype.kind))
+        expected_table[instance.family, slot.gender.kind, slot.stereotype.kind, score.label] += 1
+        expected[quota_key(instance.family, slot.gender.kind, slot.stereotype.kind)][score.label] += 1
+
+    table = label_cells(scores, index)
+    assert table == expected_table
+    folded: defaultdict[str, Counter] = defaultdict(Counter)
+    for (family, gender_kind, stereotype_kind, label), count in table.items():
+        folded[quota_key(family, gender_kind, stereotype_kind)][label] += count
+    assert folded == expected
 
     calls: Counter = Counter()
 
-    def counted(family, slot):
-        calls[family, slot.gender.kind, slot.stereotype.kind] += 1
-        return quota_key_for_slot(family, slot)
+    def counted(*condition):
+        calls[condition] += 1
+        return quota_key(*condition)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gnt.metrics, "quota_key_for_slot", counted)
-        cells = label_cells(scores, index)
-    assert cells == dict(expected)
-    assert set(calls) == conditions
-    assert max(calls.values(), default=0) <= 1
+        patch.setattr(gnt.suite, "quota_key", counted)
+        validate_balance(instances)
+    assert set(calls) == {(i.family, slot.gender.kind, slot.stereotype.kind) for i in instances for slot in i.slots}
+    assert max(calls.values()) == 1
+
+
+# --- the condition table against per-slot recounts, on hand-edited suites ---------------
+
+_T7_SUFFIX = {StereotypeKind.NONE: "None", StereotypeKind.MASCULINE: "StereoM", StereotypeKind.FEMININE: "StereoF"}
+
+
+def _slot_key(family: TemplateFamily, slot: AdjectiveSlot) -> str:
+    """A slot's quota key, worked out from the slot itself: T7 by its cue, the others by Det/Amb."""
+    if family is TemplateFamily.T7_ADVERB_STEREOTYPE:
+        return f"T7-{_T7_SUFFIX[slot.stereotype.kind]}"
+    return f"{family.value}-{'Amb' if slot.gender.is_ambiguous else 'Det'}"
+
+
+def _edited_suite(data) -> list:
+    """A generated suite in which some slots are given drawn conditions, which their family may never produce."""
+    suite = generate_suite(random_manifest(random.Random(data.draw(st.integers(0, 2**16)))))
+    for _ in range(data.draw(st.integers(0, 6)) if suite else 0):
+        position = data.draw(st.integers(0, len(suite) - 1))
+        instance = suite[position]
+        slots = list(instance.slots)
+        index = data.draw(st.integers(0, len(slots) - 1))
+        slots[index] = slots[index]._replace(gender=data.draw(st.sampled_from(_GENDERS)),
+                                             stereotype=data.draw(st.sampled_from(_STEREOTYPES)))
+        suite[position] = instance._replace(slots=tuple(slots))
+    return suite
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_balance_counts_and_coverage_subsets_match_a_per_slot_recount(data):
+    """`validate_balance`'s slot counts and determined-gender splits, and each `coverage.subsets` row,
+    equal a recount made one slot (or score) at a time."""
+    suite = _edited_suite(data)
+
+    slot_counts: dict[str, int] = {}
+    genders: Counter = Counter()
+    for instance in suite:
+        for slot in instance.slots:
+            key = _slot_key(instance.family, slot)
+            slot_counts[key] = slot_counts.get(key, 0) + 1
+            genders[instance.family.value, slot.gender.kind] += 1
+    determined = sorted({family for family, kind in genders if kind is not GenderKind.AMBIGUOUS})
+    split = {family: (genders[family, GenderKind.DETERMINED_FEMININE], genders[family, GenderKind.DETERMINED_MASCULINE])
+             for family in determined}
+    diagnostics = validate_balance(suite)
+    assert diagnostics.slot_counts == slot_counts
+    assert list(diagnostics.det_gender_split.items()) == list(split.items())
+
+    scores = [
+        SlotScore(instance.id, slot.slot_index, data.draw(st.sampled_from(list(GenderLabel))))
+        for instance in suite for slot in instance.slots if data.draw(st.booleans())
+    ]
+    index = {instance.id: instance for instance in suite}
+    labels: defaultdict[str, Counter] = defaultdict(Counter)
+    for score in scores:
+        instance = index[score.instance_id]
+        labels[_slot_key(instance.family, instance.slots[score.slot_index])][score.label] += 1
+    expected = {}
+    for key, counts in sorted(labels.items()):
+        total = counts.total()
+        unmatched = counts[GenderLabel.UNMATCHED]
+        expected[key] = {"classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total}
+    subsets = build_metrics_doc(suite, scores, "sys", Language.ES)["coverage"]["subsets"]
+    assert list(subsets.items()) == list(expected.items())
 
 
 # --- significance flag ------------------------------------------------------------------

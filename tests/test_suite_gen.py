@@ -13,7 +13,7 @@ from gnt import (
     TemplateFamily,
     expand_template,
     generate_suite,
-    quota_key_for_slot,
+    quota_key,
     validate_balance,
 )
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
@@ -106,7 +106,7 @@ _BINDINGS = {
 _REQUIRED = [(family, key) for family, (_, keys) in _BINDINGS.items() for key in keys]
 
 
-@pytest.mark.parametrize("family,key", _REQUIRED, ids=[f"{f.tag}-{k}" for f, k in _REQUIRED])
+@pytest.mark.parametrize("family,key", _REQUIRED, ids=[f"{f.value}-{k}" for f, k in _REQUIRED])
 @pytest.mark.parametrize("absent", ["deleted", "null"])
 def test_each_required_binding_is_reported_by_name(family, key, absent):
     bindings = dict(_BINDINGS[family][0])
@@ -116,10 +116,10 @@ def test_each_required_binding_is_reported_by_name(family, key, absent):
         bindings[key] = None
     with pytest.raises(MissingBinding) as excinfo:
         expand_template(family, bindings)
-    assert str(excinfo.value) == f"{family.tag} expansion requires binding {key!r}"
+    assert str(excinfo.value) == f"{family.value} expansion requires binding {key!r}"
 
 
-@pytest.mark.parametrize("family", list(_BINDINGS), ids=lambda f: f.tag)
+@pytest.mark.parametrize("family", list(_BINDINGS), ids=lambda f: f.value)
 def test_bindings_are_checked_in_a_fixed_order(family):
     bindings, keys = _BINDINGS[family]
     expand_template(family, bindings)
@@ -128,10 +128,10 @@ def test_bindings_are_checked_in_a_fixed_order(family):
         kept = {k: v for k, v in bindings.items() if k not in keys[i:]}
         with pytest.raises(MissingBinding) as excinfo:
             expand_template(family, kept)
-        assert str(excinfo.value) == f"{family.tag} expansion requires binding {key!r}"
+        assert str(excinfo.value) == f"{family.value} expansion requires binding {key!r}"
     with pytest.raises(MissingBinding) as excinfo:
         expand_template(family, {})
-    assert str(excinfo.value) == f"{family.tag} expansion requires binding {keys[0]!r}"
+    assert str(excinfo.value) == f"{family.value} expansion requires binding {keys[0]!r}"
 
 
 _INCONSISTENT = [
@@ -151,7 +151,7 @@ _INCONSISTENT = [
 
 
 @pytest.mark.parametrize("family,key,value,message", _INCONSISTENT,
-                         ids=[f"{f.tag}-{k}-{v}" for f, k, v, _ in _INCONSISTENT])
+                         ids=[f"{f.value}-{k}-{v}" for f, k, v, _ in _INCONSISTENT])
 def test_inconsistent_binding_texts_are_pinned(family, key, value, message):
     with pytest.raises(InconsistentBinding) as excinfo:
         expand_template(family, {**_BINDINGS[family][0], key: value})
@@ -169,7 +169,7 @@ _MISTYPED = [
 
 
 @pytest.mark.parametrize("family,key,value,message", _MISTYPED,
-                         ids=[f"{f.tag}-{k}-{v}" for f, k, v, _ in _MISTYPED])
+                         ids=[f"{f.value}-{k}-{v}" for f, k, v, _ in _MISTYPED])
 def test_mistyped_binding_texts_are_pinned(family, key, value, message):
     with pytest.raises(InconsistentBinding) as excinfo:
         expand_template(family, {**_BINDINGS[family][0], key: value})
@@ -320,7 +320,7 @@ def _slot_counts(suite):
     counts = {}
     for instance in suite:
         for slot in instance.slots:
-            key = quota_key_for_slot(instance.family, slot)
+            key = quota_key(instance.family, slot.gender.kind, slot.stereotype.kind)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -374,7 +374,7 @@ def test_exact_quota_counts(demo_manifest):
 def test_pairing_links_are_minimal_perturbations(demo_manifest, family, det_key, amb_key):
     suite = generate_suite(demo_manifest)
     by_id = {i.id: i for i in suite}
-    paired = [i for i in suite if i.family.tag == family and i.id.endswith("a")]
+    paired = [i for i in suite if i.family.value == family and i.id.endswith("a")]
     assert paired
     for amb in paired:
         det = by_id[amb.pair_id + "d"]
@@ -505,7 +505,7 @@ def test_conditions_a_family_never_produces_are_flagged(demo_manifest):
     }
     edited = []
     for family, condition in impossible.items():
-        index = next(i for i, inst in enumerate(suite) if inst.family.tag == family)
+        index = next(i for i, inst in enumerate(suite) if inst.family.value == family)
         instance = suite[index]
         suite[index] = instance._replace(slots=(instance.slots[0]._replace(gender=condition),) + instance.slots[1:])
         edited.append(instance.id)
@@ -529,7 +529,7 @@ def test_validate_skips_slot_zero_reads_of_an_instance_without_slots(demo_manife
     index = next(i for i, inst in enumerate(suite) if inst.family is family)
     suite[index] = suite[index]._replace(slots=())
     violations = [v for v in validate_balance(suite).violations if v.startswith("slots:")]
-    assert violations == [f"slots: {suite[index].id} has 0 slots, {family.tag} instances have {slots}"]
+    assert violations == [f"slots: {suite[index].id} has 0 slots, {family.value} instances have {slots}"]
 
 
 def test_hand_built_pronoun_imbalance_is_flagged():
