@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .adapter import AdapterConfig, AdapterKind, translate_suite
-from .errors import GntError
+from .errors import GntError, UnbalancedSuite
 from .formats import (
     iter_suite,
     parse_manifest,
@@ -43,11 +43,16 @@ def _cmd_generate(args) -> int:
     slots = sum(len(instance.slots) for instance in suite)
     print(f"wrote {len(suite)} instances ({slots} slots) to {args.out}")
     diagnostics = validate_balance(suite, manifest.quotas)
+    _print_balance(diagnostics)
+    return 1 if diagnostics.violations else 0
+
+
+def _print_balance(diagnostics) -> None:
+    """A generated suite's balance warnings, then its violations, on stderr."""
     for warning in diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for violation in diagnostics.violations:
         print(f"violation: {violation}", file=sys.stderr)
-    return 1 if diagnostics.violations else 0
 
 
 def _cmd_validate(args) -> int:
@@ -124,10 +129,10 @@ def _cmd_score(args) -> int:
     if not texts:
         raise GntError(f"no translations for language {language.value!r}" + (f" and system {args.system!r}" if args.system else ""))
     resources = load_language_resources(_lexicon_dir(args.lexicon_dir), language)
-    scores, orphans = score_group(suite, index, texts, resources)
+    scores, orphans, missing = score_group(suite, index, texts, resources)
     write_scores(scores, args.out)
     print(f"wrote {len(scores)} slot scores to {args.out} "
-          f"({orphans} orphan translations, {missing_translations(index, scores)} instances without translation)")
+          f"({orphans} orphan translations, {missing} instances without translation)")
     return 0
 
 
@@ -143,8 +148,9 @@ def _cmd_metrics(args) -> int:
                            f"and language {language.value!r}")
         orphans = len(split_orphans(groups[args.system, language], index))
     scores = parse_scores(args.scores, index)
-    doc = build_metrics_doc(suite, scores, args.system, language, threshold=args.threshold,
-                            orphan_translations=orphans)
+    missing = missing_translations(suite, {score.instance_id for score in scores})
+    doc = build_metrics_doc(index, scores, args.system, language, threshold=args.threshold,
+                            orphan_translations=orphans, missing_translations=missing)
     write_metrics_doc(doc, args.out)
     print(f"wrote metrics to {args.out}")
     return 0
@@ -163,14 +169,18 @@ def _cmd_report(args) -> int:
 
 def _cmd_run(args) -> int:
     manifest = parse_manifest(args.manifest)
-    reports = run_pipeline(
-        manifest,
-        args.translations,
-        _lexicon_dir(args.lexicon_dir),
-        args.out_dir,
-        threshold=args.threshold,
-        seed=args.seed,
-    )
+    try:
+        reports = run_pipeline(
+            manifest,
+            args.translations,
+            _lexicon_dir(args.lexicon_dir),
+            args.out_dir,
+            threshold=args.threshold,
+            seed=args.seed,
+            on_balance=_print_balance,
+        )
+    except UnbalancedSuite:
+        return 1  # its warnings and violations are printed
     for system, language, report_path in reports:
         print(f"{system} ({language.value}): {report_path}")
     print(f"{len(reports)} report(s) in {args.out_dir}")

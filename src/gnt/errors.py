@@ -22,6 +22,14 @@ class QuotaInfeasible(GntError):
     """Requested quotas cannot be met from the manifest lists."""
 
 
+class UnbalancedSuite(GntError):
+    """A suite fails its balance check; `diagnostics`, a `BalanceDiagnostics`, holds its warnings and violations."""
+
+    def __init__(self, diagnostics):
+        super().__init__(f"the suite fails its balance check: {len(diagnostics.violations)} violation(s)")
+        self.diagnostics = diagnostics
+
+
 # --- lexicon / classification -------------------------------------------
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from copy import copy
@@ -391,16 +392,20 @@ def parse_translations(
     `ids` (say, the suite's instance ids) that it equals, so a suite's ids are
     not held twice. With `system` or `language`, only the groups of that
     system and language are returned, and no text of another group is kept;
-    every line is still checked. Raises ParseError (with line number) on
-    malformed lines or languages outside the closed is/cs/es set, and
-    DuplicateRecord when one (system, lang, id) key appears twice.
+    every line is still checked: a group that is not returned costs one bit
+    per id it gives, not a map, in a regular file. Raises ParseError (with
+    line number) on malformed lines or languages outside the closed is/cs/es
+    set, and DuplicateRecord when one (system, lang, id) key appears twice.
     """
     from array import array  # here, so that `import gnt.cli` loads no module that only a read of translations uses
 
     path = str(path)
     # per group: its map; the line each of its ids was first read on, in the order of the map's keys, so the file is
     # read once; and whether it is returned. A group that is not keeps its ids, for the duplicate check, and no text.
-    groups: dict[tuple[str, Language], tuple[dict[str, str | None], array[int], bool]] = {}
+    # In a regular file, such a group is instead one bit of `dropped`, and its duplicate's first line is read again.
+    groups: dict[tuple[str, Language], tuple[dict[str, str | None], array[int], bool] | int] = {}
+    dropped: dict[str, int] = {}  # id -> the bits of the groups not returned that give it
+    rereadable = os.path.isfile(path)
     # one string per system id and per instance id, shared by every group that names it
     strings: dict[str, str] = {instance_id: instance_id for instance_id in ids}
     for number, record in _read_lines(path):
@@ -412,15 +417,32 @@ def parse_translations(
         group = groups.get(key)
         if group is None:
             keep = (system is None or name == system) and (language is None or member is language)
-            group = groups[key] = ({}, array("I"), keep)
+            group = groups[key] = ({}, array("I"), keep) if keep or not rereadable else 1 << len(groups)
+        instance_id = strings.setdefault(instance_id, instance_id)
+        if type(group) is int:
+            seen = dropped.get(instance_id, 0)
+            if seen & group:
+                raise _duplicate((name, member.value, instance_id), path, number, _first_line(path, key, instance_id))
+            dropped[instance_id] = seen | group
+            continue
         texts, lines, keep = group
         size = len(texts)
-        texts.setdefault(strings.setdefault(instance_id, instance_id), text if keep else None)
+        texts.setdefault(instance_id, text if keep else None)
         if len(texts) == size:
             raise _duplicate((name, member.value, instance_id), path, number, lines[list(texts).index(instance_id)])
         lines.append(number)
-    kept = sorted((key for key, (_, _, keep) in groups.items() if keep), key=lambda key: (key[0], key[1].value))
+    kept = sorted((key for key, group in groups.items() if type(group) is tuple and group[2]),
+                  key=lambda key: (key[0], key[1].value))
     return {key: groups[key][0] for key in kept}
+
+
+def _first_line(path: str, key: tuple[str, Language], instance_id: str) -> int:
+    """The line of `path` that first gives `key`'s record for `instance_id`, found by reading the file again."""
+    for number, record in _read_lines(path):
+        name, lang, record_id, _ = _check(record, _TRANSLATION, "", path, number)
+        if record_id == instance_id and name == key[0] and _LANGUAGES.get(lang.lower()) is key[1]:
+            return number
+    raise ParseError("changed while it was read", path)
 
 
 def split_orphans(texts: Iterable[str], known_ids: Container[str]) -> list[str]:

@@ -11,10 +11,10 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Container
+from typing import Callable, Container, Iterable, Mapping
 
 from .classify import SlotScore, classify_instance
-from .errors import EmptySelection, GntError, InvalidThreshold
+from .errors import EmptySelection, GntError, InvalidThreshold, UnbalancedSuite
 from .formats import (
     by_family_entry,
     metrics_entry,
@@ -36,7 +36,7 @@ from .metrics import (
     paired_response,
 )
 from .report import render_report
-from .suite import SuiteManifest, TestInstance, generate_suite, quota_key
+from .suite import BalanceDiagnostics, SuiteManifest, TestInstance, generate_suite, quota_key, validate_balance
 
 
 def score_suite(suite: list[TestInstance], texts: dict[str, str], resources: LanguageResources) -> list[SlotScore]:
@@ -58,21 +58,20 @@ def score_group(
     known_ids: Container[str],
     texts: dict[str, str],
     resources: LanguageResources,
-) -> tuple[list[SlotScore], int]:
-    """Score one (system, language) group's id -> text map, which `score_suite` consumes: (scores, number of ids
-    that `known_ids` lacks)."""
-    orphans = split_orphans(texts, known_ids)
-    return score_suite(suite, texts, resources), len(orphans)
+) -> tuple[list[SlotScore], int, int]:
+    """Score one (system, language) group's id -> text map, which `score_suite` consumes.
 
-
-def missing_translations(index: dict[str, TestInstance], scores: list[SlotScore]) -> int:
-    """How many instances of `index` (id -> instance) have slots but no score.
-
-    Pops the scored instances from `index`: a new set of score ids would raise a run's peak memory.
+    Returns (scores, number of ids that `known_ids` lacks, number of suite instances that have slots but no text),
+    the last counted before the map is consumed.
     """
-    for score in scores:
-        index.pop(score.instance_id, None)
-    return sum(1 for instance in index.values() if instance.slots)
+    orphans = split_orphans(texts, known_ids)
+    missing = missing_translations(suite, texts)
+    return score_suite(suite, texts, resources), len(orphans), missing
+
+
+def missing_translations(suite: Iterable[TestInstance], translated: Container[str]) -> int:
+    """How many instances of `suite` have slots but an id that `translated` (say, an id -> text map) lacks."""
+    return sum(1 for instance in suite if instance.slots and instance.id not in translated)
 
 
 _NO_SLOT = StrategyBreakdown.from_label_counts({})  # the breakdown of a quota key that has no scored slot
@@ -96,23 +95,24 @@ def _check_threshold(threshold: float) -> None:
 
 
 def build_metrics_doc(
-    suite: list[TestInstance],
+    index: Mapping[str, TestInstance],
     scores: list[SlotScore],
     system: str,
     language: Language,
     threshold: float = DEFAULT_SIGNIFICANCE_THRESHOLD,
     orphan_translations: int = 0,
+    missing_translations: int = 0,
 ) -> dict:
     """Aggregate one system/language score set into the metrics document.
 
     The scores are counted once by slot condition (`label_cells`), the counts
     are folded into one breakdown per quota key (`T3-Det`, `T3-Amb`,
     `T7-StereoM`, ...), and every section reads the breakdowns it compares.
-    `missing_translations` counts the suite instances that have slots but no
-    score. A threshold that is negative or not finite raises InvalidThreshold.
+    `index` maps each instance id to its instance and is only read. The two
+    coverage counts are recorded as given: `score_group` returns both. A
+    threshold that is negative or not finite raises InvalidThreshold.
     """
     _check_threshold(threshold)
-    index = {instance.id: instance for instance in suite}
     counts: dict[str, Counter] = {}
     for (family, gender_kind, stereotype_kind, label), count in label_cells(scores, index).items():
         counts.setdefault(quota_key(family, gender_kind, stereotype_kind), Counter())[label] += count
@@ -148,7 +148,7 @@ def build_metrics_doc(
         "coverage": {
             "subsets": subsets,
             "orphan_translations": orphan_translations,
-            "missing_translations": missing_translations(index, scores),
+            "missing_translations": missing_translations,
         },
     }
 
@@ -164,14 +164,18 @@ def run_pipeline(
     out_dir: str | Path,
     threshold: float = DEFAULT_SIGNIFICANCE_THRESHOLD,
     seed: int | None = None,
+    on_balance: Callable[[BalanceDiagnostics], object] | None = None,
 ) -> list[tuple[str, Language, Path]]:
     """Generate the suite, then score, aggregate and report every (system, language) found.
 
     Returns each group's (system, language, report path). A bad threshold
-    raises InvalidThreshold before anything is written. Two systems whose
-    names give one file stem raise GntError, and a language without a lexicon
-    InvalidEntry, before any group is scored. Each language's resources are
-    loaded once and shared by its systems.
+    raises InvalidThreshold before anything is written. Once `suite.jsonl` is
+    written, the suite's `validate_balance` diagnostics go to `on_balance`,
+    and a violation raises UnbalancedSuite, which carries them, before the
+    translations are read. Two systems whose names give one file stem raise
+    GntError, and a language without a lexicon InvalidEntry, before any group
+    is scored. Each language's resources are loaded once and shared by its
+    systems.
     """
     _check_threshold(threshold)
     out = Path(out_dir)
@@ -182,6 +186,11 @@ def run_pipeline(
     # nothing after the suite file reads an instance's bindings
     for instance in suite:
         instance.bindings.clear()
+    diagnostics = validate_balance(suite, manifest.quotas)
+    if on_balance is not None:
+        on_balance(diagnostics)
+    if diagnostics.violations:
+        raise UnbalancedSuite(diagnostics)
     # a dict of the suite's ids takes less memory than a set of them
     known_ids = {instance.id: instance for instance in suite}
     groups = parse_translations(translations_path, known_ids)
@@ -195,10 +204,9 @@ def run_pipeline(
 
     reports = []
     for system, language in list(groups):
-        # out of `groups`, so this group's texts are released once it is scored
-        texts = groups.pop((system, language))
-        scores, orphans = score_group(suite, known_ids, texts, resources[language])
-        doc = build_metrics_doc(suite, scores, system, language, threshold, orphan_translations=orphans)
+        # out of `groups` and held by no name here, so this group's texts are released once it is scored
+        scores, orphans, missing = score_group(suite, known_ids, groups.pop((system, language)), resources[language])
+        doc = build_metrics_doc(known_ids, scores, system, language, threshold, orphans, missing)
         markdown = render_report(doc, "md")
 
         stem = f"{_slug(system)}_{language.value}"
@@ -207,6 +215,6 @@ def run_pipeline(
         write_metrics_doc(doc, out / f"metrics_{stem}.json")
         report_path.write_text(markdown, encoding="utf-8")
         reports.append((system, language, report_path))
-        # release this group's texts and outputs before the next group is scored
-        del texts, scores, doc, markdown
+        # release this group's outputs before the next group is scored
+        del scores, doc, markdown
     return reports

@@ -600,16 +600,34 @@ def _split_check(
         warnings.append(f"odd split: {label} {a}/{b} (off by one unit)")
 
 
+_UNSEEN = object()  # a pair group's slots before its first suffixed member is read
+
+
+def _add_member(pair: list, inst: TestInstance) -> None:
+    """Record `inst`, which carries the group's pair_id, in its `pairs` entry of `validate_balance`."""
+    pair_id, suffixes = inst.pair_id, _SHAPES[pair[0]].suffixes
+    suffix = inst.id[len(pair_id):] if inst.id.startswith(pair_id) else None
+    if suffix not in suffixes:
+        return
+    pair[1] |= 1 << suffixes.index(suffix)
+    first = pair[2]
+    if first is _UNSEEN:
+        pair[2] = inst.slots
+    elif first is not None and [slot.lemma for slot in first] != [slot.lemma for slot in inst.slots]:
+        pair[2] = None
+
+
 def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | None = None) -> BalanceDiagnostics:
     """Re-check the generator's postconditions on an arbitrary suite.
 
     Pure diagnostic: counts per condition, conditions a family never
     produces, binary-gender and speaker-position splits, stereotype balance,
     pair integrity and pronoun leakage. When `quotas` is given, slot counts
-    are also compared against it.
+    are also compared against it. The suite is read once and not copied: a
+    group's members are the instances that carry its `pair_id`, its family
+    is its first member's, and a member counts as the group's `pair_id` plus
+    one of that family's id suffixes.
     """
-    instances = list(suite)
-    by_id = {inst.id: inst for inst in instances}
     violations: list[str] = []
     warnings: list[str] = []
 
@@ -617,9 +635,11 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
     positions: Counter = Counter()  # (family, first-person position) -> instances
     pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
     cues: Counter = Counter()  # (T5 pronoun, stereotype kind) -> instances
-    pair_groups: dict[str, TemplateFamily] = {}
+    # pair_id -> [family, bitmask of the family's id suffixes seen, first suffixed member's slots or None once
+    # two of them disagree on adjectives]
+    pairs: dict[str, list] = {}
 
-    for inst in instances:
+    for inst in suite:
         family = inst.family.value
         shape = _SHAPES[inst.family]
         if len(inst.slots) != shape.slots:
@@ -652,20 +672,20 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
                     violations.append(f"leakage: {inst.id} is ambiguous but contains {', '.join(leaked)}")
 
         if inst.pair_id is not None:
-            pair_groups.setdefault(inst.pair_id, inst.family)
+            pair = pairs.get(inst.pair_id)
+            if pair is None:
+                pair = pairs[inst.pair_id] = [inst.family, 0, _UNSEEN]
+            _add_member(pair, inst)
 
-    for pair_id, family in pair_groups.items():
+    for pair_id, (family, seen, slots) in pairs.items():
         suffixes = _SHAPES[family].suffixes
         if len(suffixes) < 2:
             continue
-        partners = [pair_id + suffix for suffix in suffixes]
-        missing = [pid for pid in partners if pid not in by_id]
+        missing = [pair_id + suffix for bit, suffix in enumerate(suffixes) if not seen >> bit & 1]
         if missing:
             violations.append(f"pairing: group {pair_id} incomplete, missing {', '.join(missing)}")
-        else:
-            lemma_lists = {tuple(s.lemma for s in by_id[pid].slots) for pid in partners}
-            if len(lemma_lists) != 1:
-                violations.append(f"pairing: group {pair_id} members disagree on adjectives")
+        elif slots is None:
+            violations.append(f"pairing: group {pair_id} members disagree on adjectives")
 
     slot_counts: dict[str, int] = {}
     genders: Counter = Counter()  # (family, gender kind) -> slots

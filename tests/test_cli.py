@@ -35,7 +35,7 @@ from gnt import (
 )
 from gnt.cli import build_parser, main
 from gnt.errors import DuplicateRecord
-from gnt.data import demo_manifest_path, lexicon_dir
+from gnt.data import demo_manifest_path, full_scale_manifest_path, lexicon_dir
 from conftest import GOLDEN, backend_command
 
 
@@ -474,6 +474,27 @@ def test_score_and_metrics_keep_the_texts_of_their_group_only(tmp_path, suite_pa
         assert (tmp_path / name.format("one")).read_bytes() == (tmp_path / name.format("three")).read_bytes()
 
 
+def test_score_checks_the_groups_it_drops_in_one_table_of_ids(tmp_path, suite_path):
+    """Each group that `gnt score --system --lang` does not keep adds almost nothing to its peak: the groups share
+    one table over their distinct ids."""
+    suite = generate_suite(parse_manifest(demo_manifest_path()))
+    own = {instance.id: instance.source_text for instance in suite}
+    # 2,000 ids per dropped group: a map of them alone would weigh about 80 KB
+    other = {f"other-{i:06d}": "x" for i in range(2000)}
+
+    def peak(dropped: int) -> int:
+        translations = tmp_path / f"translations_{dropped}.jsonl"
+        write_translations({("echo", Language.ES): own,
+                            **{(f"sys{k:02d}", Language.CS): other for k in range(dropped)}}, translations)
+        return _traced_peak(["score", "--suite", str(suite_path), "--translations", str(translations),
+                             "--lexicon-dir", str(lexicon_dir()), "--lang", "es", "--system", "echo",
+                             "--out", str(tmp_path / "scores.jsonl")])
+
+    peak(1)  # a first run loads what any run loads once
+    few, many = peak(4), peak(16)
+    assert (many - few) / 12 < 20_000, (few, many)
+
+
 def test_score_lists_the_languages_systems_and_checks_every_group(tmp_path, suite_path, capsys):
     """Without --system, the language's several systems are named; a duplicate in a group that is not scored is
     still the duplicate message."""
@@ -586,6 +607,68 @@ def test_score_and_metrics_count_one_missing_rule(tmp_path, suite_path, capsys):
                  "--lang", "es", "--out", str(metrics)]) == 0
     doc = json.loads(metrics.read_text(encoding="utf-8"))
     assert printed == doc["coverage"]["missing_translations"] == len(lines) - len(lines[::2])
+
+
+def _he_man_manifest(tmp_path) -> Path:
+    """The demo manifest with a descriptor that leaks "he" into T5's ambiguous members."""
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(demo_manifest_path().read_text(encoding="utf-8"))
+    doc["descriptor_pairs"][0]["masculine"] = "he-man"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    return manifest
+
+
+def test_run_checks_balance_before_reading_the_translations(tmp_path, capsys):
+    """`gnt run` prints what `gnt generate` prints for an unbalanced suite, and exits 1 after writing the suite only."""
+    manifest = _he_man_manifest(tmp_path)
+    generated = tmp_path / "generated.jsonl"
+    assert main(["generate", "--manifest", str(manifest), "--out", str(generated)]) == 1
+    printed = capsys.readouterr().err
+    out = tmp_path / "out"
+    # a translations file that does not exist: reading it would be exit 2
+    assert main(["run", "--manifest", str(manifest), "--translations", str(tmp_path / "nowhere.jsonl"),
+                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == printed
+    assert len([line for line in printed.splitlines() if line.startswith("violation: ")]) == 6
+    assert captured.out == ""
+    assert [path.name for path in out.iterdir()] == ["suite.jsonl"]
+    assert (out / "suite.jsonl").read_bytes() == generated.read_bytes()
+
+
+def test_run_builds_each_metrics_document_without_a_suite_copy(tmp_path, monkeypatch, full_scale_manifest):
+    """Inside `gnt run`, `build_metrics_doc` allocates far less than a copy of the suite's id -> instance map, and
+    the map of the group it reads the scores of is already freed."""
+    parse, build = gnt.pipeline.parse_translations, gnt.pipeline.build_metrics_doc
+    maps: list[weakref.ref] = []
+    entries: list[tuple[list[bool], int]] = []
+
+    def parse_weakly(path, *args, **kwargs):
+        groups = {key: _Texts(texts) for key, texts in parse(path, *args, **kwargs).items()}
+        maps.extend(weakref.ref(texts) for texts in groups.values())
+        return groups
+
+    def traced(*args, **kwargs):
+        alive = [ref() is not None for ref in maps]
+        tracemalloc.start()
+        try:
+            doc = build(*args, **kwargs)
+            entries.append((alive, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return doc
+
+    monkeypatch.setattr(gnt.pipeline, "parse_translations", parse_weakly)
+    monkeypatch.setattr(gnt.pipeline, "build_metrics_doc", traced)
+    suite = generate_suite(full_scale_manifest)
+    translations = tmp_path / "translations.jsonl"
+    write_translations({("echo", Language(lang)): {i.id: i.source_text for i in suite} for lang in ("cs", "es")},
+                       translations)
+    copy = sys.getsizeof({instance.id: instance for instance in suite})
+    assert main(["run", "--manifest", str(full_scale_manifest_path()), "--translations", str(translations),
+                 "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(tmp_path / "out")]) == 0
+    assert [alive for alive, _ in entries] == [[False, True], [False, False]]
+    assert all(peak < copy / 4 for _, peak in entries), (entries, copy)
 
 
 def test_run_rejects_two_systems_with_one_file_stem(tmp_path, suite_path, capsys):

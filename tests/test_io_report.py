@@ -30,7 +30,7 @@ from gnt import (
 from gnt.errors import DuplicateRecord, GntError, InvalidEntry, ParseError
 from gnt.formats import _suite_line, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
 from gnt.data import demo_manifest_path, lexicon_dir
-from gnt.pipeline import build_metrics_doc, missing_translations, score_suite
+from gnt.pipeline import build_metrics_doc, missing_translations, score_group, score_suite
 from gnt.suite import (
     AMBIGUOUS_ACTIVE,
     AMBIGUOUS_OMISSION,
@@ -114,6 +114,10 @@ def test_a_duplicate_names_the_line_its_key_was_first_read_on(tmp_path, records,
     with pytest.raises(DuplicateRecord) as excinfo:
         parse_translations(path)
     assert str(excinfo.value) == f"{path}:{number}: duplicate record for {key} (first seen on line {first})"
+    # with a system that no record names, every group is one that is not returned
+    with pytest.raises(DuplicateRecord) as dropped:
+        parse_translations(path, system="nobody")
+    assert str(dropped.value) == str(excinfo.value)
 
 
 def test_a_duplicate_read_from_a_pipe_names_the_line_its_key_was_first_read_on(tmp_path):
@@ -127,15 +131,17 @@ def test_a_duplicate_read_from_a_pipe_names_the_line_its_key_was_first_read_on(t
         with open(fifo, "w", encoding="utf-8") as fh:  # blocks until the reader opens the FIFO
             fh.write(text)
 
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
-        with pytest.raises(DuplicateRecord) as excinfo:
-            parse_translations(fifo)
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
-    assert str(excinfo.value) == f"{fifo}:4: duplicate record for ('s', 'es', 'x') (first seen on line 1)"
+    # with a system that no record names, every group is one that is not returned
+    for select in ({}, {"system": "nobody"}):
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(DuplicateRecord) as excinfo:
+                parse_translations(fifo, **select)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert str(excinfo.value) == f"{fifo}:4: duplicate record for ('s', 'es', 'x') (first seen on line 1)"
 
 
 def test_parse_translations_reports_malformed_line_number(tmp_path):
@@ -712,7 +718,9 @@ def test_a_built_metrics_document_reads_back_as_it_was_written(tmp_path_factory,
     scores = [SlotScore(instance.id, slot.slot_index, next(labels), "", "")
               for number, instance in enumerate(suite, start=1) if not stride or number % stride
               for slot in instance.slots]
-    doc = build_metrics_doc(suite, scores, "sys", Language.ES, threshold, orphan_translations=orphans)
+    missing = missing_translations(suite, {score.instance_id for score in scores})
+    doc = build_metrics_doc({instance.id: instance for instance in suite}, scores, "sys", Language.ES, threshold,
+                            orphan_translations=orphans, missing_translations=missing)
     path = tmp_path_factory.getbasetemp() / "metrics.json"
     write_metrics_doc(doc, path)
     assert parse_metrics_doc(path) == doc
@@ -887,8 +895,11 @@ def test_label_cells_rejects_slot_index_past_the_instance(demo_manifest):
 
 def test_build_metrics_doc_counts_instances_without_scores(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
-    scores = score_suite(suite, _fake_system_translations(suite[:-3], es_resources), es_resources)
-    doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    index = {instance.id: instance for instance in suite}
+    texts = _fake_system_translations(suite[:-3], es_resources)
+    scores, orphans, missing = score_group(suite, index, texts, es_resources)
+    doc = build_metrics_doc(index, scores, "fake", Language.ES, orphan_translations=orphans,
+                            missing_translations=missing)
     assert doc["coverage"]["missing_translations"] == 3
 
 
@@ -904,7 +915,7 @@ def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
     rng = random.Random(7)
     scores = [SlotScore(inst.id, slot.slot_index, rng.choice(list(GenderLabel)))
               for inst in suite for slot in inst.slots]
-    doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    doc = build_metrics_doc({inst.id: inst for inst in suite}, scores, "fake", Language.ES)
     subsets = doc["coverage"]["subsets"]
 
     def covered(key):
@@ -927,14 +938,16 @@ def test_metrics_sections_count_the_coverage_cells(demo_manifest, hand_edited):
 def test_score_suite_counts_missing_translations(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     scores = score_suite(suite, _fake_system_translations(suite[:-3], es_resources), es_resources)
-    assert missing_translations({instance.id: instance for instance in suite}, scores) == 3
+    assert missing_translations(suite, {score.instance_id for score in scores}) == 3
     assert len(scores) == sum(len(i.slots) for i in suite[:-3])
 
 
 def test_build_metrics_doc_engineered_active_response(demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     scores = score_suite(suite, _fake_system_translations(suite, es_resources), es_resources)
-    doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    missing = missing_translations(suite, {score.instance_id for score in scores})
+    doc = build_metrics_doc({instance.id: instance for instance in suite}, scores, "fake", Language.ES,
+                            missing_translations=missing)
     assert doc["coverage"]["missing_translations"] == 0
     active = doc["active_response"]["macro"]
     assert active["delta_n"] == 1.0
@@ -998,7 +1011,7 @@ def test_run_pipeline_missing_lexicon_dir_fails_in_score_stage(tmp_path, demo_ma
 def test_metrics_doc_write_parse_write_is_byte_identical(tmp_path, demo_manifest, es_resources):
     suite = generate_suite(demo_manifest)
     scores = score_suite(suite, _fake_system_translations(suite, es_resources), es_resources)
-    doc = build_metrics_doc(suite, scores, "fake", Language.ES)
+    doc = build_metrics_doc({instance.id: instance for instance in suite}, scores, "fake", Language.ES)
     first = tmp_path / "metrics.json"
     second = tmp_path / "metrics2.json"
     write_metrics_doc(doc, first)

@@ -415,7 +415,7 @@ def test_balance_counts_and_coverage_subsets_match_a_per_slot_recount(data):
         total = counts.total()
         unmatched = counts[GenderLabel.UNMATCHED]
         expected[key] = {"classified": total - unmatched, "unmatched": unmatched, "unmatched_rate": unmatched / total}
-    subsets = build_metrics_doc(suite, scores, "sys", Language.ES)["coverage"]["subsets"]
+    subsets = build_metrics_doc(index, scores, "sys", Language.ES)["coverage"]["subsets"]
     assert list(subsets.items()) == list(expected.items())
 
 
@@ -454,4 +454,5 @@ def test_paired_response_flags_a_delta_at_the_threshold():
 
 def test_negative_threshold_rejected():
     with pytest.raises(InvalidThreshold):
-        build_metrics_doc(_t7_suite(1), [], "sys", Language.ES, threshold=-0.01)
+        build_metrics_doc({instance.id: instance for instance in _t7_suite(1)}, [], "sys", Language.ES,
+                          threshold=-0.01)

@@ -532,6 +532,63 @@ def test_validate_skips_slot_zero_reads_of_an_instance_without_slots(demo_manife
     assert violations == [f"slots: {suite[index].id} has 0 slots, {family.value} instances have {slots}"]
 
 
+def _by_id_pairing(suite) -> list[str]:
+    """The pairing violations as a check that holds the whole suite and an id -> instance dict finds them: the
+    oracle of the one-pass pair check in `validate_balance`."""
+    instances = list(suite)
+    by_id = {inst.id: inst for inst in instances}
+    pair_groups: dict[str, TemplateFamily] = {}
+    for inst in instances:
+        if inst.pair_id is not None:
+            pair_groups.setdefault(inst.pair_id, inst.family)
+    violations = []
+    for pair_id, family in pair_groups.items():
+        suffixes = _SHAPES[family].suffixes
+        if len(suffixes) < 2:
+            continue
+        partners = [pair_id + suffix for suffix in suffixes]
+        missing = [pid for pid in partners if pid not in by_id]
+        if missing:
+            violations.append(f"pairing: group {pair_id} incomplete, missing {', '.join(missing)}")
+        elif len({tuple(s.lemma for s in by_id[pid].slots) for pid in partners}) != 1:
+            violations.append(f"pairing: group {pair_id} members disagree on adjectives")
+    return violations
+
+
+_EDITS = ("family", "suffix", "lemma", "empty", "move")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_one_pass_pair_check_finds_what_an_id_index_finds(demo_manifest, data):
+    """Relabelled members (family, id suffix, adjectives, slots, moved to a group of their own), then dropped and
+    duplicated ones, in any order: the pairing violations equal the id-index oracle's, in its order.
+
+    Ids stay unique except for verbatim copies, and every member keeps its group's pair_id, as in a suite file."""
+    suite = generate_suite(demo_manifest)
+    index = st.integers(0, len(suite) - 1)
+    for number, (kind, i) in enumerate(data.draw(st.lists(st.tuples(st.sampled_from(_EDITS), index), max_size=8))):
+        inst = suite[i]
+        suffix = inst.id[len(inst.pair_id):] if inst.pair_id else "d"
+        if kind == "family":
+            suite[i] = inst._replace(family=data.draw(st.sampled_from(list(TemplateFamily))))
+        elif kind == "suffix":
+            suite[i] = inst._replace(id=(inst.pair_id or inst.id) + "x")
+        elif kind == "lemma" and inst.slots:
+            suite[i] = inst._replace(slots=(inst.slots[0]._replace(lemma="edited"),) + inst.slots[1:])
+        elif kind == "empty":
+            suite[i] = inst._replace(slots=())
+        elif kind == "move":
+            suite[i] = inst._replace(id=f"moved-{number}-{suffix}", pair_id=f"moved-{number}-")
+    for i in sorted(data.draw(st.sets(index, max_size=6)), reverse=True):
+        del suite[i]
+    for i in data.draw(st.lists(st.integers(0, len(suite) - 1), max_size=6)):
+        suite.insert(data.draw(st.integers(0, len(suite))), suite[i])
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(suite)
+    found = [v for v in validate_balance(suite).violations if v.startswith("pairing:")]
+    assert found == _by_id_pairing(suite)
+
+
 def test_hand_built_pronoun_imbalance_is_flagged():
     base = {"C_g": "pretty nurse", "C_gbar": "strong doctor", "C_g_stereotype": "f", "A": "fit"}
     suite = [
