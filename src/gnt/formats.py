@@ -17,7 +17,7 @@ from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .classify import GenderLabel, SlotScore
 from .errors import DuplicateRecord, ParseError, ProtocolViolation
@@ -128,13 +128,16 @@ def _finite(text: str) -> float:  # the constants too: json reads NaN, Infinity 
 
 
 _DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
-# json.loads less its per-call checks; _read_lines strips each line first
-_raw_decode = _DECODER.raw_decode
+# json.loads less its per-call checks and raw_decode's Python frame, as gnt run decodes each translations line twice;
+# the lines are stripped first. Where raw_decode raises "Expecting value", it raises StopIteration with the index.
+_scan = _DECODER.scan_once
 
 
 def _invalid_json(exc: Exception, text: str, path: str, line: int = 0) -> ParseError:
     """The error for `exc`, raised decoding `text`: it names the file, and `line` or else the line of the fault."""
     message = str(exc)  # a _NotJson's
+    if isinstance(exc, StopIteration):
+        exc = json.JSONDecodeError("Expecting value", text, exc.value)
     if isinstance(exc, json.JSONDecodeError):
         # the messages of json.loads, which looks for a byte order mark first
         message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff" else exc.msg
@@ -147,8 +150,11 @@ def _invalid_json(exc: Exception, text: str, path: str, line: int = 0) -> ParseE
 
 
 def _read_lines(path: str):
+    """(line number, byte offset, record) of each non-blank line of `path`."""
     with open(path, "rb") as fh:
+        end_of_line = 0
         for number, raw in enumerate(fh, start=1):
+            offset, end_of_line = end_of_line, end_of_line + len(raw)
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
@@ -156,14 +162,34 @@ def _read_lines(path: str):
             if not line:
                 continue
             try:
-                record, end = _raw_decode(line)
+                record, end = _scan(line, 0)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
-            except (ValueError, RecursionError) as exc:
+            except (StopIteration, ValueError, RecursionError) as exc:
                 raise _invalid_json(exc, line, path, number) from None
             if not isinstance(record, dict):
                 raise ParseError("record must be a JSON object", path, number)
-            yield number, record
+            yield number, offset, record
+
+
+def _lines_at(path: str, offsets: Iterable[int]) -> Iterator[bytes]:
+    """The lines of `path` that start at `offsets`, ascending byte offsets, up to one that no line starts at.
+
+    A line that follows the one before it is read on from there. Over a gap, such as the lines of other groups, the
+    file seeks, and the byte before the offset must be a newline.
+    """
+    with open(path, "rb") as fh:
+        position = 0
+        for want in offsets:
+            if want != position:
+                fh.seek(want - 1)
+                if fh.read(1) != b"\n":
+                    return
+            raw = fh.readline()
+            if not raw:
+                return
+            position = want + len(raw)
+            yield raw
 
 
 def _read_document(path: str) -> dict:
@@ -333,7 +359,7 @@ def iter_suite(path: str | Path) -> Iterator[TestInstance]:
     # one slot cache and one string per distinct source text for the whole file
     table = {"slots": partial(_slots, {}), **_INSTANCE}
     texts: dict[str, str] = {}
-    for number, record in _read_lines(path):
+    for number, _, record in _read_lines(path):
         slots, bindings, instance_id, family, source_text, pair_id = _check(record, table, "", path, number)
         if instance_id in seen:
             raise DuplicateRecord(f"{path}:{number}: duplicate instance id {instance_id!r}")
@@ -374,6 +400,15 @@ def write_translations(groups: Mapping[tuple[str, Language], Mapping[str, str]],
 _TRANSLATION = {"system": (str,), "lang": (str,), "id": (str,), "text": (str,)}
 
 
+def _translation(record: dict, path: str, number: int) -> tuple[str, str, str, str]:
+    """A translations record's system, lang, id and text, checked as `_check` checks them against `_TRANSLATION`."""
+    get = record.get
+    fields = get("system"), get("lang"), get("id"), get("text")
+    if type(fields[0]) is type(fields[1]) is type(fields[2]) is type(fields[3]) is str:
+        return fields
+    return _check(record, _TRANSLATION, "", path, number)  # raises the error of the first field that is no string
+
+
 def _duplicate(key: tuple, path: str, number: int, first: int) -> DuplicateRecord:
     return DuplicateRecord(f"{path}:{number}: duplicate record for {key} (first seen on line {first})")
 
@@ -384,7 +419,9 @@ def parse_translations(
     *,
     system: str | None = None,
     language: Language | None = None,
-) -> dict[tuple[str, Language], dict[str, str]]:
+    offsets: bool = False,
+    at: Mapping[tuple[str, Language], Sequence[int]] | None = None,
+) -> dict[tuple[str, Language], dict[str, str] | Sequence[int]]:
     """Parse and validate a translations file into one id -> text map per (system, language).
 
     The groups are ordered by system, then language code; each map keeps the
@@ -396,51 +433,102 @@ def parse_translations(
     per id it gives, not a map, in a regular file. Raises ParseError (with
     line number) on malformed lines or languages outside the closed is/cs/es
     set, and DuplicateRecord when one (system, lang, id) key appears twice.
+
+    With `offsets`, every line is checked alike but no text is kept: in a
+    regular file, each group returned is the array of its lines' byte offsets
+    instead of its map. A file that cannot be read twice, such as a pipe,
+    still returns its maps. With `at`, a mapping of groups to such offsets,
+    the file is not checked again and the other keywords are ignored: only
+    the lines at those offsets are read, into the groups' maps. A line that
+    no longer gives a record of its group there raises ParseError("changed
+    while it was read").
     """
     from array import array  # here, so that `import gnt.cli` loads no module that only a read of translations uses
 
     path = str(path)
-    # per group: its map; the line each of its ids was first read on, in the order of the map's keys, so the file is
-    # read once; and whether it is returned. A group that is not keeps its ids, for the duplicate check, and no text.
-    # In a regular file, such a group is instead one bit of `dropped`, and its duplicate's first line is read again.
-    groups: dict[tuple[str, Language], tuple[dict[str, str | None], array[int], bool] | int] = {}
-    dropped: dict[str, int] = {}  # id -> the bits of the groups not returned that give it
+    if at is not None:
+        strings = {instance_id: instance_id for instance_id in ids}
+        return {key: _read_group(path, key, group_offsets, strings) for key, group_offsets in at.items()}
     rereadable = os.path.isfile(path)
-    # one string per system id and per instance id, shared by every group that names it
-    strings: dict[str, str] = {instance_id: instance_id for instance_id in ids}
-    for number, record in _read_lines(path):
-        name, lang, instance_id, text = _check(record, _TRANSLATION, "", path, number)
-        member = _LANGUAGES.get(lang.lower())
-        if member is None:
+    offsets = offsets and rereadable
+    typecode = "Q" if offsets and os.path.getsize(path) >> 32 else "I"
+    # Per (system, language code), one of two shapes. A map group: its map (of None for a group that is not
+    # returned); the line each of its ids was first read on, in the order of the map's keys, so the file is read once;
+    # and whether it is returned. With `offsets`, or for a group not returned in a regular file, a bit group: the
+    # offsets of its lines when it is returned, else None; and its bit in `bits`. A bit group's duplicate has its first
+    # line read again.
+    groups: dict[tuple[str, str], tuple[dict[str, str | None], array[int], bool] | tuple[array[int] | None, int]] = {}
+    kept: list[tuple[str, str]] = []
+    # one string per system id and per instance id, shared by every map that names it
+    strings: dict[str, str] = {} if offsets else {instance_id: instance_id for instance_id in ids}
+    # id -> the bits of the bit groups that give it; begun with `ids` when no map holds them, so keyed by their strings
+    bits: dict[str, int] = dict.fromkeys(ids, 0) if offsets else {}
+    for number, offset, record in _read_lines(path):
+        name, lang, instance_id, text = _translation(record, path, number)
+        code = lang.lower()
+        if code not in _LANGUAGES:
             raise ParseError(f"unknown language {lang!r}", path, number)
-        key = (strings.setdefault(name, name), member)
+        key = (name, code)
         group = groups.get(key)
         if group is None:
-            keep = (system is None or name == system) and (language is None or member is language)
-            group = groups[key] = ({}, array("I"), keep) if keep or not rereadable else 1 << len(groups)
-        instance_id = strings.setdefault(instance_id, instance_id)
-        if type(group) is int:
-            seen = dropped.get(instance_id, 0)
-            if seen & group:
-                raise _duplicate((name, member.value, instance_id), path, number, _first_line(path, key, instance_id))
-            dropped[instance_id] = seen | group
+            key = (strings.setdefault(name, name), code)
+            keep = (system is None or name == system) and (language is None or _LANGUAGES[code] is language)
+            if keep:
+                kept.append(key)
+            if offsets or rereadable and not keep:
+                group = groups[key] = (array(typecode) if keep else None, 1 << len(groups))
+            else:
+                group = groups[key] = ({}, array("I"), keep)
+        if type(group[1]) is int:
+            starts, bit = group
+            seen = bits.get(instance_id, 0)
+            if seen & bit:
+                raise _duplicate((name, code, instance_id), path, number, _first_line(path, key, instance_id))
+            bits[strings.get(instance_id, instance_id)] = seen | bit
+            if starts is not None:
+                try:
+                    starts.append(offset)
+                except OverflowError:  # the file grew past the size its offsets were typed for
+                    raise ParseError("changed while it was read", path) from None
             continue
+        instance_id = strings.setdefault(instance_id, instance_id)
         texts, lines, keep = group
         size = len(texts)
         texts.setdefault(instance_id, text if keep else None)
         if len(texts) == size:
-            raise _duplicate((name, member.value, instance_id), path, number, lines[list(texts).index(instance_id)])
+            raise _duplicate((name, code, instance_id), path, number, lines[list(texts).index(instance_id)])
         lines.append(number)
-    kept = sorted((key for key, group in groups.items() if type(group) is tuple and group[2]),
-                  key=lambda key: (key[0], key[1].value))
-    return {key: groups[key][0] for key in kept}
+    return {(name, _LANGUAGES[code]): groups[name, code][0] for name, code in sorted(kept)}
 
 
-def _first_line(path: str, key: tuple[str, Language], instance_id: str) -> int:
-    """The line of `path` that first gives `key`'s record for `instance_id`, found by reading the file again."""
-    for number, record in _read_lines(path):
-        name, lang, record_id, _ = _check(record, _TRANSLATION, "", path, number)
-        if record_id == instance_id and name == key[0] and _LANGUAGES.get(lang.lower()) is key[1]:
+def _read_group(path: str, key: tuple[str, Language], offsets: Sequence[int], strings: Mapping[str, str]) -> dict:
+    """The id -> text map of `key`'s lines of `path`, which start at `offsets`, keyed by the strings of `strings`.
+
+    Unless each offset still starts a line that gives one more record of `key`, it raises ParseError.
+    """
+    name, code = key[0], key[1].value
+    texts: dict[str, str] = {}
+    try:
+        for raw in _lines_at(path, offsets):
+            line = raw.decode("utf-8").strip()
+            record, end = _scan(line, 0)
+            system, lang, instance_id, text = _translation(record, path, 0)
+            if end != len(line) or system != name or lang.lower() != code:
+                break
+            texts[strings.get(instance_id, instance_id)] = text
+        else:
+            if len(texts) == len(offsets):
+                return texts
+    except (ParseError, StopIteration, ValueError, RecursionError, AttributeError):  # the line gives no record now
+        pass
+    raise ParseError("changed while it was read", path)
+
+
+def _first_line(path: str, key: tuple[str, str], instance_id: str) -> int:
+    """The line of `path` that first gives the record of `key`, a (system, language code), for `instance_id`."""
+    for number, _, record in _read_lines(path):
+        name, lang, record_id, _ = _translation(record, path, number)
+        if record_id == instance_id and name == key[0] and lang.lower() == key[1]:
             return number
     raise ParseError("changed while it was read", path)
 
@@ -453,16 +541,27 @@ def split_orphans(texts: Iterable[str], known_ids: Container[str]) -> list[str]:
 # --- scores ----------------------------------------------------------------------
 
 
-def _score_line(score: SlotScore) -> str:
-    return (
-        f'{{"instance_id": {_str(score.instance_id)}, "slot_index": {_index(score.slot_index)}, '
-        f'"label": {_TEXT[score.label]}, "matched_text": {_str(score.matched_text)}, "rule": {_str(score.rule)}}}\n'
-    )
+def _score_tail(score: SlotScore) -> str:
+    """The end of `score`'s scores-file line: its label, matched text and rule."""
+    return f'"label": {_TEXT[score.label]}, "matched_text": {_str(score.matched_text)}, "rule": {_str(score.rule)}}}\n'
+
+
+def _score_line(score: SlotScore, tail: str | None = None) -> str:
+    """The scores-file line of `score`, with its `_score_tail` when it is already formatted."""
+    if tail is None:
+        tail = _score_tail(score)
+    return f'{{"instance_id": {_str(score.instance_id)}, "slot_index": {_index(score.slot_index)}, {tail}'
 
 
 def write_scores(scores: Iterable[SlotScore], path: str | Path) -> None:
+    """Write a scores file, formatting each distinct (label, matched text, rule) once."""
+    tails: dict[tuple[GenderLabel, str, str], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_score_line, scores))
+        for score in scores:
+            tail = tails.get(score[2:])
+            if tail is None:
+                tail = tails[score[2:]] = _score_tail(score)
+            fh.write(_score_line(score, tail))
 
 
 def _slot_index(value, name: str, path: str, line: int) -> int:
@@ -487,7 +586,7 @@ def parse_scores(path: str | Path, index: Mapping[str, TestInstance] | None = No
     path = str(path)
     scores = []
     seen: dict[tuple[str, int], int] = {}
-    for number, record in _read_lines(path):
+    for number, _, record in _read_lines(path):
         slot_index, instance_id, label, matched_text, rule = _check(record, _SCORE, "", path, number)
         if index is not None:
             instance = index.get(instance_id)

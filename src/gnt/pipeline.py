@@ -175,7 +175,9 @@ def run_pipeline(
     translations are read. Two systems whose names give one file stem raise
     GntError, and a language without a lexicon InvalidEntry, before any group
     is scored. Each language's resources are loaded once and shared by its
-    systems.
+    systems. A regular translations file is checked whole first, and each
+    group's texts are read from it again when the group is scored; a pipe is
+    read once.
     """
     _check_threshold(threshold)
     out = Path(out_dir)
@@ -193,7 +195,8 @@ def run_pipeline(
         raise UnbalancedSuite(diagnostics)
     # a dict of the suite's ids takes less memory than a set of them
     known_ids = {instance.id: instance for instance in suite}
-    groups = parse_translations(translations_path, known_ids)
+    # a regular file's groups are their lines' offsets: each group's texts are read when it is scored
+    groups = parse_translations(translations_path, known_ids, offsets=True)
     owners: dict[str, str] = {}
     for system, _ in groups:
         owner = owners.setdefault(_slug(system), system)
@@ -203,9 +206,13 @@ def run_pipeline(
     resources = {language: load_language_resources(lexicon_dir, language) for language in languages}
 
     reports = []
-    for system, language in list(groups):
-        # out of `groups` and held by no name here, so this group's texts are released once it is scored
-        scores, orphans, missing = score_group(suite, known_ids, groups.pop((system, language)), resources[language])
+    for key in list(groups):
+        system, language = key
+        texts = groups.pop(key)
+        if not isinstance(texts, dict):  # the offsets of its lines
+            texts = parse_translations(translations_path, known_ids, at={key: texts})[key]
+        scores, orphans, missing = score_group(suite, known_ids, texts, resources[language])
+        del texts  # out of `groups` too, so this group's texts are released once it is scored
         doc = build_metrics_doc(known_ids, scores, system, language, threshold, orphans, missing)
         markdown = render_report(doc, "md")
 

@@ -617,6 +617,25 @@ def _add_member(pair: list, inst: TestInstance) -> None:
         pair[2] = None
 
 
+def _content_violations(family: TemplateFamily, source_text: str, slots: tuple[AdjectiveSlot, ...]) -> list:
+    """The violations that an instance of this content has, each as (kind, the message after the instance id)."""
+    shape = _SHAPES[family]
+    found = []
+    if len(slots) != shape.slots:
+        found.append(("slots", f" has {len(slots)} slots, {family.value} instances have {shape.slots}"))
+    for slot in slots:
+        if slot.lemma not in source_text:
+            found.append(("text", f" slot {slot.slot_index} lemma {slot.lemma!r} absent from source"))
+        if slot.gender.ambiguity not in shape.ambiguity:
+            found.append(("condition", f" slot {slot.slot_index} is {slot.gender.kind.value}"
+                          f"/{slot.gender.ambiguity.value}, which {family.value} never produces"))
+    if family is TemplateFamily.T5_CHAR_STEREOTYPE and any(slot.gender.is_ambiguous for slot in slots):
+        leaked = sorted({w.lower() for w in _WORD_RE.findall(source_text)} & _GENDERED_PRONOUNS)
+        if leaked:
+            found.append(("leakage", f" is ambiguous but contains {', '.join(leaked)}"))
+    return found
+
+
 def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | None = None) -> BalanceDiagnostics:
     """Re-check the generator's postconditions on an arbitrary suite.
 
@@ -626,56 +645,52 @@ def validate_balance(suite: Iterable[TestInstance], quotas: Mapping[str, int] | 
     are also compared against it. The suite is read once and not copied: a
     group's members are the instances that carry its `pair_id`, its family
     is its first member's, and a member counts as the group's `pair_id` plus
-    one of that family's id suffixes.
+    one of that family's id suffixes. Each distinct (family, source text,
+    slots) is checked and counted once, however many instances share it.
     """
     violations: list[str] = []
     warnings: list[str] = []
 
-    conditions: Counter = Counter()  # (family, gender kind, stereotype kind) -> slots
-    positions: Counter = Counter()  # (family, first-person position) -> instances
-    pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
-    cues: Counter = Counter()  # (T5 pronoun, stereotype kind) -> instances
+    # (family, source_text, slots) -> [instances that have it, its violations as `_content_violations` gives them]
+    contents: dict[tuple, list] = {}
     # pair_id -> [family, bitmask of the family's id suffixes seen, first suffixed member's slots or None once
     # two of them disagree on adjectives]
     pairs: dict[str, list] = {}
 
     for inst in suite:
-        family = inst.family.value
-        shape = _SHAPES[inst.family]
-        if len(inst.slots) != shape.slots:
-            violations.append(f"slots: {inst.id} has {len(inst.slots)} slots, {family} instances have {shape.slots}")
-        for slot in inst.slots:
-            conditions[inst.family, slot.gender.kind, slot.stereotype.kind] += 1
-            if slot.lemma not in inst.source_text:
-                violations.append(f"text: {inst.id} slot {slot.slot_index} lemma {slot.lemma!r} absent from source")
-            if slot.gender.ambiguity not in shape.ambiguity:
-                violations.append(
-                    f"condition: {inst.id} slot {slot.slot_index} is {slot.gender.kind.value}"
-                    f"/{slot.gender.ambiguity.value}, which {family} never produces"
-                )
-
-        # position, pronoun and cue are read from slot 0, as the metrics score it, not from the bindings
-        first = inst.slots[0] if inst.slots else None
-        if shape.position_unit is not None and first:
-            # position 1 ("I" opens): slot 0 is ambiguous exactly when its referent is the speaker
-            positions[family, 1 if (first.referent is Referent.SPEAKER) == first.gender.is_ambiguous else 2] += 1
-
-        if family == "T5":
-            if first:
-                pronoun = _SPEECH_PRONOUN[first.gender.kind]
-                pronoun_counts[pronoun] += 1
-                cues[pronoun, first.stereotype.kind] += 1
-            if any(slot.gender.is_ambiguous for slot in inst.slots):
-                words = {w.lower() for w in _WORD_RE.findall(inst.source_text)}
-                leaked = sorted(words & _GENDERED_PRONOUNS)
-                if leaked:
-                    violations.append(f"leakage: {inst.id} is ambiguous but contains {', '.join(leaked)}")
+        key = (inst.family, inst.source_text, inst.slots)
+        content = contents.get(key)
+        if content is None:
+            content = contents[key] = [0, _content_violations(*key)]
+        content[0] += 1
+        for kind, message in content[1]:
+            violations.append(f"{kind}: {inst.id}{message}")
 
         if inst.pair_id is not None:
             pair = pairs.get(inst.pair_id)
             if pair is None:
                 pair = pairs[inst.pair_id] = [inst.family, 0, _UNSEEN]
             _add_member(pair, inst)
+
+    conditions: Counter = Counter()  # (family, gender kind, stereotype kind) -> slots
+    positions: Counter = Counter()  # (family, first-person position) -> instances
+    pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
+    cues: Counter = Counter()  # (T5 pronoun, stereotype kind) -> instances
+    for (family, _, slots), (count, _) in contents.items():
+        for slot in slots:
+            conditions[family, slot.gender.kind, slot.stereotype.kind] += count
+        if not slots:
+            continue
+        # position, pronoun and cue are read from slot 0, as the metrics score it, not from the bindings
+        first = slots[0]
+        if _SHAPES[family].position_unit is not None:
+            # position 1 ("I" opens): slot 0 is ambiguous exactly when its referent is the speaker
+            position = 1 if (first.referent is Referent.SPEAKER) == first.gender.is_ambiguous else 2
+            positions[family.value, position] += count
+        if family is TemplateFamily.T5_CHAR_STEREOTYPE:
+            pronoun = _SPEECH_PRONOUN[first.gender.kind]
+            pronoun_counts[pronoun] += count
+            cues[pronoun, first.stereotype.kind] += count
 
     for pair_id, (family, seen, slots) in pairs.items():
         suffixes = _SHAPES[family].suffixes

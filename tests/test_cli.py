@@ -305,29 +305,138 @@ class _Texts(dict):
     __slots__ = ("__weakref__",)
 
 
+def _parse_weakly(parse, maps: list[weakref.ref]):
+    """`parse`, a `parse_translations`, that names each map it returns in `maps`; offsets it returns as they are."""
+    def parse_weakly(path, *args, **kwargs):
+        groups = {key: _Texts(texts) if type(texts) is dict else texts
+                  for key, texts in parse(path, *args, **kwargs).items()}
+        maps.extend(weakref.ref(texts) for texts in groups.values() if type(texts) is _Texts)
+        return groups
+    return parse_weakly
+
+
 def test_run_frees_each_groups_translations_once_it_is_scored(tmp_path, monkeypatch):
-    """At each group's entry the maps of the groups scored before it are dead."""
-    parse = gnt.pipeline.parse_translations
+    """At each group's entry its map is the only one built yet alive: the maps of the groups scored before it are
+    dead, and no later group's map is built."""
     score_group = gnt.pipeline.score_group
     maps: list[weakref.ref] = []
     entries: list[list[bool]] = []
-
-    def parse_weakly(path, *args, **kwargs):
-        groups = {key: _Texts(texts) for key, texts in parse(path, *args, **kwargs).items()}
-        maps.extend(weakref.ref(texts) for texts in groups.values())
-        return groups
 
     def watched(*args, **kwargs):
         gc.collect()
         entries.append([ref() is not None for ref in maps])
         return score_group(*args, **kwargs)
 
-    monkeypatch.setattr(gnt.pipeline, "parse_translations", parse_weakly)
+    monkeypatch.setattr(gnt.pipeline, "parse_translations", _parse_weakly(gnt.pipeline.parse_translations, maps))
     monkeypatch.setattr(gnt.pipeline, "score_group", watched)
     translations = _echo_translations(tmp_path, ("es", "cs", "is"))
     assert main(_run_argv(translations, tmp_path / "out")) == 0
-    assert entries == [[True, True, True], [False, True, True], [False, False, True]]
+    assert entries == [[True], [False, True], [False, False, True]]
     assert [ref() for ref in maps] == [None, None, None]
+
+
+def test_the_check_pass_of_gnt_run_holds_no_text(tmp_path, full_scale_manifest):
+    """Over a three-group full-scale file, the pass that checks every line and returns each group's line offsets
+    holds less than a quarter of one group's texts once it returns, and at its peak less than half."""
+    suite = generate_suite(full_scale_manifest)
+    known_ids = {instance.id: instance for instance in suite}
+    translations = tmp_path / "translations.jsonl"
+    write_translations({("echo", Language(lang)): {i.id: i.source_text for i in suite} for lang in ("cs", "es", "is")},
+                       translations)
+    texts = parse_translations(translations, known_ids, language=Language.CS)["echo", Language.CS]
+    one_group = sys.getsizeof(texts) + sum(map(sys.getsizeof, texts.values()))
+    del texts
+    tracemalloc.start()
+    try:
+        offsets = parse_translations(translations, known_ids, offsets=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(lines) for lines in offsets.values()] == [len(suite)] * 3
+    assert held < one_group / 4 and peak < one_group / 2, (held, peak, one_group)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names the pipe /dev/fd/N, as a shell's <(...) does")
+def test_run_reads_piped_translations_once_to_the_outputs_of_a_file(tmp_path, monkeypatch, capsys):
+    """A pipe cannot be read twice: its groups' texts are kept from the one read, and the outputs and stdout are
+    those of a run on the file, which reads each group again when it is scored."""
+    translations = _echo_translations(tmp_path, ("es", "cs", "is"))
+    parse, calls = gnt.pipeline.parse_translations, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(gnt.pipeline, "parse_translations", counted)
+    assert main(_run_argv(translations, tmp_path / "file")) == 0
+    assert len(calls) == 1 + 3
+    from_file = capsys.readouterr().out
+    calls.clear()
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(translations.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        code = main(_run_argv(Path(f"/dev/fd/{read_end}"), tmp_path / "pipe"))
+    finally:
+        writer.join(timeout=30)
+        os.close(read_end)
+    assert not writer.is_alive()
+    assert code == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == from_file.replace(str(tmp_path / "file"), str(tmp_path / "pipe"))
+    assert _tree(tmp_path / "pipe") == _tree(tmp_path / "file")
+
+
+def _shuffled(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    random.Random(5).shuffle(lines)
+    return "".join(lines)
+
+
+def _repeated(text: str) -> str:
+    """A cs line written over a later one that is as long: one id twice in the lines of the group scored first."""
+    lines = text.splitlines(keepends=True)
+    first: dict[int, int] = {}  # byte length -> the first cs line of that length
+    for i, line in enumerate(lines):
+        if json.loads(line)["lang"] != "cs":
+            continue
+        j = first.setdefault(len(line.encode()), i)
+        if j != i:
+            lines[i] = lines[j]
+            return "".join(lines)
+    raise AssertionError("no two cs lines are as long")
+
+
+@pytest.mark.parametrize("rewrite", [
+    _shuffled,
+    # each line as long as it was: of another system, with a language that is no string, or no JSON
+    lambda text: text.replace('"echo"', '"ECHO"'),
+    lambda text: text.replace('"lang": "cs", ', '"lang": 1234, '),
+    lambda text: text.replace('{"system"', '["system"'),
+    _repeated,
+    lambda text: text.replace('"text": "', '"text": "x', 1),  # every later line one byte on
+    lambda text: text[:len(text) // 2],
+], ids=["shuffled", "renamed", "reshaped", "not-json", "repeated", "shifted", "truncated"])
+def test_run_stops_when_the_translations_change_between_its_reads(tmp_path, monkeypatch, capsys, rewrite):
+    """A file rewritten after it is checked, before its groups are read again: exit 2 and a message naming it."""
+    translations = _echo_translations(tmp_path, ("es", "cs"))
+    parse = gnt.pipeline.parse_translations
+
+    def parse_then_rewrite(path, *args, **kwargs):
+        groups = parse(path, *args, **kwargs)
+        if kwargs.get("offsets"):
+            translations.write_text(rewrite(translations.read_text(encoding="utf-8")), encoding="utf-8")
+        return groups
+
+    monkeypatch.setattr(gnt.pipeline, "parse_translations", parse_then_rewrite)
+    assert main(_run_argv(translations, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {translations}: changed while it was read\n"
+    assert [path.name for path in (tmp_path / "out").iterdir()] == ["suite.jsonl"]
 
 
 def test_run_scores_each_group_on_the_suites_own_ids_and_holds_no_bindings(tmp_path, monkeypatch):
@@ -637,16 +746,11 @@ def test_run_checks_balance_before_reading_the_translations(tmp_path, capsys):
 
 
 def test_run_builds_each_metrics_document_without_a_suite_copy(tmp_path, monkeypatch, full_scale_manifest):
-    """Inside `gnt run`, `build_metrics_doc` allocates far less than a copy of the suite's id -> instance map, and
-    the map of the group it reads the scores of is already freed."""
-    parse, build = gnt.pipeline.parse_translations, gnt.pipeline.build_metrics_doc
+    """Inside `gnt run`, `build_metrics_doc` allocates far less than a copy of the suite's id -> instance map, the
+    map of the group it reads the scores of is already freed, and no later group's map is built."""
+    build = gnt.pipeline.build_metrics_doc
     maps: list[weakref.ref] = []
     entries: list[tuple[list[bool], int]] = []
-
-    def parse_weakly(path, *args, **kwargs):
-        groups = {key: _Texts(texts) for key, texts in parse(path, *args, **kwargs).items()}
-        maps.extend(weakref.ref(texts) for texts in groups.values())
-        return groups
 
     def traced(*args, **kwargs):
         alive = [ref() is not None for ref in maps]
@@ -658,7 +762,7 @@ def test_run_builds_each_metrics_document_without_a_suite_copy(tmp_path, monkeyp
             tracemalloc.stop()
         return doc
 
-    monkeypatch.setattr(gnt.pipeline, "parse_translations", parse_weakly)
+    monkeypatch.setattr(gnt.pipeline, "parse_translations", _parse_weakly(gnt.pipeline.parse_translations, maps))
     monkeypatch.setattr(gnt.pipeline, "build_metrics_doc", traced)
     suite = generate_suite(full_scale_manifest)
     translations = tmp_path / "translations.jsonl"
@@ -667,7 +771,7 @@ def test_run_builds_each_metrics_document_without_a_suite_copy(tmp_path, monkeyp
     copy = sys.getsizeof({instance.id: instance for instance in suite})
     assert main(["run", "--manifest", str(full_scale_manifest_path()), "--translations", str(translations),
                  "--lexicon-dir", str(lexicon_dir()), "--out-dir", str(tmp_path / "out")]) == 0
-    assert [alive for alive, _ in entries] == [[False, True], [False, False]]
+    assert [alive for alive, _ in entries] == [[False], [False, False]]
     assert all(peak < copy / 4 for _, peak in entries), (entries, copy)
 
 

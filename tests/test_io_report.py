@@ -28,7 +28,9 @@ from gnt import (
     write_translations,
 )
 from gnt.errors import DuplicateRecord, GntError, InvalidEntry, ParseError
-from gnt.formats import _suite_line, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc
+from gnt.formats import (
+    _score_line, _suite_line, metrics_doc_to_text, parse_metrics_doc, split_orphans, write_metrics_doc,
+)
 from gnt.data import demo_manifest_path, lexicon_dir
 from gnt.pipeline import build_metrics_doc, missing_translations, score_group, score_suite
 from gnt.suite import (
@@ -142,6 +144,65 @@ def test_a_duplicate_read_from_a_pipe_names_the_line_its_key_was_first_read_on(t
             writer.join(timeout=30)
         assert not writer.is_alive()
         assert str(excinfo.value) == f"{fifo}:4: duplicate record for ('s', 'es', 'x') (first seen on line 1)"
+
+
+def test_parse_translations_reads_each_group_at_its_offsets_to_the_maps_of_one_read(tmp_path):
+    """Interleaved groups, blank and padded lines and multi-byte texts: each group read at the offsets that the check
+    pass returns is its map of one read, in the same order and keyed by the given ids."""
+    records = [{"system": system, "lang": lang, "id": f"T7-{i:06d}a", "text": f"{system} {lang} {i} é \U0001f600"}
+               for system in ("b", "a") for lang in ("es", "cs", "is") for i in range(6)]
+    random.Random(11).shuffle(records)
+    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
+    lines[3:3] = ["\n", "  \t\n"]
+    lines[10] = "  " + lines[10].rstrip("\n") + "  \n"
+    path = tmp_path / "tr.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    ids = ["".join(("T7-", f"{i:06d}a")) for i in range(4)]  # built at run time, so no literal shares them
+    given = {id(instance_id) for instance_id in ids}
+    whole = parse_translations(path, ids)
+    offsets = parse_translations(path, ids, offsets=True)
+    assert list(offsets) == list(whole)
+    for key, group_offsets in offsets.items():
+        group = parse_translations(path, ids, at={key: group_offsets})
+        assert list(group) == [key] and list(group[key].items()) == list(whole[key].items())
+        assert sum(id(instance_id) in given for instance_id in group[key]) == len(ids)
+    assert parse_translations(path, ids, at=offsets) == whole
+    assert list(parse_translations(path, offsets=True, system="b")) == [("b", Language.CS), ("b", Language.ES),
+                                                                         ("b", Language.IS)]
+
+
+def test_a_group_read_at_an_offset_inside_a_line_is_refused(tmp_path):
+    """Past its indent, a line would still give its group's record: each offset must start a line."""
+    path = tmp_path / "tr.jsonl"
+    path.write_text('{"system": "s", "lang": "es", "id": "x", "text": "t"}\n'
+                    '   {"system": "s", "lang": "es", "id": "y", "text": "u"}\n', encoding="utf-8")
+    key = ("s", Language.ES)
+    offsets = parse_translations(path, offsets=True)[key]
+    assert parse_translations(path, at={key: offsets}) == {key: {"x": "t", "y": "u"}}
+    for inside in ([offsets[0], offsets[1] + 3], [offsets[1] + 3]):
+        with pytest.raises(ParseError) as excinfo:
+            parse_translations(path, at={key: inside})
+        assert str(excinfo.value) == f"{path}: changed while it was read"
+
+
+def test_a_pipe_read_for_offsets_returns_its_maps(tmp_path):
+    """A FIFO cannot be read again at offsets: asked for them, its one read keeps each group's map."""
+    fifo = tmp_path / "tr.fifo"
+    os.mkfifo(fifo)
+    records = [_line("s", "es", "x"), _line("s", "cs", "x"), _line("s", "es", "y")]
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:  # blocks until the reader opens the FIFO
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        groups = parse_translations(fifo, offsets=True)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert groups == {("s", Language.CS): {"x": "s cs x"}, ("s", Language.ES): {"x": "s es x", "y": "s es y"}}
 
 
 def test_parse_translations_reports_malformed_line_number(tmp_path):
@@ -465,6 +526,22 @@ def test_each_record_writer_writes_what_the_json_encoder_writes(tmp_path_factory
         (key, list(texts.items())) for key, texts in groups.items()]
     write_translations(parsed, base / "rewritten.jsonl")
     assert (base / "rewritten.jsonl").read_bytes() == (base / "translations.jsonl").read_bytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_write_scores_writes_each_line_as_it_is_formatted_alone(tmp_path_factory, data):
+    """Tails shared by many scores, texts that need escaping and bool slot indices: the file, whose tails are
+    formatted once each, is every score's line formatted on its own."""
+    texts = data.draw(st.lists(_TEXTS, min_size=1, max_size=3))
+    tails = data.draw(st.lists(st.tuples(st.sampled_from(GenderLabel), st.sampled_from(texts), st.sampled_from(texts)),
+                               min_size=1, max_size=3))
+    heads = st.tuples(_TEXTS, st.integers(0, 10**6) | st.booleans())
+    scores = [SlotScore(*head, *tail) for head, tail in data.draw(st.lists(st.tuples(heads, st.sampled_from(tails)),
+                                                                           max_size=12))]
+    path = tmp_path_factory.getbasetemp() / "tails.jsonl"
+    write_scores(scores, path)
+    assert path.read_bytes() == "".join(map(_score_line, scores)).encode()
 
 
 _MANIFEST = json.loads(demo_manifest_path().read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from gnt import (
 from gnt.errors import InconsistentBinding, MissingBinding, QuotaInfeasible
 from gnt.formats import parse_suite, write_suite
 from gnt.suite import (
-    AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, AmbiguityKind, GenderKind, Referent, StereotypeKind, _SHAPES,
+    AMBIGUOUS_ACTIVE, AMBIGUOUS_OMISSION, QUOTA_KEYS, AmbiguityKind, BalanceDiagnostics, GenderKind, Referent,
+    StereotypeKind, _GENDERED_PRONOUNS, _SHAPES, _SPEECH_PRONOUN, _UNSEEN, _WORD_RE, _add_member, _split_check,
 )
 from helpers import instance_to_dict, random_manifest
 
@@ -587,6 +589,195 @@ def test_the_one_pass_pair_check_finds_what_an_id_index_finds(demo_manifest, dat
     random.Random(data.draw(st.integers(0, 2**32))).shuffle(suite)
     found = [v for v in validate_balance(suite).violations if v.startswith("pairing:")]
     assert found == _by_id_pairing(suite)
+
+
+def _per_instance_balance(suite, quotas=None) -> BalanceDiagnostics:
+    """`validate_balance` as it checked and counted each instance on its own, whatever content it shares: the oracle
+    of the check and count made once per distinct content."""
+    violations: list[str] = []
+    warnings: list[str] = []
+
+    conditions: Counter = Counter()  # (family, gender kind, stereotype kind) -> slots
+    positions: Counter = Counter()  # (family, first-person position) -> instances
+    pronoun_counts: dict[str, int] = {"he": 0, "she": 0, "they": 0}
+    cues: Counter = Counter()  # (T5 pronoun, stereotype kind) -> instances
+    # pair_id -> [family, bitmask of the family's id suffixes seen, first suffixed member's slots or None once
+    # two of them disagree on adjectives]
+    pairs: dict[str, list] = {}
+
+    for inst in suite:
+        family = inst.family.value
+        shape = _SHAPES[inst.family]
+        if len(inst.slots) != shape.slots:
+            violations.append(f"slots: {inst.id} has {len(inst.slots)} slots, {family} instances have {shape.slots}")
+        for slot in inst.slots:
+            conditions[inst.family, slot.gender.kind, slot.stereotype.kind] += 1
+            if slot.lemma not in inst.source_text:
+                violations.append(f"text: {inst.id} slot {slot.slot_index} lemma {slot.lemma!r} absent from source")
+            if slot.gender.ambiguity not in shape.ambiguity:
+                violations.append(
+                    f"condition: {inst.id} slot {slot.slot_index} is {slot.gender.kind.value}"
+                    f"/{slot.gender.ambiguity.value}, which {family} never produces"
+                )
+
+        # position, pronoun and cue are read from slot 0, as the metrics score it, not from the bindings
+        first = inst.slots[0] if inst.slots else None
+        if shape.position_unit is not None and first:
+            # position 1 ("I" opens): slot 0 is ambiguous exactly when its referent is the speaker
+            positions[family, 1 if (first.referent is Referent.SPEAKER) == first.gender.is_ambiguous else 2] += 1
+
+        if family == "T5":
+            if first:
+                pronoun = _SPEECH_PRONOUN[first.gender.kind]
+                pronoun_counts[pronoun] += 1
+                cues[pronoun, first.stereotype.kind] += 1
+            if any(slot.gender.is_ambiguous for slot in inst.slots):
+                words = {w.lower() for w in _WORD_RE.findall(inst.source_text)}
+                leaked = sorted(words & _GENDERED_PRONOUNS)
+                if leaked:
+                    violations.append(f"leakage: {inst.id} is ambiguous but contains {', '.join(leaked)}")
+
+        if inst.pair_id is not None:
+            pair = pairs.get(inst.pair_id)
+            if pair is None:
+                pair = pairs[inst.pair_id] = [inst.family, 0, _UNSEEN]
+            _add_member(pair, inst)
+
+    for pair_id, (family, seen, slots) in pairs.items():
+        suffixes = _SHAPES[family].suffixes
+        if len(suffixes) < 2:
+            continue
+        missing = [pair_id + suffix for bit, suffix in enumerate(suffixes) if not seen >> bit & 1]
+        if missing:
+            violations.append(f"pairing: group {pair_id} incomplete, missing {', '.join(missing)}")
+        elif slots is None:
+            violations.append(f"pairing: group {pair_id} members disagree on adjectives")
+
+    slot_counts: dict[str, int] = {}
+    genders: Counter = Counter()  # (family, gender kind) -> slots
+    for (family, gender_kind, stereotype_kind), count in conditions.items():
+        key = quota_key(family, gender_kind, stereotype_kind)
+        slot_counts[key] = slot_counts.get(key, 0) + count
+        genders[family.value, gender_kind] += count
+
+    if quotas is not None:
+        for key in QUOTA_KEYS:
+            expected = quotas.get(key, 0)
+            found = slot_counts.get(key, 0)
+            if expected != found:
+                violations.append(f"count-mismatch: {key} expected {expected}, found {found}")
+
+    # paired families must keep their construction ratios even without quotas
+    for family, shape in _SHAPES.items():
+        if shape.det and shape.amb:
+            ratio = shape.det // shape.amb
+            det = slot_counts.get(f"{family.value}-Det", 0)
+            amb = slot_counts.get(f"{family.value}-Amb", 0)
+            if det != ratio * amb:
+                times = f"{ratio} x " if ratio != 1 else ""
+                violations.append(f"count-mismatch: {family.value}-Det ({det}) != {times}{family.value}-Amb ({amb})")
+
+    det_gender_split = {}
+    for family in sorted({family for family, kind in genders if kind is not GenderKind.AMBIGUOUS}):
+        f_count = genders[family, GenderKind.DETERMINED_FEMININE]
+        m_count = genders[family, GenderKind.DETERMINED_MASCULINE]
+        det_gender_split[family] = (f_count, m_count)
+        _split_check(
+            f"{family} determined gender", f_count, m_count, violations, warnings,
+            unit=_SHAPES[TemplateFamily(family)].gender_unit,
+        )
+
+    speaker_position_split = {}
+    for family in sorted({family for family, _ in positions}):
+        one, two = positions[family, 1], positions[family, 2]
+        speaker_position_split[family] = (one, two)
+        _split_check(
+            f"{family} first-person position", one, two, violations, warnings,
+            unit=_SHAPES[TemplateFamily(family)].position_unit,
+        )
+
+    cue_split = {p: (cues[p, StereotypeKind.MASCULINE], cues[p, StereotypeKind.FEMININE]) for p in pronoun_counts}
+    if any(pronoun_counts.values()):
+        # every generated triplet carries all three pronouns, so any spread
+        # means the suite was edited by hand
+        if max(pronoun_counts.values()) - min(pronoun_counts.values()) > 0:
+            violations.append(
+                "imbalance: T5 pronouns he/she/they split "
+                f"{pronoun_counts['he']}/{pronoun_counts['she']}/{pronoun_counts['they']}"
+            )
+        for pronoun, (m_count, f_count) in cue_split.items():
+            if m_count or f_count:
+                _split_check(f"T5 {pronoun!r} stereotype cues", m_count, f_count, violations, warnings)
+
+    return BalanceDiagnostics(
+        slot_counts=slot_counts,
+        det_gender_split=det_gender_split,
+        speaker_position_split=speaker_position_split,
+        pronoun_counts=pronoun_counts,
+        cue_split_by_pronoun=cue_split,
+        violations=violations,
+        warnings=warnings,
+    )
+
+
+
+_CONTENT_EDITS = ("lemma", "condition", "leak", "cue", "slots", "family", "suffix", "drop", "copy")
+# slot 0's condition, edited: one that the family may never produce, or another T5 pronoun
+_OFF_CONDITIONS = (AMBIGUOUS_OMISSION, AMBIGUOUS_ACTIVE, GenderCondition.determined("m"),
+                   GenderCondition.determined("f"))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_balance_checked_once_per_content_equals_the_per_instance_check(demo_manifest, data):
+    """Hand-edited suites whose edited contents are shared by several instances: absent lemmas, conditions a family
+    never produces, leaked and changed T5 pronouns, foreign slot counts and families, broken pairs. Every field of
+    the diagnostics equals the per-instance check's, the order of violations, warnings and counts included."""
+    suite = generate_suite(demo_manifest)
+    index = st.integers(0, len(suite) - 1)
+    for kind, i in data.draw(st.lists(st.tuples(st.sampled_from(_CONTENT_EDITS), index), max_size=8)):
+        if i >= len(suite):
+            continue
+        inst = suite[i]
+        slots = inst.slots
+        if kind == "drop":
+            del suite[i]
+            continue
+        if kind == "copy":
+            suite.insert(data.draw(st.integers(0, len(suite))), inst)
+            continue
+        if kind == "suffix":
+            suite[i] = inst._replace(id=(inst.pair_id or inst.id) + "x")
+            continue
+        first = slots[0] if slots else None
+        if kind == "lemma" and first:
+            edit = {"slots": (first._replace(lemma="absent"),) + slots[1:]}
+        elif kind == "condition" and first:
+            edit = {"slots": (first._replace(gender=data.draw(st.sampled_from(_OFF_CONDITIONS))),) + slots[1:]}
+        elif kind == "leak":
+            edit = {"source_text": inst.source_text + data.draw(st.sampled_from([" he said.", " Her own.", " they"]))}
+        elif kind == "cue" and first:
+            edit = {"slots": (first._replace(stereotype=first.stereotype._replace(
+                kind=data.draw(st.sampled_from(StereotypeKind)))),) + slots[1:]}
+        elif kind == "slots":
+            edit = {"slots": slots[:data.draw(st.integers(0, len(slots)))]}
+        elif kind == "family":
+            edit = {"family": data.draw(st.sampled_from(TemplateFamily))}
+        else:
+            continue
+        # the one edited content goes to this instance and, when drawn, to every other that shares its content
+        shared = data.draw(st.booleans())
+        content = (inst.family, inst.source_text, slots)
+        for j, other in enumerate(suite):
+            if j == i or shared and (other.family, other.source_text, other.slots) == content:
+                suite[j] = other._replace(**edit)
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(suite)
+    quotas = data.draw(st.sampled_from([None, demo_manifest.quotas]))
+    found, expected = validate_balance(suite, quotas), _per_instance_balance(suite, quotas)
+    assert found == expected
+    for field, value in zip(BalanceDiagnostics._fields, found):
+        if isinstance(value, dict):
+            assert list(value.items()) == list(getattr(expected, field).items()), field
 
 
 def test_hand_built_pronoun_imbalance_is_flagged():
